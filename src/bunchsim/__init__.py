@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .bs_algebra import Combination, PhaseBasis, bs_matrix, global_phase_equivalent
 from .coincidence_unit import CcuConfig, TallyTable, accumulate, tally_from_csv, tally_to_csv
 from .detector_bank import Detector, DetectorConfig
-from .photon_source import CHUNK_SLOTS, SourceConfig, generate_stream, substream
+from .photon_source import CHUNK_SLOTS, SourceConfig, occupied_slots, substream
 from .routing_models import RoutingModel, enumerate_distribution, route
 from .simulate import SimConfig, simulate, simulate_streams
 from .statistics import (
@@ -41,8 +41,8 @@ __all__ = [
     "calibrate",
     "enumerate_distribution",
     "g2_zero",
-    "generate_stream",
     "global_phase_equivalent",
+    "occupied_slots",
     "predicted_rates",
     "route",
     "scaling_check",

@@ -103,6 +103,51 @@ def _with_partner(t: np.ndarray, other: np.ndarray, width: int) -> np.ndarray:
     return t[hi > lo]
 
 
+# Merge keys 4 * t + detector are int64, so timestamps must stay below 2**61 ps.
+_MAX_KEY_TIME_PS = 2**61
+
+# Events per stream between merge block edges: a block holds fewer than
+# 4 * _MERGE_STEP keys, which bounds the pre-filter's memory on long runs.
+_MERGE_STEP = 1 << 14
+
+
+def _with_neighbour(streams: dict, spread: int) -> dict:
+    """Events that have an event of any detector within `spread` ps.
+
+    The four streams are merged into one sorted timeline of keys
+    4 * t + detector, block by block in time. An event's nearest other
+    event lies next to it on that timeline, and |dt| <= spread implies a key
+    gap <= 4 * spread + 3, so keeping both ends of every such gap keeps a
+    superset of the events with a neighbour. Every event of a pair
+    (|dt| <= window) or a triple (spread <= 2 * window) has one, and so does
+    each of its partners; the per-channel partner filters of the counters
+    therefore select the same events from these streams as from the full
+    ones, and the counts are identical.
+    """
+    times = [streams[det] for det in Detector]
+    edges = np.unique(np.concatenate([t[::_MERGE_STEP] for t in times]))
+    bounds = [np.append(np.searchsorted(t, edges), t.size) for t in times]
+    limit = 4 * spread + 3
+    kept, prev, prev_keep = [], None, None
+    for j in range(edges.size):
+        keys = np.concatenate([t[b[j] : b[j + 1]] * 4 + det for det, t, b in zip(Detector, times, bounds)])
+        keys.sort()
+        close = keys[1:] - keys[:-1] <= limit
+        keep = np.zeros(keys.size, dtype=bool)
+        keep[:-1] = close
+        keep[1:] |= close
+        if prev is not None:
+            if keys[0] - prev[-1] <= limit:
+                prev_keep[-1] = keep[0] = True
+            kept.append(prev[prev_keep])
+        prev, prev_keep = keys, keep
+    if prev is not None:
+        kept.append(prev[prev_keep])
+    merged = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    det_of = merged & 3
+    return {det: merged[det_of == det] >> 2 for det in Detector}
+
+
 def _greedy_pairs(x, y, window: int) -> int:
     i = j = c = 0
     nx, ny = len(x), len(y)
@@ -202,6 +247,8 @@ def accumulate(
     a shorter stream would silently undercount, so it is an explicit error.
     """
     acq_ps = int(round(config.acquisition_s * 1e12))
+    if acq_ps >= _MAX_KEY_TIME_PS:
+        raise ValueError(f"acquisition of {acq_ps} ps exceeds the counter's limit of {_MAX_KEY_TIME_PS - 1} ps")
     if stream_duration_ps is not None and stream_duration_ps < acq_ps:
         raise ValueError(
             f"streams cover {stream_duration_ps} ps but the acquisition needs {acq_ps} ps"
@@ -213,10 +260,11 @@ def accumulate(
             raise ValueError(f"accumulate[{det.label}]: timestamps outside [0, acquisition]")
         clean[det] = t
     singles = {det: int(clean[det].size) for det in Detector}
+    partnered = _with_neighbour(clean, 2 * int(config.window_ps))
     tally = TallyTable(
         singles=singles,
-        pairs=count_pairs(clean, config),
-        triples=count_triples(clean, config),
+        pairs=count_pairs(partnered, config),
+        triples=count_triples(partnered, config),
         acquisition_s=config.acquisition_s,
         metadata=dict(metadata or {}),
     )

@@ -12,7 +12,7 @@ the detector exactly like a photon click does.
 from __future__ import annotations
 
 import enum
-import struct
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -205,42 +205,59 @@ def apply_dead_time(times, dead_time_ps: int) -> np.ndarray:
 #
 # text: one "<label>\t<timestamp_ps>" line per event, grouped by detector in
 # canonical order, time-sorted within each detector.
-# binary: little-endian records of (uint8 detector id, uint64 timestamp_ps),
-# same ordering.
+# binary: packed little-endian records of (uint8 detector id, uint64
+# timestamp_ps), same ordering.
 
-_RECORD = struct.Struct("<BQ")
+_RECORD = np.dtype([("det", "u1"), ("t", "<u8")])
+# labels have at most 3 characters; a longer field is cut to 4 and stays unknown
+_TEXT_ROW = np.dtype([("label", "U4"), ("t", "<i8")])
+# events formatted per write call, which bounds the text writer's memory
+_TEXT_BLOCK = 1 << 16
 
 
 def write_events(path, events_by_detector: dict, fmt: str = "text") -> None:
+    if fmt not in ("text", "binary"):
+        raise ValueError(f"unknown event dump format {fmt!r}")
+    streams = [(det, np.asarray(events_by_detector.get(det, ()), dtype=np.int64)) for det in Detector]
     if fmt == "text":
         with open(path, "w") as fh:
-            for det in Detector:
-                for t in np.asarray(events_by_detector.get(det, ()), dtype=np.int64):
-                    fh.write(f"{det.label}\t{int(t)}\n")
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            for det in Detector:
-                for t in np.asarray(events_by_detector.get(det, ()), dtype=np.int64):
-                    fh.write(_RECORD.pack(det, int(t)))
+            for det, t in streams:
+                first, sep = f"{det.label}\t", f"\n{det.label}\t"
+                for lo in range(0, t.size, _TEXT_BLOCK):
+                    fh.write(first + sep.join(map(str, t[lo : lo + _TEXT_BLOCK].tolist())) + "\n")
     else:
-        raise ValueError(f"unknown event dump format {fmt!r}")
+        with open(path, "wb") as fh:
+            for det, t in streams:
+                if t.size and t.min() < 0:
+                    raise ValueError(f"{det.label}: negative timestamp in binary event dump")
+                records = np.empty(t.size, dtype=_RECORD)
+                records["det"] = det
+                records["t"] = t
+                records.tofile(fh)
+
+
+def _group_by_detector(ids: np.ndarray, times: np.ndarray, known, what: str) -> dict[Detector, np.ndarray]:
+    """Split events by detector, keeping file order; unknown ids are an error."""
+    out = {det: times[ids == key] for det, key in zip(Detector, known)}
+    if sum(t.size for t in out.values()) != ids.size:
+        bad = ids[~np.isin(ids, known)][0]
+        raise ValueError(f"unknown detector {what} {bad.item()!r} in event dump")
+    return out
 
 
 def read_events(path, fmt: str = "text") -> dict[Detector, np.ndarray]:
-    collected: dict[Detector, list[int]] = {det: [] for det in Detector}
     if fmt == "text":
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                label, t = line.split("\t")
-                collected[LABEL_TO_DETECTOR[label]].append(int(t))
-    elif fmt == "binary":
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, dtype=_TEXT_ROW, delimiter="\t", comments=None, ndmin=1)
+        return _group_by_detector(rows["label"], rows["t"], [det.label for det in Detector], "label")
+    if fmt == "binary":
         with open(path, "rb") as fh:
             data = fh.read()
-        for (det_id, t) in _RECORD.iter_unpack(data):
-            collected[Detector(det_id)].append(t)
-    else:
-        raise ValueError(f"unknown event dump format {fmt!r}")
-    return {det: np.asarray(ts, dtype=np.int64) for det, ts in collected.items()}
+        if len(data) % _RECORD.itemsize:
+            raise ValueError(f"binary event dump ends in a partial {_RECORD.itemsize}-byte record")
+        records = np.frombuffer(data, dtype=_RECORD)
+        if records.size and records["t"].max() > np.iinfo(np.int64).max:
+            raise ValueError("binary event dump holds a timestamp beyond the int64 range")
+        return _group_by_detector(records["det"], records["t"].astype(np.int64), [int(det) for det in Detector], "id")
+    raise ValueError(f"unknown event dump format {fmt!r}")

@@ -1,9 +1,11 @@
 """Poissonian photon-number source on a fixed slot clock.
 
 The attenuated beam is modelled as a stream of equally spaced time slots.
-Slot j carries n_j photons with n_j ~ Poisson(mean_photon_number) and an
-overall optical phase drawn uniformly from [0, 2pi).  The phase is carried
-along for completeness; no counting statistic in this package depends on it.
+Slot j carries n_j photons with n_j ~ Poisson(mean_photon_number). No
+counting statistic depends on the optical phase of a slot, so none is drawn.
+Each slot consumes one uniform, inverted through the Poisson CDF, but only
+the occupied slots (n_j >= 1) are materialised: at the reference operating
+points over 95% of slots are empty.
 
 Reproducibility contract: all randomness is drawn from Philox counter-based
 generators keyed by (seed, purpose, chunk).  Slot streams are generated in
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,6 @@ STREAM_SOURCE = 0
 STREAM_ROUTING = 1
 STREAM_DETECT = 2
 STREAM_DARK = 3
-
-TWO_PI = 2.0 * math.pi
 
 # Slot counts above this are not exactly representable as float products and
 # would take days to simulate anyway.
@@ -58,12 +57,6 @@ class SourceConfig:
             raise ValueError("duration must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-
-
-class PhotonSlot(NamedTuple):
-    index: int
-    n_photons: int
-    global_phase: float
 
 
 def slot_count(config: SourceConfig) -> int:
@@ -99,17 +92,13 @@ def poisson_cdf_table(mean: float) -> np.ndarray:
     return np.asarray(cdf)
 
 
-def sample_slot(config: SourceConfig, rng: np.random.Generator, index: int = 0) -> PhotonSlot:
-    """Draw a single slot from the given generator (one uniform for n, one for phase)."""
-    table = poisson_cdf_table(config.mean_photon_number)
-    n = int(np.searchsorted(table, rng.random(), side="right"))
-    phase = rng.random() * TWO_PI
-    return PhotonSlot(index, n, phase)
+def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(start_index, offsets, photon_numbers) of the occupied slots of one chunk.
 
-
-def chunk_arrays(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(start_index, photon_numbers, phases) for one canonical chunk.
-
+    Slot start + offsets[i] carries photon_numbers[i] >= 1 photons; every
+    other slot of the chunk is empty. One uniform u per slot is drawn from
+    the chunk's substream and n = searchsorted(cdf, u, side='right'), so a
+    slot is empty exactly when u < cdf[0] and only the others are inverted.
     This is the primitive every stream consumer builds on; the per-chunk
     substream makes the result independent of how chunks are distributed
     over workers.
@@ -119,27 +108,8 @@ def chunk_arrays(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndarra
     if not 0 <= start < max(total, 1):
         raise IndexError(f"chunk {chunk_index} out of range")
     m = min(CHUNK_SLOTS, total - start)
-    rng = substream(config.seed, STREAM_SOURCE, chunk_index)
     table = poisson_cdf_table(config.mean_photon_number)
-    n = np.searchsorted(table, rng.random(m), side="right").astype(np.int64)
-    phases = rng.random(m) * TWO_PI
-    return start, n, phases
-
-
-def generate_stream(config: SourceConfig, rng: np.random.Generator | None = None) -> Iterator[PhotonSlot]:
-    """Yield slot_count(config) slots in index order.
-
-    With rng=None (the normal case) slots come from the canonical chunked
-    substreams and are reproducible for a fixed seed regardless of worker
-    partitioning. Passing an explicit generator draws slot-by-slot from it
-    instead, which is handy for hand-built streams in tests.
-    """
-    total = slot_count(config)
-    if rng is not None:
-        for index in range(total):
-            yield sample_slot(config, rng, index)
-        return
-    for chunk in range(num_chunks(config)):
-        start, n, phases = chunk_arrays(config, chunk)
-        for offset in range(n.size):
-            yield PhotonSlot(start + offset, int(n[offset]), float(phases[offset]))
+    u = substream(config.seed, STREAM_SOURCE, chunk_index).random(m)
+    offsets = np.flatnonzero(u >= table[0])
+    n = np.searchsorted(table, u[offsets], side="right").astype(np.int64)
+    return start, offsets, n

@@ -29,8 +29,8 @@ from .photon_source import (
     STREAM_DETECT,
     STREAM_ROUTING,
     SourceConfig,
-    chunk_arrays,
     num_chunks,
+    occupied_slots,
     slot_count,
     substream,
 )
@@ -78,11 +78,9 @@ def _simulate_chunk(args: tuple) -> tuple[dict, int]:
     """Candidate clicks for one chunk. Top-level so process pools can pickle it."""
     config, chunk_index = args
     src = config.source
-    start, n, _ = chunk_arrays(src, chunk_index)
-    occupied = np.flatnonzero(n > 0)
+    start, occupied, k = occupied_slots(src, chunk_index)
     if occupied.size == 0:
         return {det: np.empty(0, dtype=np.int64) for det in Detector}, 0
-    k = n[occupied]
     route_rng = substream(src.seed, STREAM_ROUTING, chunk_index)
     port1 = route_counts(config.model, k, route_rng)
     counts = split_counts(port1, k - port1, route_rng)

@@ -1,10 +1,14 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from bunchsim import coincidence_unit
 from bunchsim.coincidence_unit import (
     CROSS_SIDE_PAIRS,
     PAIR_KEYS,
@@ -21,7 +25,7 @@ from bunchsim.coincidence_unit import (
     tally_to_json,
     triple_coincidences,
 )
-from bunchsim.coincidence_unit import _greedy_pairs, _greedy_triples
+from bunchsim.coincidence_unit import _greedy_pairs, _greedy_triples, _with_neighbour
 from bunchsim.detector_bank import Detector
 
 
@@ -137,6 +141,76 @@ def test_prefilter_preserves_greedy_counts():
         assert triple_coincidences(x, y, z, w) == _greedy_triples(list(x), list(y), list(z), 2 * w)
 
 
+@st.composite
+def timelines(draw):
+    """(window, four sorted streams) dense enough for many coincidences.
+
+    Streams share some timestamps (equal times on different detectors), may
+    be empty, and pass a dead-time filter shorter than the triple spread.
+    """
+    window = draw(st.integers(1, 10**6))
+    span = draw(st.integers(0, 30)) * window
+    dead = draw(st.integers(0, 2 * window - 1))
+    shared = draw(st.lists(st.integers(0, span), max_size=10))
+    streams = {}
+    for det in Detector:
+        raw = sorted([t for t in shared if draw(st.booleans())] + draw(st.lists(st.integers(0, span), max_size=12)))
+        kept = []
+        for t in raw:
+            if not kept or t - kept[-1] >= dead:
+                kept.append(t)
+        streams[det] = np.asarray(kept, dtype=np.int64)
+    return window, streams
+
+
+@settings(max_examples=300, deadline=None)
+@given(timelines())
+def test_merged_prefilter_preserves_every_count(case):
+    window, streams = case
+    tally = accumulate(streams, CcuConfig(window_ps=window, acquisition_s=1.0))
+    for x, y in PAIR_KEYS:
+        raw = _greedy_pairs(streams[x].tolist(), streams[y].tolist(), window)
+        assert tally.pairs[(x, y)] == raw == optimal_pairs(streams[x], streams[y], window)
+    for x, y, z in TRIPLE_KEYS:
+        raw = _greedy_triples(streams[x].tolist(), streams[y].tolist(), streams[z].tolist(), 2 * window)
+        assert tally.triples[(x, y, z)] == raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(timelines())
+def test_merged_prefilter_keeps_every_partnered_event(case):
+    window, streams = case
+    kept = _with_neighbour(streams, 2 * window)
+    for det in Detector:
+        others = np.concatenate([streams[d] for d in Detector if d != det])
+        partnered = [t for t in streams[det].tolist() if np.any(np.abs(others - t) <= 2 * window)]
+        assert np.all(np.diff(kept[det]) >= 0)
+        assert np.isin(partnered, kept[det]).all()
+        assert np.isin(kept[det], streams[det]).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(timelines(), st.integers(1, 3))
+def test_merged_prefilter_independent_of_block_size(case, step):
+    # real runs span many merge blocks; tiny blocks put block edges between
+    # close events of these small streams
+    window, streams = case
+    whole = _with_neighbour(streams, 2 * window)
+    with mock.patch.object(coincidence_unit, "_MERGE_STEP", step):
+        blocked = _with_neighbour(streams, 2 * window)
+    for det in Detector:
+        assert blocked[det].tolist() == whole[det].tolist()
+
+
+def test_merged_prefilter_drops_isolated_events():
+    streams = {det: np.empty(0, dtype=np.int64) for det in Detector}
+    streams[Detector.A1] = np.array([0, 1_000_000], dtype=np.int64)
+    streams[Detector.B2] = np.array([10, 2_000_000], dtype=np.int64)
+    kept = _with_neighbour(streams, 10)
+    assert kept[Detector.A1].tolist() == [0] and kept[Detector.B2].tolist() == [10]
+    assert _with_neighbour(streams, 9)[Detector.A1].size == 0
+
+
 # --- stream plumbing ---------------------------------------------------------
 
 
@@ -189,6 +263,12 @@ def test_accumulate_validates_streams():
         accumulate(late, config)
     with pytest.raises(ValueError):
         accumulate(good, config, stream_duration_ps=int(0.5e12))
+    # the merged-timeline keys 4 * t + detector must fit in int64
+    with pytest.raises(ValueError):
+        accumulate(good, CcuConfig(window_ps=5_000, acquisition_s=2.4e6))
+    far = {det: np.array([2_299_000 * 10**12 + int(det)], dtype=np.int64) for det in Detector}
+    tally = accumulate(far, CcuConfig(window_ps=5_000, acquisition_s=2.3e6))
+    assert set(tally.pairs.values()) == {1} and set(tally.triples.values()) == {1}
 
 
 def test_csv_roundtrip_exact():

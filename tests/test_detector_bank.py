@@ -19,6 +19,8 @@ from bunchsim.detector_bank import (
 )
 from bunchsim.photon_source import substream
 
+import oracles
+
 
 def config(**kw):
     base = dict(efficiency=0.6)
@@ -167,6 +169,57 @@ def test_event_io_roundtrip(tmp_path):
         back = read_events(path, fmt=fmt)
         for det in Detector:
             assert np.array_equal(back[det], streams[det]), (fmt, det)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_event_dump_bytes_match_record_oracle(tmp_path, fmt):
+    rng = np.random.default_rng(9)
+    sizes = {Detector.A1: 0, Detector.A2: 1, Detector.B1: 70_000, Detector.B2: 3}  # B' spans two text blocks
+    streams = {det: np.sort(rng.integers(0, 2**62, size=n, dtype=np.int64)) for det, n in sizes.items()}
+    streams[Detector.B2][:] = [0, 2**62, 2**63 - 1]
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    write_events(ours, streams, fmt=fmt)
+    oracles.write_events(theirs, streams, fmt=fmt)
+    assert ours.read_bytes() == theirs.read_bytes()
+    for reader in (read_events, oracles.read_events):
+        back = reader(ours, fmt=fmt)
+        for det in Detector:
+            assert back[det].dtype == np.int64
+            assert np.array_equal(back[det], streams[det]), (reader, det)
+
+
+def test_event_dump_keeps_file_order_per_detector(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("B'\t7\nA'\t5\n\nB'\t3\r\n")
+    back = read_events(path, fmt="text")
+    assert back[Detector.B1].tolist() == [7, 3] and back[Detector.A1].tolist() == [5]
+    assert back[Detector.A2].size == 0
+
+
+@pytest.mark.parametrize(
+    "fmt,content",
+    [
+        ("binary", bytes([0]) + (5).to_bytes(8, "little") + bytes([1, 2])),  # partial record
+        ("binary", bytes([4]) + (5).to_bytes(8, "little")),  # unknown detector id
+        ("binary", bytes([0]) + (2**63).to_bytes(8, "little")),  # beyond int64
+        ("text", "A'\t5\nC'\t6\n"),  # unknown label
+        ("text", "A'\t5\t6\n"),  # extra field
+        ("text", "A'\tfive\n"),  # not an integer
+    ],
+)
+def test_malformed_event_dumps_raise(tmp_path, fmt, content):
+    path = tmp_path / "bad"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(ValueError):
+        read_events(path, fmt=fmt)
+
+
+def test_binary_dump_rejects_negative_timestamps(tmp_path):
+    with pytest.raises(ValueError):
+        write_events(tmp_path / "e.bin", {Detector.A1: np.array([-1], dtype=np.int64)}, fmt="binary")
 
 
 def test_config_validation():

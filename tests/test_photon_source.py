@@ -6,16 +6,14 @@ from scipy import stats
 
 from bunchsim.photon_source import (
     CHUNK_SLOTS,
-    STREAM_SOURCE,
     SourceConfig,
-    chunk_arrays,
-    generate_stream,
     num_chunks,
+    occupied_slots,
     poisson_cdf_table,
-    sample_slot,
     slot_count,
     substream,
 )
+from oracles import dense_chunk, dense_stream
 
 
 def small_config(**kw):
@@ -43,53 +41,58 @@ def test_poisson_table_matches_scipy():
 
 def test_zero_mean_yields_empty_slots():
     cfg = small_config(mean_photon_number=0.0)
-    _, n, _ = chunk_arrays(cfg, 0)
-    assert n.size == slot_count(cfg)
-    assert not n.any()
+    _, offsets, n = occupied_slots(cfg, 0)
+    assert offsets.size == 0 and n.size == 0
+    _, dense = dense_chunk(cfg, 0)
+    assert dense.size == slot_count(cfg)
+    assert not dense.any()
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.044, 1.0, 5.0])
+@pytest.mark.parametrize("duration", [0.2, 5.0])  # one partial chunk; a full and a partial one
+def test_occupied_slots_equal_dense_inversion(mean, duration):
+    cfg = small_config(mean_photon_number=mean, duration=duration)
+    for chunk in range(num_chunks(cfg)):
+        start, offsets, n = occupied_slots(cfg, chunk)
+        dense_start, dense = dense_chunk(cfg, chunk)
+        assert start == dense_start
+        assert np.array_equal(offsets, np.flatnonzero(dense))
+        assert np.array_equal(n, dense[offsets])
+        assert n.dtype == np.int64
 
 
 def test_sampled_counts_match_poisson_pmf():
     cfg = small_config(mean_photon_number=0.1, duration=0.2)  # 200k slots
-    _, n, phases = chunk_arrays(cfg, 0)
-    total = n.size
+    _, offsets, n = occupied_slots(cfg, 0)
+    total = slot_count(cfg)
     for k in range(4):
         p = stats.poisson.pmf(k, 0.1)
-        observed = int(np.count_nonzero(n == k))
+        observed = total - offsets.size if k == 0 else int(np.count_nonzero(n == k))
         sigma = math.sqrt(total * p * (1 - p))
         assert abs(observed - total * p) <= 4 * sigma
-    assert phases.min() >= 0.0 and phases.max() < 2 * math.pi
 
 
 def test_chunks_concatenate_to_stream():
-    import itertools
-
     cfg = small_config(duration=6.0, slot_rate=1e6)  # > 1 chunk
     assert num_chunks(cfg) == 2
-    parts = [chunk_arrays(cfg, i) for i in range(2)]
+    parts = [occupied_slots(cfg, i) for i in range(2)]
     assert parts[0][0] == 0 and parts[1][0] == CHUNK_SLOTS
-    assert sum(p[1].size for p in parts) == slot_count(cfg)
-    assert parts[1][1].size == slot_count(cfg) - CHUNK_SLOTS
-    # generator view agrees with the raw chunk arrays (indices and counts)
-    head = list(itertools.islice(generate_stream(cfg), 5000))
-    assert [s.index for s in head] == list(range(5000))
-    assert np.array_equal(np.array([s.n_photons for s in head]), parts[0][1][:5000])
+    assert parts[0][1].max() < CHUNK_SLOTS
+    assert parts[1][1].max() < slot_count(cfg) - CHUNK_SLOTS
+    # global slot indices and counts agree with the dense stream of the run
+    dense = dense_stream(cfg)
+    assert dense.size == slot_count(cfg)
+    index = np.concatenate([start + offsets for start, offsets, _ in parts])
+    assert np.array_equal(index, np.flatnonzero(dense))
+    assert np.array_equal(np.concatenate([n for _, _, n in parts]), dense[index])
 
 
 def test_chunk_content_independent_of_other_chunks():
     cfg = small_config(duration=6.0, slot_rate=1e6)
-    fresh = chunk_arrays(cfg, 1)  # computed without ever touching chunk 0
-    chunk_arrays(cfg, 0)
-    again = chunk_arrays(cfg, 1)
+    fresh = occupied_slots(cfg, 1)  # computed without ever touching chunk 0
+    occupied_slots(cfg, 0)
+    again = occupied_slots(cfg, 1)
     assert np.array_equal(fresh[1], again[1]) and np.array_equal(fresh[2], again[2])
-
-
-def test_sample_slot_uses_two_draws():
-    cfg = small_config()
-    rng = substream(cfg.seed, STREAM_SOURCE)
-    slot = sample_slot(cfg, rng, index=3)
-    assert slot.index == 3
-    assert slot.n_photons >= 0
-    assert 0.0 <= slot.global_phase < 2 * math.pi
 
 
 def test_slot_count_and_chunk_bounds():
@@ -98,7 +101,7 @@ def test_slot_count_and_chunk_bounds():
     cfg = small_config(slot_rate=1e6, duration=2.5e-6)
     assert slot_count(cfg) == 2  # floor
     with pytest.raises(IndexError):
-        chunk_arrays(small_config(), 99)
+        occupied_slots(small_config(), 99)
 
 
 def test_overflowing_slot_count_is_an_error():
