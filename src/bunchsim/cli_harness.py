@@ -243,21 +243,34 @@ def analysis_csv(tally: TallyTable, corr: CorrelationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress):
+    """Simulate cfg under each named model in one shared pass and count each run.
+
+    Returns [(streams, tally)] in the order of models; each run.json metadata
+    carries the package version.
+    """
+    sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
+    runs = simulate_streams(sims, workers=workers, progress=progress)
+    counted = []
+    for sim, (streams, metadata) in zip(sims, runs):
+        metadata["version"] = __version__
+        tally = accumulate(
+            streams,
+            sim.ccu,
+            stream_duration_ps=int(round(sim.source.duration * 1e12)),
+            metadata=metadata,
+        )
+        counted.append((streams, tally))
+    return counted
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
     """Simulate one acquisition; write tally.csv, analysis.csv and run.json.
 
     Returns (TallyTable, CorrelationResult). Outputs are deterministic for a
     fixed config and seed, whatever the worker count.
     """
-    sim = cfg.sim_config()
-    streams, metadata = simulate_streams(sim, workers=workers, progress=progress)
-    metadata["version"] = __version__
-    tally = accumulate(
-        streams,
-        sim.ccu,
-        stream_duration_ps=int(round(sim.source.duration * 1e12)),
-        metadata=metadata,
-    )
+    [(streams, tally)] = _simulate_and_count(cfg, [cfg.model], workers, progress)
     corr = g2_zero(tally, cfg.slot_rate)
 
     out = Path(cfg.output_dir)
@@ -317,8 +330,11 @@ def comparison_csv(results) -> str:
 def compare_models(cfg: ExperimentConfig, models, workers: int = 1, progress=None):
     """Replay the same seeded source stream through each model.
 
-    The source substream never depends on the routing model, so every run
-    sees identical slot occupancies; differences are pure model effects.
+    One chunk pass serves every model: the source is drawn once, then
+    routed, split and detected per model with the same routing, detection
+    and dark-count draws a standalone run of that model uses. Each column
+    therefore equals that model's `run` tally, and differences between
+    columns are pure model effects.
     """
     models = list(models)
     if len(models) < 2:
@@ -327,19 +343,10 @@ def compare_models(cfg: ExperimentConfig, models, workers: int = 1, progress=Non
     if bad:
         raise ConfigError([f"compare: unknown model '{m}'" for m in bad])
 
-    results = []
-    for name in models:
-        run_cfg = dataclasses.replace(cfg, model=name)
-        sim = run_cfg.sim_config()
-        streams, metadata = simulate_streams(sim, workers=workers, progress=progress)
-        metadata["version"] = __version__
-        tally = accumulate(
-            streams,
-            sim.ccu,
-            stream_duration_ps=int(round(sim.source.duration * 1e12)),
-            metadata=metadata,
-        )
-        results.append((name, tally, g2_zero(tally, run_cfg.slot_rate)))
+    results = [
+        (name, tally, g2_zero(tally, cfg.slot_rate))
+        for name, (_, tally) in zip(models, _simulate_and_count(cfg, models, workers, progress))
+    ]
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -412,10 +419,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    if len(models) < 2:
-        raise ConfigError(["compare: need at least two models"])
     if args.model is None:
-        args.model = models[0]  # base config; replaced per run anyway
+        args.model = _MODEL_NAMES[0]  # base config; compare_models sets each run's model
     cfg = _config_from_args(args)
     progress = None if args.quiet else _progress_printer("compare")
     results = compare_models(cfg, models, workers=args.workers, progress=progress)

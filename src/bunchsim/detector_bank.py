@@ -84,7 +84,7 @@ def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator)
     """Vectorised split_to_detectors: shape (4, m) counts for m slots."""
     a1 = rng.binomial(port1, 0.5)
     b1 = rng.binomial(port2, 0.5)
-    return np.stack([a1, port1 - a1, b1, port2 - b1]).astype(np.int64)
+    return np.stack([a1, port1 - a1, b1, port2 - b1]).astype(np.int64, copy=False)
 
 
 def click_probability(k, efficiency: float):

@@ -111,5 +111,5 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndar
     table = poisson_cdf_table(config.mean_photon_number)
     u = substream(config.seed, STREAM_SOURCE, chunk_index).random(m)
     offsets = np.flatnonzero(u >= table[0])
-    n = np.searchsorted(table, u[offsets], side="right").astype(np.int64)
+    n = np.searchsorted(table, u[offsets], side="right").astype(np.int64, copy=False)
     return start, offsets, n

@@ -36,7 +36,7 @@ def route_counts(model: RoutingModel, n, rng: np.random.Generator) -> np.ndarray
         raise ValueError("photon numbers must be >= 0")
     if model is RoutingModel.BUNCHING:
         return n * rng.integers(0, 2, size=n.shape, dtype=np.int64)
-    port1 = rng.binomial(n, 0.5).astype(np.int64)
+    port1 = rng.binomial(n, 0.5).astype(np.int64, copy=False)
     if model is RoutingModel.PHASE_BASIS:
         two = np.flatnonzero(n == 2)
         if two.size:

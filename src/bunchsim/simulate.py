@@ -6,12 +6,17 @@ so the result is byte-identical for any worker count and any chunk schedule.
 Worker processes only compute per-chunk candidate clicks; dark counts and the
 dead-time filter run once on the merged per-detector streams, because dead
 time couples events across chunk boundaries.
+
+Several routing models run in one pass: each chunk's occupied slots are drawn
+and timed once, then routed, split and detected once per model. The routing
+and detection substreams do not depend on the model, so each model gets the
+same draws, and the same output, as it would alone.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,70 +79,89 @@ def config_metadata(config: SimConfig) -> dict:
     }
 
 
-def _simulate_chunk(args: tuple) -> tuple[dict, int]:
-    """Candidate clicks for one chunk. Top-level so process pools can pickle it."""
-    config, chunk_index = args
-    src = config.source
+def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
+    """Candidate clicks and fallback slots of every model for one chunk.
+
+    Top-level so process pools can pickle it.
+    """
+    src, detectors, models, chunk_index = args
     start, occupied, k = occupied_slots(src, chunk_index)
     if occupied.size == 0:
-        return {det: np.empty(0, dtype=np.int64) for det in Detector}, 0
-    route_rng = substream(src.seed, STREAM_ROUTING, chunk_index)
-    port1 = route_counts(config.model, k, route_rng)
-    counts = split_counts(port1, k - port1, route_rng)
+        return [({det: np.empty(0, dtype=np.int64) for det in Detector}, 0) for _ in models]
     # nominal slot centres; exact for any duration below ~9e3 s (2^53 ps)
     times = np.rint((start + occupied) / src.slot_rate * 1e12).astype(np.int64)
-    clicks = detect_counts(counts, times, config.detectors, substream(src.seed, STREAM_DETECT, chunk_index))
-    return clicks, phase_basis_fallback_count(config.model, k)
+    results = []
+    for model in models:
+        route_rng = substream(src.seed, STREAM_ROUTING, chunk_index)
+        port1 = route_counts(model, k, route_rng)
+        counts = split_counts(port1, k - port1, route_rng)
+        clicks = detect_counts(counts, times, detectors, substream(src.seed, STREAM_DETECT, chunk_index))
+        results.append((clicks, phase_basis_fallback_count(model, k)))
+    return results
 
 
-def simulate_streams(config: SimConfig, workers: int = 1, progress=None):
-    """Run the full pipeline; return (per-detector sorted streams, metadata).
+def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dict, dict]]:
+    """Run the full pipeline for configs that differ only in their model.
 
+    Returns [(per-detector sorted streams, metadata)] in the order of configs.
     Streams are dead-time filtered and cut to the configured acquisition.
     progress, if given, is called as progress(done_chunks, total_chunks).
     """
-    chunks = num_chunks(config.source)
-    tasks = [(config, i) for i in range(chunks)]
-    per_detector: dict[Detector, list] = {det: [] for det in Detector}
-    fallback_slots = 0
+    configs = list(configs)
+    if not configs:
+        raise ValueError("simulate_streams: need at least one config")
+    base = configs[0]
+    if any(replace(c, model=base.model) != base for c in configs[1:]):
+        raise ValueError("simulate_streams: configs may differ only in model")
+    src, detectors = base.source, base.detectors
 
-    def consume(i, result):
-        nonlocal fallback_slots
-        clicks, fallback = result
-        fallback_slots += fallback
-        for det in Detector:
-            per_detector[det].append(clicks[det])
+    chunks = num_chunks(src)
+    models = [c.model for c in configs]
+    tasks = [(src, detectors, models, i) for i in range(chunks)]
+    per_model = [{det: [] for det in Detector} for _ in configs]
+    fallback_slots = [0] * len(configs)
+
+    def consume(i, results):
+        for m, (clicks, fallback) in enumerate(results):
+            fallback_slots[m] += fallback
+            for det in Detector:
+                per_model[m][det].append(clicks[det])
         if progress is not None:
             progress(i + 1, chunks)
 
     if workers > 1 and chunks > 1:
         with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
-            for i, result in enumerate(pool.map(_simulate_chunk, tasks)):
-                consume(i, result)
+            for i, results in enumerate(pool.map(_simulate_chunk, tasks)):
+                consume(i, results)
     else:
         for i, task in enumerate(tasks):
             consume(i, _simulate_chunk(task))
 
-    dark = dark_events(config.detectors, config.source.duration, substream(config.source.seed, STREAM_DARK))
-    acq_ps = int(round(config.ccu.acquisition_s * 1e12))
-    streams = {}
-    for det in Detector:
-        merged = np.concatenate(per_detector[det] + [dark[det]])
-        merged.sort()
-        registered = apply_dead_time(merged, config.detectors.dead_time_ps)
-        streams[det] = registered[registered <= acq_ps]
-
-    metadata = {
-        "config": config_metadata(config),
-        "slots": slot_count(config.source),
-        "phase_basis_fallback_slots": int(fallback_slots),
-    }
-    return streams, metadata
+    acq_ps = int(round(base.ccu.acquisition_s * 1e12))
+    runs = []
+    for m, config in enumerate(configs):
+        # darks are few; drawing them per model from the same substream keeps one
+        # dark_events call per run, which perfbench's click accounting relies on
+        dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
+        streams = {}
+        for det in Detector:
+            merged = np.concatenate(per_model[m].pop(det) + [dark[det]])  # pop: drop merged candidates
+            merged.sort()
+            registered = apply_dead_time(merged, detectors.dead_time_ps)
+            # sorted, so the cut to the acquisition is a prefix view, not a copy
+            streams[det] = registered[: np.searchsorted(registered, acq_ps, side="right")]
+        metadata = {
+            "config": config_metadata(config),
+            "slots": slot_count(src),
+            "phase_basis_fallback_slots": int(fallback_slots[m]),
+        }
+        runs.append((streams, metadata))
+    return runs
 
 
 def simulate(config: SimConfig, workers: int = 1, progress=None) -> TallyTable:
     """Simulate one acquisition and count every singles/pair/triple channel."""
-    streams, metadata = simulate_streams(config, workers=workers, progress=progress)
+    [(streams, metadata)] = simulate_streams([config], workers=workers, progress=progress)
     return accumulate(
         streams,
         config.ccu,

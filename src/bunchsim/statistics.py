@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy import special as _special
 
 from .coincidence_unit import (
     CROSS_SIDE_PAIRS,
@@ -353,8 +353,10 @@ def equal_ratio_chisquare(counts) -> tuple[float, float]:
     obs = np.asarray(list(counts), dtype=float)
     if obs.size < 2 or obs.sum() == 0:
         raise ValueError("need at least two counters with events")
-    stat, p = _scipy_stats.chisquare(obs)
-    return float(stat), float(p)
+    # scipy.stats.chisquare's own arithmetic, without importing scipy.stats
+    expected = np.mean(obs, keepdims=True)
+    stat = np.sum((obs - expected) ** 2 / expected)
+    return float(stat), float(_special.chdtrc(obs.size - 1.0, stat))
 
 
 # --- scaling ------------------------------------------------------------------

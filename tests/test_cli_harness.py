@@ -1,8 +1,14 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bunchsim
 from bunchsim.cli_harness import (
     ConfigError,
     compare_models,
@@ -19,6 +25,7 @@ from bunchsim.coincidence_unit import (
     tally_to_csv,
 )
 from bunchsim.detector_bank import Detector, read_events
+from bunchsim.simulate import simulate_streams
 from bunchsim.statistics import REFERENCE_BLOCKS, calibrate
 
 MINIMAL = "model = classical\nmean_photon_number = 0.02\nseed = 7\n"
@@ -173,6 +180,34 @@ def test_compare_rejects_bad_model_lists(tmp_path):
         compare_models(cfg, ["classical", "quantum-leap"])
 
 
+def test_simulate_streams_rejects_configs_differing_beyond_model(tmp_path):
+    base = quick_config(tmp_path).sim_config()
+    changed = [
+        dataclasses.replace(base, source=dataclasses.replace(base.source, seed=6)),
+        dataclasses.replace(base, detectors=dataclasses.replace(base.detectors, dark_rate=1.0)),
+        dataclasses.replace(base, ccu=dataclasses.replace(base.ccu, window_ps=4_000)),
+    ]
+    for other in changed:
+        with pytest.raises(ValueError, match="differ only in model"):
+            simulate_streams([base, other])
+    with pytest.raises(ValueError):
+        simulate_streams([])
+
+
+def test_setup_does_not_import_scipy_stats():
+    # scipy.stats costs about a second and ~45 MB to import; setup must not load it
+    src = str(Path(bunchsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import bunchsim.cli_harness as cli\n"
+        f"cli.parse_config({MINIMAL!r})\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 # --- entry point ---------------------------------------------------------------
 
 
@@ -207,6 +242,9 @@ def test_main_configuration_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--mean-photon-number", "0.02", "--seed", "3"]) == 1
     assert "model: required key is missing" in capsys.readouterr().err
     assert main(["compare", "--models", "classical", "--seed", "1", "--mean-photon-number", "0.02"]) == 1
+    assert "compare: need at least two models" in capsys.readouterr().err
+    assert main(["compare", "--models", "quantum-leap,classical", "--seed", "1", "--mean-photon-number", "0.02"]) == 1
+    assert "compare: unknown model 'quantum-leap'" in capsys.readouterr().err
 
 
 def test_main_runtime_failures_exit_2(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 Each run covers two canonical source chunks (the second one partial), dark
 counts, dead time and the event dumps, so any change to a draw, to the
-counting or to a writer shows up here as a digest mismatch.
+counting or to a writer shows up here as a digest mismatch. The comparison
+table comes from `compare_models` itself, which routes one shared source
+pass through all three models.
 """
 
 import hashlib
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from bunchsim.cli_harness import comparison_csv, parse_config, run_experiment
+from bunchsim.cli_harness import analysis_csv, compare_models, parse_config, run_experiment
+from bunchsim.coincidence_unit import tally_to_json
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_outputs.json").read_text())
 
@@ -23,7 +26,6 @@ def sha256(path: Path) -> str:
 @pytest.fixture(scope="module")
 def golden_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    results = {}
     for model, spec in GOLDEN["runs"].items():
         overrides = dict(
             GOLDEN["overrides"],
@@ -31,23 +33,31 @@ def golden_runs(tmp_path_factory):
             events_format=spec["events_format"],
             output_dir=str(out / model),
         )
-        tally, corr = run_experiment(parse_config("", overrides))
-        results[model] = (tally, corr)
-    return out, results
+        run_experiment(parse_config("", overrides))
+    return out
 
 
 @pytest.mark.parametrize("model", list(GOLDEN["runs"]))
 def test_run_reports_match_pinned_digests(golden_runs, model):
-    out, _ = golden_runs
     expected = GOLDEN["runs"][model]["digests"]
-    actual = {name: sha256(out / model / name) for name in expected}
+    actual = {name: sha256(golden_runs / model / name) for name in expected}
     assert actual == expected
 
 
-def test_comparison_matches_pinned_digest(golden_runs):
-    # compare_models runs the same per-model pipeline, so the side-by-side
-    # table of the three runs above is what `bunchsim compare` writes
-    _, results = golden_runs
-    rows = [(model, tally, corr) for model, (tally, corr) in results.items()]
-    text = comparison_csv(rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["comparison.csv"]
+def compare_golden(out: Path, workers: int):
+    models = list(GOLDEN["runs"])
+    cfg = parse_config("", dict(GOLDEN["overrides"], model=models[0], output_dir=str(out)))
+    return compare_models(cfg, models, workers=workers)
+
+
+def test_comparison_matches_pinned_digest(tmp_path):
+    for workers in (1, 2):
+        compare_golden(tmp_path / f"workers{workers}", workers)
+        assert sha256(tmp_path / f"workers{workers}" / "comparison.csv") == GOLDEN["comparison.csv"]
+
+
+def test_compare_columns_equal_standalone_runs(golden_runs, tmp_path):
+    # the shared pass gives each model exactly the run a standalone `run` gives
+    for name, tally, corr in compare_golden(tmp_path, workers=1):
+        assert tally_to_json(tally) == (golden_runs / name / "run.json").read_text()
+        assert analysis_csv(tally, corr) == (golden_runs / name / "analysis.csv").read_text()

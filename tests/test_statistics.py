@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from bunchsim.coincidence_unit import (
@@ -259,6 +261,12 @@ def test_equal_ratio_chisquare():
         equal_ratio_chisquare([5])
     with pytest.raises(ValueError):
         equal_ratio_chisquare([0, 0, 0, 0])
+
+
+@given(st.lists(st.integers(0, 10**7), min_size=2, max_size=8).filter(any))
+def test_equal_ratio_chisquare_equals_scipy_stats(counts):
+    reference = stats.chisquare(np.asarray(counts, dtype=float))
+    assert equal_ratio_chisquare(counts) == (float(reference.statistic), float(reference.pvalue))
 
 
 def test_accidental_formula():
