@@ -89,18 +89,38 @@ def count_singles(times) -> int:
     return int(_require_sorted(times, "count_singles").size)
 
 
-def _with_partner(t: np.ndarray, other: np.ndarray, width: int) -> np.ndarray:
-    """Events of t that have at least one event of `other` within +/- width.
+def _partner_gap(t: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Distance from each event of t to its nearest event of `other`.
+
+    One searchsorted finds each event's right neighbour in `other`; the
+    nearer of it and the left one gives the gap. Clamped indices at the
+    ends point at the one neighbour there is, and abs() folds it back.
+    """
+    if other.size == 0:
+        return np.full(t.size, np.iinfo(np.int64).max)
+    i = np.searchsorted(other, t)
+    right = other[np.minimum(i, other.size - 1)] - t
+    left = t - other[np.maximum(i - 1, 0)]
+    return np.minimum(np.abs(right), np.abs(left))
+
+
+def _gap_table(streams: dict) -> dict:
+    """Nearest-partner gaps for every ordered pair of distinct streams."""
+    return {(x, y): _partner_gap(streams[x], streams[y]) for x in streams for y in streams if x != y}
+
+
+def _partnered(streams: dict, gaps: dict, key, width: int) -> list:
+    """Events of each stream in key with a partner within width in every other one.
 
     Events dropped here can never be matched, and skipping them does not
     change greedy pointer dynamics, so counting on the filtered streams is
     exact.
     """
-    if other.size == 0:
-        return t[:0]
-    lo = np.searchsorted(other, t - width)
-    hi = np.searchsorted(other, t + width, side="right")
-    return t[hi > lo]
+    out = []
+    for x in key:
+        near = np.logical_and.reduce([gaps[x, y] <= width for y in key if y != x])
+        out.append(streams[x][near].tolist())
+    return out
 
 
 # Merge keys 4 * t + detector are int64, so timestamps must stay below 2**61 ps.
@@ -186,41 +206,28 @@ def _greedy_triples(x, y, z, spread: int) -> int:
 
 def pair_coincidences(times_x, times_y, window_ps: int) -> int:
     """Greedy single-use pair count between two sorted streams."""
-    tx = _require_sorted(times_x, "pair_coincidences")
-    ty = _require_sorted(times_y, "pair_coincidences")
-    fx = _with_partner(tx, ty, window_ps)
-    fy = _with_partner(ty, tx, window_ps)
-    return _greedy_pairs(fx.tolist(), fy.tolist(), int(window_ps))
+    streams = {i: _require_sorted(t, "pair_coincidences") for i, t in enumerate((times_x, times_y))}
+    window = int(window_ps)
+    return _greedy_pairs(*_partnered(streams, _gap_table(streams), (0, 1), window), window)
 
 
 def triple_coincidences(times_x, times_y, times_z, window_ps: int) -> int:
     """Greedy single-use triple count; spread limit is 2 * window_ps."""
-    tx = _require_sorted(times_x, "triple_coincidences")
-    ty = _require_sorted(times_y, "triple_coincidences")
-    tz = _require_sorted(times_z, "triple_coincidences")
+    streams = {i: _require_sorted(t, "triple_coincidences") for i, t in enumerate((times_x, times_y, times_z))}
     spread = 2 * int(window_ps)
-
-    def keep(a, b, c):
-        return _with_partner(_with_partner(a, b, spread), c, spread)
-
-    fx = keep(tx, ty, tz)
-    fy = keep(ty, tx, tz)
-    fz = keep(tz, tx, ty)
-    return _greedy_triples(fx.tolist(), fy.tolist(), fz.tolist(), spread)
+    return _greedy_triples(*_partnered(streams, _gap_table(streams), (0, 1, 2), spread), spread)
 
 
-def count_pairs(streams: dict, config: CcuConfig) -> dict:
-    return {
-        (dx, dy): pair_coincidences(streams[dx], streams[dy], config.window_ps)
-        for dx, dy in PAIR_KEYS
-    }
+def count_pairs(streams: dict, config: CcuConfig, gaps: dict) -> dict:
+    """All six pair counters; gaps is the _gap_table of streams."""
+    window = int(config.window_ps)
+    return {key: _greedy_pairs(*_partnered(streams, gaps, key, window), window) for key in PAIR_KEYS}
 
 
-def count_triples(streams: dict, config: CcuConfig) -> dict:
-    return {
-        (dx, dy, dz): triple_coincidences(streams[dx], streams[dy], streams[dz], config.window_ps)
-        for dx, dy, dz in TRIPLE_KEYS
-    }
+def count_triples(streams: dict, config: CcuConfig, gaps: dict) -> dict:
+    """All four triple counters; gaps is the _gap_table of streams."""
+    spread = 2 * int(config.window_ps)
+    return {key: _greedy_triples(*_partnered(streams, gaps, key, spread), spread) for key in TRIPLE_KEYS}
 
 
 def streams_from_events(events) -> dict[Detector, np.ndarray]:
@@ -261,10 +268,11 @@ def accumulate(
         clean[det] = t
     singles = {det: int(clean[det].size) for det in Detector}
     partnered = _with_neighbour(clean, 2 * int(config.window_ps))
+    gaps = _gap_table(partnered)
     tally = TallyTable(
         singles=singles,
-        pairs=count_pairs(partnered, config),
-        triples=count_triples(partnered, config),
+        pairs=count_pairs(partnered, config, gaps),
+        triples=count_triples(partnered, config, gaps),
         acquisition_s=config.acquisition_s,
         metadata=dict(metadata or {}),
     )

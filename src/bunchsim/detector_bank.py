@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,28 +62,14 @@ class DetectorConfig:
             raise ValueError("dark_rate must be >= 0")
 
 
-class DetectionEvent(NamedTuple):
-    detector: Detector
-    time_ps: int
-
-
-def split_to_detectors(port1: int, port2: int, rng: np.random.Generator) -> np.ndarray:
+def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Fair 50/50 split of each port's photons onto its detector pair.
 
-    Returns a length-4 int array indexed by Detector.
+    Returns four length-m count rows, indexed by Detector.
     """
-    if port1 < 0 or port2 < 0:
-        raise ValueError("port occupancies must be >= 0")
     a1 = rng.binomial(port1, 0.5)
     b1 = rng.binomial(port2, 0.5)
-    return np.array([a1, port1 - a1, b1, port2 - b1], dtype=np.int64)
-
-
-def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised split_to_detectors: shape (4, m) counts for m slots."""
-    a1 = rng.binomial(port1, 0.5)
-    b1 = rng.binomial(port2, 0.5)
-    return np.stack([a1, port1 - a1, b1, port2 - b1]).astype(np.int64, copy=False)
+    return a1, port1 - a1, b1, port2 - b1
 
 
 def click_probability(k, efficiency: float):
@@ -92,55 +77,19 @@ def click_probability(k, efficiency: float):
     return 1.0 - (1.0 - efficiency) ** np.asarray(k)
 
 
-def detect_slot(
-    counts,
-    slot_time_ps: int,
-    config: DetectorConfig,
-    rng: np.random.Generator,
-    last_click_ps: dict | None = None,
-) -> list[DetectionEvent]:
-    """Sample clicks for one slot's per-detector photon counts.
-
-    counts: length-4 sequence indexed by Detector. If last_click_ps (a
-    mutable Detector -> time mapping) is given, clicks inside the dead time
-    of that detector's previous registered click are suppressed and the
-    mapping is updated in place. Darks are not handled here; batch flows
-    merge them and use apply_dead_time instead.
-    """
-    if slot_time_ps < 0:
-        raise ValueError("slot_time_ps must be >= 0")
-    events = []
-    for det in Detector:
-        k = int(counts[det])
-        if k < 1:
-            continue
-        if rng.random() >= click_probability(k, config.efficiency):
-            continue
-        t = float(slot_time_ps)
-        if config.jitter_sigma_ps > 0:
-            t += rng.normal(0.0, config.jitter_sigma_ps)
-        t_ps = max(int(round(t)), 0)
-        if last_click_ps is not None:
-            prev = last_click_ps.get(det)
-            if prev is not None and t_ps - prev < config.dead_time_ps:
-                continue  # suppressed: non-paralyzable, window not extended
-            last_click_ps[det] = t_ps
-        events.append(DetectionEvent(det, t_ps))
-    return events
-
-
 def detect_counts(
-    counts: np.ndarray,
+    counts,
     slot_times_ps: np.ndarray,
     config: DetectorConfig,
     rng: np.random.Generator,
 ) -> dict[Detector, np.ndarray]:
     """Vectorised click sampling for a chunk of slots.
 
-    counts has shape (4, m); returns per-detector candidate click times
-    (int64 ps, jittered, clipped at 0), before dead-time filtering. Draw
-    order is fixed: per detector in canonical order, one uniform per
-    occupied slot, then one normal per firing click.
+    counts holds four length-m rows indexed by Detector; returns
+    per-detector candidate click times (int64 ps, jittered, clipped at 0),
+    before dead-time filtering. Draw order is fixed: per detector in
+    canonical order, one uniform per occupied slot, then one normal per
+    firing click.
     """
     out = {}
     for det in Detector:
@@ -175,29 +124,27 @@ def apply_dead_time(times, dead_time_ps: int) -> np.ndarray:
     """Non-paralyzable dead-time filter on a sorted timestamp array.
 
     A registered click blinds the detector for dead_time_ps; suppressed
-    clicks do not extend the blind window. Any event at least dead_time_ps
+    clicks do not extend the blind window. An event at least dead_time_ps
     after its raw predecessor is always registered (the last registered
-    event can only be earlier), so only events inside short-gap runs need
-    sequential resolution. Those runs are rare at physical rates.
+    event can only be earlier). Inside a run of short gaps, the click
+    registered after a registered one is the first event at least
+    dead_time_ps later, so every run is resolved by a chain of jumps that
+    starts at the registered event before it. All chains jump together,
+    one searchsorted per round, and a chain ends when it leaves the array
+    or lands on an event that is already registered: the end of its run.
+    The rounds number the longest chain, and the work is proportional to
+    the short-gap events only. Timestamps plus dead_time_ps must fit in
+    int64.
     """
     t = np.asarray(times, dtype=np.int64)
-    if dead_time_ps <= 0 or t.size <= 1:
-        return t.copy()
-    keep = np.empty(t.size, dtype=bool)
-    keep[0] = True
+    keep = np.ones(t.size, dtype=bool)
     keep[1:] = np.diff(t) >= dead_time_ps
-    unsafe = np.flatnonzero(~keep)
-    pos = 0
-    while pos < unsafe.size:
-        start = int(unsafe[pos])
-        last = int(t[start - 1])  # predecessor of a run's first event is registered
-        i = start
-        while i < t.size and not keep[i]:
-            if t[i] - last >= dead_time_ps:
-                keep[i] = True
-                last = int(t[i])
-            i += 1
-        pos = int(np.searchsorted(unsafe, i))
+    cur = np.flatnonzero(keep[:-1] & ~keep[1:])
+    while cur.size:
+        cur = np.searchsorted(t, t[cur] + dead_time_ps)
+        cur = cur[cur < t.size]
+        cur = cur[~keep[cur]]
+        keep[cur] = True
     return t[keep]
 
 

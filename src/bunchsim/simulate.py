@@ -42,6 +42,10 @@ from .photon_source import (
 from .routing_models import RoutingModel, phase_basis_fallback_count, route_counts
 
 
+# Slot times are computed in float64 and are exact integers only below 2^53 ps.
+_MAX_DURATION_PS = 2**53
+
+
 @dataclass(frozen=True)
 class SimConfig:
     source: SourceConfig
@@ -52,6 +56,11 @@ class SimConfig:
     def __post_init__(self):
         acq_ps = int(round(self.ccu.acquisition_s * 1e12))
         dur_ps = int(round(self.source.duration * 1e12))
+        if dur_ps >= _MAX_DURATION_PS:
+            raise ValueError(
+                f"stream of {self.source.duration} s reaches 2^53 ps, beyond which "
+                "slot times are not exact"
+            )
         if acq_ps > dur_ps:
             raise ValueError(
                 f"acquisition ({self.ccu.acquisition_s} s) exceeds the simulated "
@@ -88,7 +97,7 @@ def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
     start, occupied, k = occupied_slots(src, chunk_index)
     if occupied.size == 0:
         return [({det: np.empty(0, dtype=np.int64) for det in Detector}, 0) for _ in models]
-    # nominal slot centres; exact for any duration below ~9e3 s (2^53 ps)
+    # nominal slot centres; exact because SimConfig caps the duration below 2^53 ps
     times = np.rint((start + occupied) / src.slot_rate * 1e12).astype(np.int64)
     results = []
     for model in models:

@@ -1,16 +1,18 @@
 """Slow reference implementations the fast library paths are checked against.
 
-A dense source that inverts the Poisson CDF for every slot, and event
-dumps written and read one struct record or text line at a time.
+A dense source that inverts the Poisson CDF for every slot, per-slot
+detection with a scalar dead-time check, and event dumps written and read
+one struct record or text line at a time.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
-from bunchsim.detector_bank import LABEL_TO_DETECTOR, Detector
+from bunchsim.detector_bank import LABEL_TO_DETECTOR, Detector, click_probability
 from bunchsim.photon_source import (
     CHUNK_SLOTS,
     STREAM_SOURCE,
@@ -34,6 +36,49 @@ def dense_chunk(config, chunk_index: int) -> tuple[int, np.ndarray]:
 def dense_stream(config) -> np.ndarray:
     """Photon number of every slot of the run, in slot order."""
     return np.concatenate([dense_chunk(config, i)[1] for i in range(num_chunks(config))])
+
+
+class DetectionEvent(NamedTuple):
+    detector: Detector
+    time_ps: int
+
+
+def split_to_detectors(port1: int, port2: int, rng: np.random.Generator) -> np.ndarray:
+    """Fair 50/50 split of one slot's port photons; length-4 array indexed by Detector."""
+    if port1 < 0 or port2 < 0:
+        raise ValueError("port occupancies must be >= 0")
+    a1 = rng.binomial(port1, 0.5)
+    b1 = rng.binomial(port2, 0.5)
+    return np.array([a1, port1 - a1, b1, port2 - b1], dtype=np.int64)
+
+
+def detect_slot(counts, slot_time_ps: int, config, rng: np.random.Generator, last_click_ps: dict | None = None):
+    """Clicks for one slot's per-detector photon counts.
+
+    If last_click_ps (a mutable Detector -> time mapping) is given, clicks
+    inside the dead time of that detector's previous registered click are
+    suppressed and the mapping is updated in place.
+    """
+    if slot_time_ps < 0:
+        raise ValueError("slot_time_ps must be >= 0")
+    events = []
+    for det in Detector:
+        k = int(counts[det])
+        if k < 1:
+            continue
+        if rng.random() >= click_probability(k, config.efficiency):
+            continue
+        t = float(slot_time_ps)
+        if config.jitter_sigma_ps > 0:
+            t += rng.normal(0.0, config.jitter_sigma_ps)
+        t_ps = max(int(round(t)), 0)
+        if last_click_ps is not None:
+            prev = last_click_ps.get(det)
+            if prev is not None and t_ps - prev < config.dead_time_ps:
+                continue  # suppressed: non-paralyzable, window not extended
+            last_click_ps[det] = t_ps
+        events.append(DetectionEvent(det, t_ps))
+    return events
 
 
 RECORD = struct.Struct("<BQ")

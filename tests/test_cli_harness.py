@@ -194,6 +194,22 @@ def test_simulate_streams_rejects_configs_differing_beyond_model(tmp_path):
         simulate_streams([])
 
 
+def test_sim_config_rejects_durations_of_2_pow_53_ps(tmp_path):
+    # construction only: the checks run before anything is simulated
+    base = quick_config(tmp_path, slot_rate=1.0).sim_config()
+
+    def with_duration(seconds):
+        return dataclasses.replace(
+            base,
+            source=dataclasses.replace(base.source, duration=seconds),
+            ccu=dataclasses.replace(base.ccu, acquisition_s=seconds),
+        )
+
+    assert with_duration(9e3).source.duration == 9e3
+    with pytest.raises(ValueError, match="2\\^53 ps"):
+        with_duration(1e4)
+
+
 def test_setup_does_not_import_scipy_stats():
     # scipy.stats costs about a second and ~45 MB to import; setup must not load it
     src = str(Path(bunchsim.__file__).parents[1])
@@ -245,6 +261,15 @@ def test_main_configuration_errors_exit_1(tmp_path, capsys):
     assert "compare: need at least two models" in capsys.readouterr().err
     assert main(["compare", "--models", "quantum-leap,classical", "--seed", "1", "--mean-photon-number", "0.02"]) == 1
     assert "compare: unknown model 'quantum-leap'" in capsys.readouterr().err
+
+
+def test_main_duration_beyond_2_pow_53_ps_exits_2(tmp_path, capsys):
+    flags = run_flags(tmp_path)
+    flags[flags.index("--acquisition-s") + 1] = "1e4"
+    flags[flags.index("--slot-rate") + 1] = "1"
+    assert main(flags) == 2
+    assert "reaches 2^53 ps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_runtime_failures_exit_2(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bunchsim.detector_bank import (
@@ -11,10 +13,8 @@ from bunchsim.detector_bank import (
     click_probability,
     dark_events,
     detect_counts,
-    detect_slot,
     read_events,
     split_counts,
-    split_to_detectors,
     write_events,
 )
 from bunchsim.photon_source import substream
@@ -53,7 +53,7 @@ def test_split_conserves_photons():
     rng = substream(42)
     for _ in range(200):
         p1, p2 = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        k = split_to_detectors(p1, p2, rng)
+        k = oracles.split_to_detectors(p1, p2, rng)
         assert k[Detector.A1] + k[Detector.A2] == p1
         assert k[Detector.B1] + k[Detector.B2] == p2
 
@@ -137,6 +137,29 @@ def test_dead_time_matches_brute_force():
         assert np.array_equal(apply_dead_time(t, dead), brute_dead_time(t, dead))
 
 
+@st.composite
+def dead_time_cases(draw):
+    """(sorted stream, dead time): gaps far below the dead time make long
+    chains of registered events inside one short-gap run; gaps may be 0."""
+    dead = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 300), st.integers(301, 10**9)))
+    gap_hi = draw(st.integers(0, 2 * dead + 2))
+    gaps = draw(st.lists(st.integers(0, gap_hi), max_size=600))
+    start = draw(st.integers(0, 10**12))
+    return start + np.cumsum(np.asarray(gaps, dtype=np.int64)), dead
+
+
+@settings(max_examples=300, deadline=None)
+@given(dead_time_cases())
+@example((np.empty(0, dtype=np.int64), 22_000))
+@example((np.array([5], dtype=np.int64), 22_000))
+@example((np.arange(3_000, dtype=np.int64), 37))  # one run, 82 registered clicks
+@example((np.zeros(50, dtype=np.int64), 0))
+@example((np.repeat(np.arange(0, 600, 3, dtype=np.int64), 3), 1))
+def test_dead_time_equals_scalar_scan(case):
+    t, dead = case
+    assert np.array_equal(apply_dead_time(t, dead), brute_dead_time(t, dead))
+
+
 def test_dead_time_known_case():
     # 21 ns gap suppressed, then the 40 ns event is 40 ns after the last
     # *registered* click, so it survives
@@ -150,10 +173,10 @@ def test_dead_time_known_case():
 def test_detect_slot_scalar_path_applies_dead_time():
     cfg = config(efficiency=1.0, jitter_sigma_ps=0.0, dead_time_ps=22_000)
     last = {}
-    events = detect_slot(np.array([1, 0, 0, 0]), 5_000, cfg, substream(6), last_click_ps=last)
+    events = oracles.detect_slot(np.array([1, 0, 0, 0]), 5_000, cfg, substream(6), last_click_ps=last)
     assert [(e.detector, e.time_ps) for e in events] == [(Detector.A1, 5_000)]
     # within dead time of the first click: swallowed
-    events = detect_slot(np.array([1, 0, 0, 0]), 15_000, cfg, substream(7), last_click_ps=last)
+    events = oracles.detect_slot(np.array([1, 0, 0, 0]), 15_000, cfg, substream(7), last_click_ps=last)
     assert events == []
 
 
