@@ -7,7 +7,7 @@ from .bs_algebra import Combination, PhaseBasis, bs_matrix, global_phase_equival
 from .coincidence_unit import CcuConfig, TallyTable, accumulate, tally_from_csv, tally_to_csv
 from .detector_bank import Detector, DetectorConfig
 from .photon_source import CHUNK_SLOTS, SourceConfig, occupied_slots, substream
-from .routing_models import RoutingModel, enumerate_distribution, route
+from .routing_models import RoutingModel, enumerate_distribution
 from .simulate import SimConfig, simulate, simulate_streams
 from .statistics import (
     REFERENCE_BLOCKS,
@@ -44,7 +44,6 @@ __all__ = [
     "global_phase_equivalent",
     "occupied_slots",
     "predicted_rates",
-    "route",
     "scaling_check",
     "simulate",
     "simulate_streams",

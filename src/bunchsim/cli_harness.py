@@ -247,9 +247,12 @@ def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress):
     """Simulate cfg under each named model in one shared pass and count each run.
 
     Returns [(streams, tally)] in the order of models; each run.json metadata
-    carries the package version.
+    carries the package version. Engine-side config checks raise ConfigError.
     """
-    sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
+    try:
+        sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
+    except ValueError as err:
+        raise ConfigError([str(err)]) from err
     runs = simulate_streams(sims, workers=workers, progress=progress)
     counted = []
     for sim, (streams, metadata) in zip(sims, runs):

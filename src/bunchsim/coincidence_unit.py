@@ -5,6 +5,13 @@ window_ps, a triple coincides when max - min <= 2 * window_ps. Matching is
 greedy earliest-first with single use per channel, the same behaviour as a
 streaming hardware AND gate; on sorted streams this greedy count equals the
 brute-force maximum matching.
+
+The merged timeline of all four streams is cut into clusters at gaps
+> 2 * window_ps. No pair or triple bridges such a gap, and a greedy pointer
+short of it is the earliest, so it passes the gap before any later match:
+each walk splits into independent walks per cluster. A cluster with one
+click on each detector of a counter holds one coincidence or none; only
+clusters with two clicks on one of its detectors need the greedy walk.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,40 +97,6 @@ def count_singles(times) -> int:
     return int(_require_sorted(times, "count_singles").size)
 
 
-def _partner_gap(t: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Distance from each event of t to its nearest event of `other`.
-
-    One searchsorted finds each event's right neighbour in `other`; the
-    nearer of it and the left one gives the gap. Clamped indices at the
-    ends point at the one neighbour there is, and abs() folds it back.
-    """
-    if other.size == 0:
-        return np.full(t.size, np.iinfo(np.int64).max)
-    i = np.searchsorted(other, t)
-    right = other[np.minimum(i, other.size - 1)] - t
-    left = t - other[np.maximum(i - 1, 0)]
-    return np.minimum(np.abs(right), np.abs(left))
-
-
-def _gap_table(streams: dict) -> dict:
-    """Nearest-partner gaps for every ordered pair of distinct streams."""
-    return {(x, y): _partner_gap(streams[x], streams[y]) for x in streams for y in streams if x != y}
-
-
-def _partnered(streams: dict, gaps: dict, key, width: int) -> list:
-    """Events of each stream in key with a partner within width in every other one.
-
-    Events dropped here can never be matched, and skipping them does not
-    change greedy pointer dynamics, so counting on the filtered streams is
-    exact.
-    """
-    out = []
-    for x in key:
-        near = np.logical_and.reduce([gaps[x, y] <= width for y in key if y != x])
-        out.append(streams[x][near].tolist())
-    return out
-
-
 # Merge keys 4 * t + detector are int64, so timestamps must stay below 2**61 ps.
 _MAX_KEY_TIME_PS = 2**61
 
@@ -131,18 +105,13 @@ _MAX_KEY_TIME_PS = 2**61
 _MERGE_STEP = 1 << 14
 
 
-def _with_neighbour(streams: dict, spread: int) -> dict:
-    """Events that have an event of any detector within `spread` ps.
+def _with_neighbour(streams: dict, spread: int) -> np.ndarray:
+    """Sorted merge keys 4 * t + detector of the events that have a neighbour.
 
-    The four streams are merged into one sorted timeline of keys
-    4 * t + detector, block by block in time. An event's nearest other
-    event lies next to it on that timeline, and |dt| <= spread implies a key
-    gap <= 4 * spread + 3, so keeping both ends of every such gap keeps a
-    superset of the events with a neighbour. Every event of a pair
-    (|dt| <= window) or a triple (spread <= 2 * window) has one, and so does
-    each of its partners; the per-channel partner filters of the counters
-    therefore select the same events from these streams as from the full
-    ones, and the counts are identical.
+    The four streams are merged into one sorted timeline of keys, block by
+    block in time. |dt| <= spread implies a key gap <= 4 * spread + 3, so
+    keeping both ends of every such gap keeps every event with a neighbour
+    within `spread` ps; the dropped ones are alone in their cluster.
     """
     times = [streams[det] for det in Detector]
     edges = np.unique(np.concatenate([t[::_MERGE_STEP] for t in times]))
@@ -163,9 +132,29 @@ def _with_neighbour(streams: dict, spread: int) -> dict:
         prev, prev_keep = keys, keep
     if prev is not None:
         kept.append(prev[prev_keep])
-    merged = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
-    det_of = merged & 3
-    return {det: merged[det_of == det] >> 2 for det in Detector}
+    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+
+
+class _Clusters(NamedTuple):
+    keys: np.ndarray  # sorted merge keys 4 * t + detector
+    cluster: np.ndarray  # cluster index of each key
+    one: np.ndarray  # (4, clusters): the detector clicks exactly once in the cluster
+    some: np.ndarray  # (4, clusters): the detector clicks in the cluster
+    only: np.ndarray  # (4, clusters): the time of the click where there is exactly one
+
+
+def _clusters(keys: np.ndarray, spread: int) -> _Clusters:
+    """Split sorted merge keys at key gaps > 4 * spread + 3, which are time gaps > spread."""
+    start = np.ones(keys.size, dtype=bool)
+    start[1:] = keys[1:] - keys[:-1] > 4 * spread + 3
+    cluster = np.cumsum(start) - 1
+    n = int(cluster[-1]) + 1 if keys.size else 0
+    times, det = keys >> 2, keys & 3
+    cell = det * n + cluster
+    only = np.zeros(4 * n, dtype=np.int64)
+    only[cell] = times
+    clicks = np.bincount(cell, minlength=4 * n).reshape(4, n)
+    return _Clusters(keys, cluster, clicks == 1, clicks > 0, only.reshape(4, n))
 
 
 def _greedy_pairs(x, y, window: int) -> int:
@@ -204,42 +193,53 @@ def _greedy_triples(x, y, z, spread: int) -> int:
     return c
 
 
+def _cluster_count(c: _Clusters, key, width: int) -> int:
+    """Greedy count of the coincidences (max - min <= width) of the detectors in key.
+
+    A cluster with one click on each detector of key holds one coincidence
+    or none. Clusters with two clicks on a detector of key and none missing
+    share one greedy walk, which their gaps (> spread >= width) split exactly.
+    """
+    rows = list(key)
+    single = np.logical_and.reduce(c.one[rows])
+    count = np.count_nonzero(single & (np.ptp(c.only[rows], axis=0) <= width))
+    hard = np.logical_and.reduce(c.some[rows]) & ~single
+    if hard.any():
+        walk = _greedy_pairs if len(rows) == 2 else _greedy_triples
+        keys = c.keys[hard[c.cluster]]
+        count += walk(*((keys[keys & 3 == d] >> 2).tolist() for d in rows), width)
+    return int(count)
+
+
+def _count_streams(times, width: int, who: str) -> int:
+    """One count over 2 or 3 sorted streams put on detector slots, shifted to start at 0."""
+    streams = {det: np.empty(0, dtype=np.int64) for det in Detector}
+    streams.update(zip(Detector, (_require_sorted(t, who) for t in times)))
+    origin = min((int(t[0]) for t in streams.values() if t.size), default=0)
+    if max((int(t[-1]) - origin for t in streams.values() if t.size), default=0) >= _MAX_KEY_TIME_PS:
+        raise ValueError(f"{who}: the streams span {_MAX_KEY_TIME_PS} ps or more")
+    keys = _with_neighbour({det: t - origin for det, t in streams.items()}, width)
+    return _cluster_count(_clusters(keys, width), tuple(Detector)[: len(times)], width)
+
+
 def pair_coincidences(times_x, times_y, window_ps: int) -> int:
     """Greedy single-use pair count between two sorted streams."""
-    streams = {i: _require_sorted(t, "pair_coincidences") for i, t in enumerate((times_x, times_y))}
-    window = int(window_ps)
-    return _greedy_pairs(*_partnered(streams, _gap_table(streams), (0, 1), window), window)
+    return _count_streams((times_x, times_y), int(window_ps), "pair_coincidences")
 
 
 def triple_coincidences(times_x, times_y, times_z, window_ps: int) -> int:
     """Greedy single-use triple count; spread limit is 2 * window_ps."""
-    streams = {i: _require_sorted(t, "triple_coincidences") for i, t in enumerate((times_x, times_y, times_z))}
-    spread = 2 * int(window_ps)
-    return _greedy_triples(*_partnered(streams, _gap_table(streams), (0, 1, 2), spread), spread)
+    return _count_streams((times_x, times_y, times_z), 2 * int(window_ps), "triple_coincidences")
 
 
-def count_pairs(streams: dict, config: CcuConfig, gaps: dict) -> dict:
-    """All six pair counters; gaps is the _gap_table of streams."""
-    window = int(config.window_ps)
-    return {key: _greedy_pairs(*_partnered(streams, gaps, key, window), window) for key in PAIR_KEYS}
+def count_pairs(clusters: _Clusters, config: CcuConfig) -> dict:
+    """All six pair counters over the clusters of one acquisition."""
+    return {key: _cluster_count(clusters, key, int(config.window_ps)) for key in PAIR_KEYS}
 
 
-def count_triples(streams: dict, config: CcuConfig, gaps: dict) -> dict:
-    """All four triple counters; gaps is the _gap_table of streams."""
-    spread = 2 * int(config.window_ps)
-    return {key: _greedy_triples(*_partnered(streams, gaps, key, spread), spread) for key in TRIPLE_KEYS}
-
-
-def streams_from_events(events) -> dict[Detector, np.ndarray]:
-    """Group an interleaved (detector, time) event sequence into sorted streams.
-
-    Only timestamps matter, so any interleaving of the same events yields the
-    same streams.
-    """
-    collected: dict[Detector, list[int]] = {det: [] for det in Detector}
-    for det, t in events:
-        collected[Detector(det)].append(int(t))
-    return {det: np.sort(np.asarray(ts, dtype=np.int64)) for det, ts in collected.items()}
+def count_triples(clusters: _Clusters, config: CcuConfig) -> dict:
+    """All four triple counters over the clusters of one acquisition."""
+    return {key: _cluster_count(clusters, key, 2 * int(config.window_ps)) for key in TRIPLE_KEYS}
 
 
 def accumulate(
@@ -249,6 +249,9 @@ def accumulate(
     metadata: dict | None = None,
 ) -> TallyTable:
     """Count all singles, pairs and triples for one acquisition.
+
+    The ten counters read one set of clusters cut at time gaps > 2 * window;
+    such gaps split every greedy walk exactly (module docstring).
 
     stream_duration_ps, when known, must cover the configured acquisition;
     a shorter stream would silently undercount, so it is an explicit error.
@@ -267,12 +270,12 @@ def accumulate(
             raise ValueError(f"accumulate[{det.label}]: timestamps outside [0, acquisition]")
         clean[det] = t
     singles = {det: int(clean[det].size) for det in Detector}
-    partnered = _with_neighbour(clean, 2 * int(config.window_ps))
-    gaps = _gap_table(partnered)
+    spread = 2 * int(config.window_ps)
+    clusters = _clusters(_with_neighbour(clean, spread), spread)
     tally = TallyTable(
         singles=singles,
-        pairs=count_pairs(partnered, config, gaps),
-        triples=count_triples(partnered, config, gaps),
+        pairs=count_pairs(clusters, config),
+        triples=count_triples(clusters, config),
         acquisition_s=config.acquisition_s,
         metadata=dict(metadata or {}),
     )

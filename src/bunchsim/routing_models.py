@@ -45,12 +45,6 @@ def route_counts(model: RoutingModel, n, rng: np.random.Generator) -> np.ndarray
     return port1
 
 
-def route(model: RoutingModel, n: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Route one slot of n photons; returns (port1, port2) with port1+port2 = n."""
-    p1 = int(route_counts(model, np.array([n]), rng)[0])
-    return p1, int(n) - p1
-
-
 def phase_basis_fallback_count(model: RoutingModel, n) -> int:
     """Number of slots routed by the binomial fallback under the phase-basis model."""
     if model is not RoutingModel.PHASE_BASIS:

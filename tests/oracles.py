@@ -1,8 +1,9 @@
 """Slow reference implementations the fast library paths are checked against.
 
-A dense source that inverts the Poisson CDF for every slot, per-slot
-detection with a scalar dead-time check, and event dumps written and read
-one struct record or text line at a time.
+A dense source that inverts the Poisson CDF for every slot, one-slot
+routing, per-slot detection with a scalar dead-time check, grouping of
+interleaved (detector, time) events into streams, and event dumps written
+and read one struct record or text line at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from bunchsim.photon_source import (
     slot_count,
     substream,
 )
+from bunchsim.routing_models import RoutingModel, route_counts
 
 
 def dense_chunk(config, chunk_index: int) -> tuple[int, np.ndarray]:
@@ -36,6 +38,12 @@ def dense_chunk(config, chunk_index: int) -> tuple[int, np.ndarray]:
 def dense_stream(config) -> np.ndarray:
     """Photon number of every slot of the run, in slot order."""
     return np.concatenate([dense_chunk(config, i)[1] for i in range(num_chunks(config))])
+
+
+def route(model: RoutingModel, n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Route one slot of n photons; returns (port1, port2) with port1+port2 = n."""
+    p1 = int(route_counts(model, np.array([n]), rng)[0])
+    return p1, int(n) - p1
 
 
 class DetectionEvent(NamedTuple):
@@ -79,6 +87,18 @@ def detect_slot(counts, slot_time_ps: int, config, rng: np.random.Generator, las
             last_click_ps[det] = t_ps
         events.append(DetectionEvent(det, t_ps))
     return events
+
+
+def streams_from_events(events) -> dict[Detector, np.ndarray]:
+    """Group an interleaved (detector, time) event sequence into sorted streams.
+
+    Only timestamps matter, so any interleaving of the same events yields the
+    same streams.
+    """
+    collected: dict[Detector, list[int]] = {det: [] for det in Detector}
+    for det, t in events:
+        collected[Detector(det)].append(int(t))
+    return {det: np.sort(np.asarray(ts, dtype=np.int64)) for det, ts in collected.items()}
 
 
 RECORD = struct.Struct("<BQ")

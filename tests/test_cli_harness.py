@@ -180,6 +180,16 @@ def test_compare_rejects_bad_model_lists(tmp_path):
         compare_models(cfg, ["classical", "quantum-leap"])
 
 
+def test_engine_rejections_are_config_errors(tmp_path):
+    # SimConfig's own checks (here the 2^53 ps stream limit) that parse_config does not repeat
+    cfg = quick_config(tmp_path, slot_rate=1.0, acquisition_s=1e4)
+    with pytest.raises(ConfigError, match="2\\^53 ps"):
+        run_experiment(cfg)
+    with pytest.raises(ConfigError, match="2\\^53 ps"):
+        compare_models(cfg, ["classical", "bunching"])
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_streams_rejects_configs_differing_beyond_model(tmp_path):
     base = quick_config(tmp_path).sim_config()
     changed = [
@@ -263,11 +273,11 @@ def test_main_configuration_errors_exit_1(tmp_path, capsys):
     assert "compare: unknown model 'quantum-leap'" in capsys.readouterr().err
 
 
-def test_main_duration_beyond_2_pow_53_ps_exits_2(tmp_path, capsys):
+def test_main_duration_beyond_2_pow_53_ps_exits_1(tmp_path, capsys):
     flags = run_flags(tmp_path)
     flags[flags.index("--acquisition-s") + 1] = "1e4"
     flags[flags.index("--slot-rate") + 1] = "1"
-    assert main(flags) == 2
+    assert main(flags) == 1
     assert "reaches 2^53 ps" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -19,7 +19,6 @@ from bunchsim.coincidence_unit import (
     count_singles,
     counter_name,
     pair_coincidences,
-    streams_from_events,
     tally_from_csv,
     tally_to_csv,
     tally_to_json,
@@ -27,6 +26,7 @@ from bunchsim.coincidence_unit import (
 )
 from bunchsim.coincidence_unit import _greedy_pairs, _greedy_triples, _with_neighbour
 from bunchsim.detector_bank import Detector
+from oracles import streams_from_events
 
 
 def optimal_pairs(x, y, window):
@@ -82,6 +82,15 @@ def test_triple_spread_is_twice_the_window():
     z = np.array([10_000], dtype=np.int64)
     assert triple_coincidences(x, y, z, 5_000) == 1  # max-min = 10_000 = 2w
     assert triple_coincidences(x, y, z + 1, 5_000) == 0
+
+
+def test_public_counters_accept_any_origin_within_the_key_range():
+    # the streams are shifted to start at 0 before the merge keys 4 * t + detector
+    far = np.array([-(2**62)], dtype=np.int64)
+    assert pair_coincidences(far, far + 5, 5) == 1
+    assert triple_coincidences(far, far + 5, far + 10, 5) == 1
+    with pytest.raises(ValueError, match="span"):
+        pair_coincidences(np.array([0], dtype=np.int64), np.array([2**61], dtype=np.int64), 5)
 
 
 def test_each_event_used_once():
@@ -176,11 +185,53 @@ def test_merged_prefilter_preserves_every_count(case):
         assert tally.triples[(x, y, z)] == raw
 
 
+def assert_greedy_counts(tally, window, streams):
+    for x, y in PAIR_KEYS:
+        raw = _greedy_pairs(streams[x].tolist(), streams[y].tolist(), window)
+        assert tally.pairs[(x, y)] == raw == optimal_pairs(streams[x], streams[y], window)
+    for x, y, z in TRIPLE_KEYS:
+        raw = _greedy_triples(streams[x].tolist(), streams[y].tolist(), streams[z].tolist(), 2 * window)
+        assert tally.triples[(x, y, z)] == raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(timelines(), st.integers(1, 3))
+def test_cluster_counts_independent_of_block_size(case, step):
+    # tiny merge blocks make clusters straddle block edges
+    window, streams = case
+    with mock.patch.object(coincidence_unit, "_MERGE_STEP", step):
+        tally = accumulate(streams, CcuConfig(window_ps=window, acquisition_s=1.0))
+    assert_greedy_counts(tally, window, streams)
+
+
+def test_hard_cluster_next_to_simple_clusters():
+    # w = 10: clusters split at time gaps > 20. Cluster [0, 5, 8] holds two
+    # A' clicks within the window of one B' click and needs the greedy walk;
+    # the clusters at 100 and 200 hold one click per detector.
+    streams = {det: np.empty(0, dtype=np.int64) for det in Detector}
+    streams[Detector.A1] = np.array([0, 8, 100, 200], dtype=np.int64)
+    streams[Detector.B1] = np.array([5, 111, 215], dtype=np.int64)
+    streams[Detector.B2] = np.array([210], dtype=np.int64)
+    tally = accumulate(streams, CcuConfig(window_ps=10, acquisition_s=1.0))
+    assert tally.pairs[(Detector.A1, Detector.B1)] == 1 + 0 + 0
+    assert tally.pairs[(Detector.A1, Detector.B2)] == 1
+    assert tally.pairs[(Detector.B1, Detector.B2)] == 1
+    assert tally.triples[(Detector.A1, Detector.B1, Detector.B2)] == 1
+    assert_greedy_counts(tally, 10, streams)
+
+
+def decoded(keys):
+    """Per-detector times of merge keys 4 * t + detector."""
+    return {det: keys[keys & 3 == det] >> 2 for det in Detector}
+
+
 @settings(max_examples=150, deadline=None)
 @given(timelines())
 def test_merged_prefilter_keeps_every_partnered_event(case):
     window, streams = case
-    kept = _with_neighbour(streams, 2 * window)
+    keys = _with_neighbour(streams, 2 * window)
+    assert np.all(np.diff(keys) >= 0)
+    kept = decoded(keys)
     for det in Detector:
         others = np.concatenate([streams[d] for d in Detector if d != det])
         partnered = [t for t in streams[det].tolist() if np.any(np.abs(others - t) <= 2 * window)]
@@ -198,17 +249,16 @@ def test_merged_prefilter_independent_of_block_size(case, step):
     whole = _with_neighbour(streams, 2 * window)
     with mock.patch.object(coincidence_unit, "_MERGE_STEP", step):
         blocked = _with_neighbour(streams, 2 * window)
-    for det in Detector:
-        assert blocked[det].tolist() == whole[det].tolist()
+    assert blocked.tolist() == whole.tolist()
 
 
 def test_merged_prefilter_drops_isolated_events():
     streams = {det: np.empty(0, dtype=np.int64) for det in Detector}
     streams[Detector.A1] = np.array([0, 1_000_000], dtype=np.int64)
     streams[Detector.B2] = np.array([10, 2_000_000], dtype=np.int64)
-    kept = _with_neighbour(streams, 10)
+    kept = decoded(_with_neighbour(streams, 10))
     assert kept[Detector.A1].tolist() == [0] and kept[Detector.B2].tolist() == [10]
-    assert _with_neighbour(streams, 9)[Detector.A1].size == 0
+    assert decoded(_with_neighbour(streams, 9))[Detector.A1].size == 0
 
 
 # --- stream plumbing ---------------------------------------------------------

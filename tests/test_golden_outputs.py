@@ -4,15 +4,18 @@ Each run covers two canonical source chunks (the second one partial), dark
 counts, dead time and the event dumps, so any change to a draw, to the
 counting or to a writer shows up here as a digest mismatch. The comparison
 table comes from `compare_models` itself, which routes one shared source
-pass through all three models.
+pass through all three models. One more run sits at a slot period below
+twice the coincidence window, so coincidences span adjacent slots.
 """
 
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from bunchsim import coincidence_unit
 from bunchsim.cli_harness import analysis_csv, compare_models, parse_config, run_experiment
 from bunchsim.coincidence_unit import tally_to_json
 
@@ -42,6 +45,21 @@ def test_run_reports_match_pinned_digests(golden_runs, model):
     expected = GOLDEN["runs"][model]["digests"]
     actual = {name: sha256(golden_runs / model / name) for name in expected}
     assert actual == expected
+
+
+def test_adjacent_slot_run_matches_pinned_digests(tmp_path):
+    spec = GOLDEN["adjacent_slots"]
+    cfg = parse_config("", dict(spec["overrides"], output_dir=str(tmp_path)))
+    with (
+        mock.patch.object(coincidence_unit, "_greedy_pairs", wraps=coincidence_unit._greedy_pairs) as pairs,
+        mock.patch.object(coincidence_unit, "_greedy_triples", wraps=coincidence_unit._greedy_triples) as triples,
+    ):
+        run_experiment(cfg)
+    actual = {name: sha256(tmp_path / name) for name in spec["digests"]}
+    assert actual == spec["digests"]
+    # clusters with two clicks of one detector do occur here, so the greedy walk is covered
+    for walk in (pairs, triples):
+        assert any(len(call.args[0]) for call in walk.call_args_list)
 
 
 def compare_golden(out: Path, workers: int):

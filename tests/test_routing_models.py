@@ -10,9 +10,9 @@ from bunchsim.routing_models import (
     RoutingModel,
     enumerate_distribution,
     phase_basis_fallback_count,
-    route,
     route_counts,
 )
+from oracles import route
 
 MODELS = list(RoutingModel)
 
