@@ -3,9 +3,12 @@
 The attenuated beam is modelled as a stream of equally spaced time slots.
 Slot j carries n_j photons with n_j ~ Poisson(mean_photon_number). No
 counting statistic depends on the optical phase of a slot, so none is drawn.
-Each slot consumes one uniform, inverted through the Poisson CDF, but only
-the occupied slots (n_j >= 1) are materialised: at the reference operating
-points over 95% of slots are empty.
+Each slot consumes one 64-bit Philox word w, which is inverted through the
+Poisson CDF as the uniform u = (w >> 11) * 2^-53 that ``Generator.random``
+would make of it. The CDF is turned into an integer table once, so the word
+is compared as an integer and no per-slot float is built. Only the occupied
+slots (n_j >= 1) are materialised: at the reference operating points over
+95% of slots are empty.
 
 Reproducibility contract: all randomness is drawn from Philox counter-based
 generators keyed by (seed, purpose, chunk).  Slot streams are generated in
@@ -16,6 +19,7 @@ workers reproduces the serial stream exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,15 @@ STREAM_DARK = 3
 # would take days to simulate anyway.
 _MAX_SLOTS = 2**53
 
+# Above this mean exp(-mean) is no longer a normal double and the Poisson
+# CDF table loses its precision (at 740 it ends at 1.000078, at 800 it is 0).
+_MAX_MEAN = -math.log(sys.float_info.min)
+
+# Words drawn and compared at a time. A 512 KB block is reused by the
+# allocator from block to block, where one array per 2^22-slot chunk would
+# be mapped and faulted in anew for every chunk.
+_SCAN_BLOCK = 1 << 16
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator derived from (seed, path), stable across runs."""
@@ -49,8 +62,8 @@ class SourceConfig:
     seed: int
 
     def __post_init__(self):
-        if self.mean_photon_number < 0:
-            raise ValueError("mean_photon_number must be >= 0")
+        if not 0 <= self.mean_photon_number <= _MAX_MEAN:
+            raise ValueError(f"mean_photon_number must be in [0, {_MAX_MEAN:.1f}]")
         if self.slot_rate <= 0:
             raise ValueError("slot_rate must be > 0")
         if self.duration <= 0:
@@ -75,7 +88,8 @@ def poisson_cdf_table(mean: float) -> np.ndarray:
     """Cumulative Poisson probabilities truncated at double precision.
 
     Inversion sampling: n = searchsorted(table, u, side='right') maps a
-    uniform u to the smallest n with CDF(n) > u. One uniform per slot.
+    uniform u to the smallest n with CDF(n) > u. occupied_slots does the
+    same on each slot's raw word through the integer table of _cdf_edges.
     """
     if mean < 0:
         raise ValueError("mean must be >= 0")
@@ -92,24 +106,42 @@ def poisson_cdf_table(mean: float) -> np.ndarray:
     return np.asarray(cdf)
 
 
+def _cdf_edges(table: np.ndarray) -> np.ndarray:
+    """Words w with (w >> 11) * 2^-53 >= table[k] exactly when w >= edges[k].
+
+    Scaling by 2^53 is exact, so u >= c holds for the integer w >> 11 exactly
+    when it is >= ceil(c * 2^53). Entries that no u < 1 reaches (ceil >= 2^53,
+    which includes c == 1.0) are dropped; they sit at the end of the table.
+    """
+    top = np.ceil(table * 2.0**53)
+    return top[top < 2.0**53].astype(np.uint64) << np.uint64(11)
+
+
 def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(start_index, offsets, photon_numbers) of the occupied slots of one chunk.
 
     Slot start + offsets[i] carries photon_numbers[i] >= 1 photons; every
-    other slot of the chunk is empty. One uniform u per slot is drawn from
-    the chunk's substream and n = searchsorted(cdf, u, side='right'), so a
-    slot is empty exactly when u < cdf[0] and only the others are inverted.
-    This is the primitive every stream consumer builds on; the per-chunk
-    substream makes the result independent of how chunks are distributed
-    over workers.
+    other slot of the chunk is empty. One 64-bit word w per slot is drawn
+    from the chunk's substream and n = searchsorted(edges, w, side='right'),
+    which is the inversion of u = (w >> 11) * 2^-53 through the CDF table.
+    A slot is empty exactly when w < edges[0], and only the others are
+    inverted; words are scanned _SCAN_BLOCK at a time. This is the primitive
+    every stream consumer builds on; the per-chunk substream makes the
+    result independent of how chunks are distributed over workers.
     """
     total = slot_count(config)
     start = chunk_index * CHUNK_SLOTS
     if not 0 <= start < max(total, 1):
         raise IndexError(f"chunk {chunk_index} out of range")
     m = min(CHUNK_SLOTS, total - start)
-    table = poisson_cdf_table(config.mean_photon_number)
-    u = substream(config.seed, STREAM_SOURCE, chunk_index).random(m)
-    offsets = np.flatnonzero(u >= table[0])
-    n = np.searchsorted(table, u[offsets], side="right").astype(np.int64, copy=False)
-    return start, offsets, n
+    edges = _cdf_edges(poisson_cdf_table(config.mean_photon_number))
+    offsets = [np.empty(0, np.int64)]
+    counts = [np.empty(0, np.int64)]
+    if edges.size:
+        bits = substream(config.seed, STREAM_SOURCE, chunk_index).bit_generator
+        for lo in range(0, m, _SCAN_BLOCK):
+            raw = bits.random_raw(min(_SCAN_BLOCK, m - lo))
+            hit = np.flatnonzero(raw >= edges[0])
+            offsets.append(hit + lo)
+            counts.append(np.searchsorted(edges, raw[hit], side="right"))
+    return start, np.concatenate(offsets), np.concatenate(counts)

@@ -282,6 +282,14 @@ def test_main_duration_beyond_2_pow_53_ps_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_mean_beyond_exp_range_exits_1(tmp_path, capsys):
+    flags = run_flags(tmp_path)
+    flags[flags.index("--mean-photon-number") + 1] = "1000"
+    assert main(flags) == 1
+    assert "mean_photon_number must be in [0, 708.4]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_runtime_failures_exit_2(tmp_path, capsys):
     clash = tmp_path / "not-a-directory"
     clash.write_text("occupied")

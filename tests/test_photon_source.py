@@ -1,12 +1,18 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from bunchsim import photon_source
 from bunchsim.photon_source import (
     CHUNK_SLOTS,
     SourceConfig,
+    _cdf_edges,
     num_chunks,
     occupied_slots,
     poisson_cdf_table,
@@ -59,6 +65,88 @@ def test_occupied_slots_equal_dense_inversion(mean, duration):
         assert np.array_equal(offsets, np.flatnonzero(dense))
         assert np.array_equal(n, dense[offsets])
         assert n.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block=st.sampled_from([1, 3, 1000, 1 << 16, CHUNK_SLOTS + 1]),
+    mean=st.sampled_from([0.0, 1e-300, 0.044, 1.0, 5.0, 700.0]),
+    seed=st.integers(0, 2**32 - 1),
+    tail=st.integers(1, 3000),
+    full=st.booleans(),
+)
+def test_occupied_slots_match_dense_oracle(block, mean, seed, tail, full):
+    # a full chunk followed by a partial one, or a lone partial chunk; the
+    # one- and three-word blocks scan only partial chunks, to stay fast.
+    # At mean 1e-300 the CDF table is [1.0], which no slot reaches.
+    total = CHUNK_SLOTS + tail if full and block >= 1000 else tail
+    cfg = SourceConfig(mean_photon_number=mean, slot_rate=1.0, duration=float(total), seed=seed)
+    with mock.patch.object(photon_source, "_SCAN_BLOCK", block):
+        parts = [occupied_slots(cfg, chunk) for chunk in range(num_chunks(cfg))]
+    for chunk, (start, offsets, n) in enumerate(parts):
+        dense_start, dense = dense_chunk(cfg, chunk)
+        assert start == dense_start
+        assert offsets.dtype == np.int64 and n.dtype == np.int64
+        assert np.array_equal(offsets, np.flatnonzero(dense))
+        assert np.array_equal(n, dense[offsets])
+
+
+def test_cdf_edges_are_exact_at_the_boundary():
+    # u = (w >> 11) * 2^-53 is the uniform Generator.random makes of word w
+    special = [0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
+    cdf = special + np.random.default_rng(5).random(200).tolist()
+    top = 2**64 - 1
+    for c in cdf:
+        edges = _cdf_edges(np.array([c]))
+        assert edges.dtype == np.uint64 and edges.size <= 1
+        if edges.size == 0:
+            # no u < 1 reaches c: every word, the largest included, is below it
+            assert c == 1.0 and (top >> 11) * 2.0**-53 < c
+            continue
+        t = int(edges[0])
+        for w in (t - 1, t, t + 1, 0, top):
+            if 0 <= w <= top:
+                assert (w >= t) == ((w >> 11) * 2.0**-53 >= c), (c, w)
+
+
+class _Words:
+    """Stands in for a substream whose bit generator yields the given words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = words
+
+    def random_raw(self, size):
+        out, self._words = self._words[:size], self._words[size:]
+        return out
+
+
+def test_words_on_the_edges_invert_like_uniforms():
+    # words one below, on and one above every edge: inversion of the
+    # uniform (w >> 11) * 2^-53 through the float table decides each slot
+    table = poisson_cdf_table(1.0)
+    edges = _cdf_edges(table)
+    words = np.concatenate([edges - np.uint64(1), edges, edges + np.uint64(1)])
+    cfg = small_config(mean_photon_number=1.0, slot_rate=1.0, duration=float(words.size))
+    with mock.patch.object(photon_source, "substream", lambda *path: _Words(words)):
+        _, offsets, n = occupied_slots(cfg, 0)
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    dense = np.searchsorted(table, u, side="right")
+    assert np.array_equal(offsets, np.flatnonzero(dense))
+    assert np.array_equal(n, dense[offsets])
+
+
+def test_low_mean_chunk_scans_in_small_blocks():
+    # one full chunk at the block-2 mean: no per-slot array (2^22 doubles
+    # are 32 MB) may be built, only the occupied slots' ~4% and one block
+    cfg = small_config(mean_photon_number=0.044, slot_rate=1.0, duration=float(CHUNK_SLOTS))
+    tracemalloc.start()
+    try:
+        occupied_slots(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sampled_counts_match_poisson_pmf():
@@ -122,3 +210,11 @@ def test_overflowing_slot_count_is_an_error():
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
         small_config(**{field: value})
+
+
+def test_mean_photon_number_limit():
+    # exp(-mean) must stay a normal double, or the CDF table breaks silently
+    assert small_config(mean_photon_number=700.0).mean_photon_number == 700.0
+    for mean in (709.0, 1e3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mean_photon_number"):
+            small_config(mean_photon_number=mean)
