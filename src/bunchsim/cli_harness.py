@@ -34,7 +34,7 @@ from .coincidence_unit import (
     tally_to_json,
 )
 from .detector_bank import Detector, DetectorConfig, write_events
-from .photon_source import SourceConfig
+from .photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
 from .routing_models import RoutingModel
 from .simulate import SimConfig, config_metadata, simulate_streams
 from .statistics import (
@@ -109,18 +109,20 @@ _MODEL_NAMES = tuple(m.value for m in RoutingModel)
 _EVENT_FORMATS = ("none", "text", "binary")
 _REQUIRED = object()
 
-# key -> (converter, default-or-required-marker, range check)
+# key -> (converter, default-or-required-marker, range check); picosecond
+# values stay below 2^53, where float64 arithmetic on them is still exact
 _CONFIG_FIELDS = {
     "model": (str, _REQUIRED, lambda v: v in _MODEL_NAMES or f"must be one of {', '.join(_MODEL_NAMES)}"),
-    "mean_photon_number": (float, _REQUIRED, lambda v: v >= 0 or "must be >= 0"),
+    "mean_photon_number": (float, _REQUIRED, lambda v: 0 <= v <= MAX_MEAN_PHOTON_NUMBER
+                           or f"must be in [0, {MAX_MEAN_PHOTON_NUMBER:.1f}]"),
     "seed": (int, _REQUIRED, lambda v: v >= 0 or "must be >= 0"),
     "slot_rate": (float, _default_slot_rate, lambda v: v > 0 or "must be > 0"),
     "efficiency": (float, _default_efficiency, lambda v: 0 <= v <= 1 or "must be in [0, 1]"),
     "dark_rate": (float, 27.0, lambda v: v >= 0 or "must be >= 0"),
-    "dead_time_ps": (int, 22_000, lambda v: v >= 0 or "must be >= 0"),
-    "pulse_width_ps": (int, 10_000, lambda v: v >= 0 or "must be >= 0"),
+    "dead_time_ps": (int, 22_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
+    "pulse_width_ps": (int, 10_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
     "jitter_ps": (float, 350.0, lambda v: v >= 0 or "must be >= 0"),
-    "window_ps": (int, 5_000, lambda v: v > 0 or "must be > 0"),
+    "window_ps": (int, 5_000, lambda v: 0 < v < 2**53 or "must be in (0, 2^53)"),
     "acquisition_s": (float, 1.0, lambda v: v > 0 or "must be > 0"),
     "output_dir": (str, "out", lambda v: True),
     "events_format": (str, "none", lambda v: v in _EVENT_FORMATS or f"must be one of {', '.join(_EVENT_FORMATS)}"),
@@ -191,7 +193,7 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
         convert = _CONFIG_FIELDS[key][0]
         try:
             values[key] = convert(supplied)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             violations.append(f"{key}: cannot read {supplied!r} as {convert.__name__}")
             unparsable.add(key)
 
@@ -433,6 +435,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.mean_photon_number is not None and not 0 < args.mean_photon_number <= MAX_MEAN_PHOTON_NUMBER:
+        raise ConfigError([f"--mean-photon-number: must be in (0, {MAX_MEAN_PHOTON_NUMBER:.1f}]"])
     if args.from_tally:
         if args.mean_photon_number is None:
             raise ConfigError(["--mean-photon-number is required with --from-tally"])

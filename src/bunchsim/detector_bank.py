@@ -7,6 +7,12 @@ are kept as integer picoseconds throughout. Dark counts are a homogeneous
 Poisson process per detector; they are merged with photon clicks before a
 single non-paralyzable dead-time pass, because a registered dark click blinds
 the detector exactly like a photon click does.
+
+split_counts and detect_counts draw in photon_source.draw_blocks: a chunk's
+count rows are int32 and its per-slot uniforms, probabilities and jittered
+times exist one block at a time. The blocks consume the generator as one
+whole-array call would, in the same stage-major order, so the output is the
+same for any block size.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .photon_source import draw_blocks
 
 
 class Detector(enum.IntEnum):
@@ -65,11 +73,16 @@ class DetectorConfig:
 def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Fair 50/50 split of each port's photons onto its detector pair.
 
-    Returns four length-m count rows, indexed by Detector.
+    Returns four length-m int32 count rows, indexed by Detector. Every
+    block's port-1 draw comes before any port-2 draw.
     """
-    a1 = rng.binomial(port1, 0.5)
-    b1 = rng.binomial(port2, 0.5)
-    return a1, port1 - a1, b1, port2 - b1
+    rows = []
+    for port in (port1, port2):
+        first = np.empty(port.size, dtype=np.int32)
+        for block in draw_blocks(port.size):
+            first[block] = rng.binomial(port[block], 0.5)
+        rows += [first, np.subtract(port, first, dtype=np.int32)]
+    return tuple(rows)
 
 
 def click_probability(k, efficiency: float):
@@ -89,21 +102,24 @@ def detect_counts(
     per-detector candidate click times (int64 ps, jittered, clipped at 0),
     before dead-time filtering. Draw order is fixed: per detector in
     canonical order, one uniform per occupied slot, then one normal per
-    firing click.
+    firing click, each drawn in draw_blocks.
     """
     out = {}
     for det in Detector:
         k = counts[det]
-        hit = np.flatnonzero(k > 0)
-        if hit.size == 0:
-            out[det] = np.empty(0, dtype=np.int64)
-            continue
-        fire = rng.random(hit.size) < click_probability(k[hit], config.efficiency)
-        sel = hit[fire]
-        t = slot_times_ps[sel].astype(np.float64)
-        if config.jitter_sigma_ps > 0:
-            t = t + rng.normal(0.0, config.jitter_sigma_ps, size=sel.size)
-        out[det] = np.maximum(np.rint(t), 0).astype(np.int64)
+        fired = [np.empty(0, dtype=np.int64)]
+        for block in draw_blocks(k.size):
+            hit = np.flatnonzero(k[block] > 0)
+            fire = rng.random(hit.size) < click_probability(k[block][hit], config.efficiency)
+            fired.append(hit[fire] + block.start)
+        sel = np.concatenate(fired)
+        clicks = np.empty(sel.size, dtype=np.int64)
+        for block in draw_blocks(sel.size):
+            t = slot_times_ps[sel[block]].astype(np.float64)
+            if config.jitter_sigma_ps > 0:
+                t = t + rng.normal(0.0, config.jitter_sigma_ps, size=t.size)
+            clicks[block] = np.maximum(np.rint(t), 0)
+        out[det] = clicks
     return out
 
 

@@ -40,11 +40,13 @@ _MAX_SLOTS = 2**53
 
 # Above this mean exp(-mean) is no longer a normal double and the Poisson
 # CDF table loses its precision (at 740 it ends at 1.000078, at 800 it is 0).
-_MAX_MEAN = -math.log(sys.float_info.min)
+# Every entry point that takes a mean photon number checks it against this.
+MAX_MEAN_PHOTON_NUMBER = -math.log(sys.float_info.min)
 
-# Words drawn and compared at a time. A 512 KB block is reused by the
-# allocator from block to block, where one array per 2^22-slot chunk would
-# be mapped and faulted in anew for every chunk.
+# Entries drawn at a time, by the source scan and by the per-chunk routing,
+# split and detection draws. A 512 KB block is reused by the allocator from
+# block to block, where one array per 2^22-slot chunk would be mapped and
+# faulted in anew for every chunk.
 _SCAN_BLOCK = 1 << 16
 
 
@@ -62,14 +64,27 @@ class SourceConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.mean_photon_number <= _MAX_MEAN:
-            raise ValueError(f"mean_photon_number must be in [0, {_MAX_MEAN:.1f}]")
+        if not 0 <= self.mean_photon_number <= MAX_MEAN_PHOTON_NUMBER:
+            raise ValueError(f"mean_photon_number must be in [0, {MAX_MEAN_PHOTON_NUMBER:.1f}]")
         if self.slot_rate <= 0:
             raise ValueError("slot_rate must be > 0")
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+
+
+def draw_blocks(size: int) -> list[slice]:
+    """Consecutive slices of at most _SCAN_BLOCK entries that cover range(size).
+
+    Drawing block after block from one generator gives the same values, and
+    leaves it in the same state, as one call over the whole range: every
+    sampler drawn this way (raw words, binomial with an array n, integers,
+    random, normal) is a sequential per-entry loop whose state persists
+    across calls. The binomial set-up cache lives in the Generator and
+    Philox's buffered 32-bit half-word in its bit generator.
+    """
+    return [slice(lo, min(lo + _SCAN_BLOCK, size)) for lo in range(0, size, _SCAN_BLOCK)]
 
 
 def slot_count(config: SourceConfig) -> int:
@@ -125,7 +140,7 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndar
     from the chunk's substream and n = searchsorted(edges, w, side='right'),
     which is the inversion of u = (w >> 11) * 2^-53 through the CDF table.
     A slot is empty exactly when w < edges[0], and only the others are
-    inverted; words are scanned _SCAN_BLOCK at a time. This is the primitive
+    inverted; words are scanned in draw_blocks. This is the primitive
     every stream consumer builds on; the per-chunk substream makes the
     result independent of how chunks are distributed over workers.
     """
@@ -139,9 +154,9 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndar
     counts = [np.empty(0, np.int64)]
     if edges.size:
         bits = substream(config.seed, STREAM_SOURCE, chunk_index).bit_generator
-        for lo in range(0, m, _SCAN_BLOCK):
-            raw = bits.random_raw(min(_SCAN_BLOCK, m - lo))
+        for block in draw_blocks(m):
+            raw = bits.random_raw(block.stop - block.start)
             hit = np.flatnonzero(raw >= edges[0])
-            offsets.append(hit + lo)
+            offsets.append(hit + block.start)
             counts.append(np.searchsorted(edges, raw[hit], side="right"))
     return start, np.concatenate(offsets), np.concatenate(counts)

@@ -11,6 +11,11 @@ Three interchangeable models:
    defined rule, so the model falls back to binomial routing; callers should
    surface phase_basis_fallback_count() in run metadata.
  * bunching: all n photons exit one port together, fair coin per slot.
+
+route_counts draws in photon_source.draw_blocks and writes int32 rows, so a
+chunk's routing holds no full-length int64 temporary. Block-wise drawing is
+exact: the blocks consume the generator as one whole-array call would, and
+leave it in the same state.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import enum
 import math
 
 import numpy as np
+
+from .photon_source import draw_blocks
 
 ENUM_MAX_N = 12
 
@@ -30,18 +37,25 @@ class RoutingModel(enum.Enum):
 
 
 def route_counts(model: RoutingModel, n, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised routing: port-1 occupancy for each entry of n."""
-    n = np.asarray(n, dtype=np.int64)
-    if np.any(n < 0):
+    """Vectorised routing: port-1 occupancy (int32) for each entry of a 1-D n.
+
+    Every block's binomial (or bunching coin) draw comes first, then the
+    phase-basis n = 2 uniforms of every block, as in one whole-array call.
+    """
+    n = np.asarray(n)
+    if n.size and n.min() < 0:
         raise ValueError("photon numbers must be >= 0")
-    if model is RoutingModel.BUNCHING:
-        return n * rng.integers(0, 2, size=n.shape, dtype=np.int64)
-    port1 = rng.binomial(n, 0.5).astype(np.int64, copy=False)
+    port1 = np.empty(n.size, dtype=np.int32)
+    for block in draw_blocks(n.size):
+        if model is RoutingModel.BUNCHING:
+            port1[block] = n[block] * rng.integers(0, 2, size=n[block].size, dtype=np.int64)
+        else:
+            port1[block] = rng.binomial(n[block], 0.5)
     if model is RoutingModel.PHASE_BASIS:
-        two = np.flatnonzero(n == 2)
-        if two.size:
+        for block in draw_blocks(n.size):
+            two = np.flatnonzero(n[block] == 2)
             u = rng.random(two.size)
-            port1[two] = np.where(u < 0.25, 2, np.where(u < 0.5, 0, 1))
+            port1[block][two] = np.where(u < 0.25, 2, np.where(u < 0.5, 0, 1))
     return port1
 
 

@@ -99,11 +99,13 @@ def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
         return [({det: np.empty(0, dtype=np.int64) for det in Detector}, 0) for _ in models]
     # nominal slot centres; exact because SimConfig caps the duration below 2^53 ps
     times = np.rint((start + occupied) / src.slot_rate * 1e12).astype(np.int64)
+    del occupied
     results = []
     for model in models:
         route_rng = substream(src.seed, STREAM_ROUTING, chunk_index)
         port1 = route_counts(model, k, route_rng)
-        counts = split_counts(port1, k - port1, route_rng)
+        counts = split_counts(port1, np.subtract(k, port1, dtype=np.int32), route_rng)
+        del port1
         clicks = detect_counts(counts, times, detectors, substream(src.seed, STREAM_DETECT, chunk_index))
         results.append((clicks, phase_basis_fallback_count(model, k)))
     return results

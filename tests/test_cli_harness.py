@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bunchsim
 from bunchsim.cli_harness import (
@@ -25,6 +30,7 @@ from bunchsim.coincidence_unit import (
     tally_to_csv,
 )
 from bunchsim.detector_bank import Detector, read_events
+from bunchsim.photon_source import MAX_MEAN_PHOTON_NUMBER
 from bunchsim.simulate import simulate_streams
 from bunchsim.statistics import REFERENCE_BLOCKS, calibrate
 
@@ -286,7 +292,7 @@ def test_main_mean_beyond_exp_range_exits_1(tmp_path, capsys):
     flags = run_flags(tmp_path)
     flags[flags.index("--mean-photon-number") + 1] = "1000"
     assert main(flags) == 1
-    assert "mean_photon_number must be in [0, 708.4]" in capsys.readouterr().err
+    assert "mean_photon_number: must be in [0, 708.4]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -334,6 +340,100 @@ def test_main_predict_lists_all_counters(capsys):
     assert len(lines) == 15  # 4 singles + 6 pairs + 4 triples
     values = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(math.isfinite(v) and v >= 0 for v in values)
+
+
+LIMIT = f"{MAX_MEAN_PHOTON_NUMBER:.1f}"
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["predict", "--model", "classical"], f"mean_photon_number: must be in [0, {LIMIT}]"),
+        (["predict", "--model", "bunching", "--efficiency", "0.5"], f"mean_photon_number: must be in [0, {LIMIT}]"),
+        (["calibrate"], f"--mean-photon-number: must be in (0, {LIMIT}]"),
+    ],
+)
+@pytest.mark.parametrize("mean", ["1000", "inf", "1e300"])
+def test_predict_and_calibrate_reject_means_run_rejects(command, message, mean, capsys):
+    # the Poisson CDF table of SourceConfig ends at exp(-mean) = smallest normal
+    assert main([*command, "--mean-photon-number", mean]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_predict_accepts_means_below_the_limit(capsys):
+    with pytest.warns(UserWarning, match="dilute regime"):
+        assert main(["predict", "--model", "classical", "--mean-photon-number", "700"]) == 0
+    assert capsys.readouterr().out.startswith("counter_name,rate_per_s\n")
+
+
+CONFIG_KEYS = ["model", "mean_photon_number", "seed", "slot_rate", "efficiency", "dead_time_ps", "window_ps", "preset"]
+ODD_NUMBERS = ["0", "-1", "inf", "-inf", "nan", "1e300", "1e400", "7" * 400, "0x10", "1_000", "", " "]
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(ODD_NUMBERS + ["classical", "table1-block2", "bunching"]),
+    st.text(max_size=12),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=8)), CONFIG_VALUES, st.sampled_from([" = ", "", "#"])),
+        max_size=8,
+    ),
+    overrides=st.dictionaries(
+        st.sampled_from(CONFIG_KEYS),
+        st.one_of(CONFIG_VALUES, st.floats(), st.integers(-(10**400), 10**400), st.none()),
+        max_size=4,
+    ),
+)
+def test_parse_config_returns_a_config_or_raises_config_error(lines, overrides):
+    text = "\n".join(f"{key}{sep}{value}" for key, value, sep in lines)
+    try:
+        cfg = parse_config(text, overrides, require_seed=False)
+    except ConfigError as err:
+        assert err.violations
+    else:
+        assert 0 <= cfg.mean_photon_number <= MAX_MEAN_PHOTON_NUMBER
+
+
+ODD_FLOATS = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 700.0, 709.0, 5e-324]
+FLOAT_FLAG = st.one_of(st.sampled_from(ODD_FLOATS), st.floats(0, 1), st.floats()).map(repr)
+INT_FLAG = st.one_of(
+    st.sampled_from(["0", "-1", "inf", "nan", "1e300", "9" * 400]),
+    st.integers(0, 10**6).map(str),
+    st.integers(-(10**400), 10**400).map(str),
+)
+PREDICT_FLAGS = dict.fromkeys(
+    ["--mean-photon-number", "--slot-rate", "--efficiency", "--dark-rate", "--jitter-ps", "--acquisition-s"], FLOAT_FLAG
+) | dict.fromkeys(["--seed", "--dead-time-ps", "--pulse-width-ps", "--window-ps"], INT_FLAG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model=st.sampled_from([None, "classical", "phase-basis", "bunching"]),
+    flags=st.lists(st.sampled_from(sorted(PREDICT_FLAGS)), max_size=3, unique=True).flatmap(
+        lambda names: st.tuples(*(st.tuples(st.just(name), PREDICT_FLAGS[name]) for name in names))
+    ),
+    exact=st.booleans(),
+)
+def test_predict_exits_0_or_1_for_any_numeric_flags(model, flags, exact):
+    # a few flags at a time, so that most of the others keep their valid defaults
+    argv = ["predict", *(["--model", model] if model else []), *(["--exact"] if exact else [])]
+    for flag, value in flags:
+        argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse usage errors
+            code = stop.code
+    assert code in (0, 1), err.getvalue()
+    assert (code == 0) == bool(out.getvalue())
 
 
 def test_main_calibrate_reports_block_fit(capsys):
