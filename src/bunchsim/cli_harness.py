@@ -33,8 +33,8 @@ from .coincidence_unit import (
     tally_to_csv,
     tally_to_json,
 )
-from .detector_bank import Detector, DetectorConfig, write_events
-from .photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
+from .detector_bank import MAX_DARK_MEAN, Detector, DetectorConfig, write_events
+from .photon_source import MAX_MEAN_PHOTON_NUMBER, MAX_SLOTS, SourceConfig
 from .routing_models import RoutingModel
 from .simulate import SimConfig, config_metadata, simulate_streams
 from .statistics import (
@@ -110,20 +110,21 @@ _EVENT_FORMATS = ("none", "text", "binary")
 _REQUIRED = object()
 
 # key -> (converter, default-or-required-marker, range check); picosecond
-# values stay below 2^53, where float64 arithmetic on them is still exact
+# values stay below 2^53, where float64 arithmetic on them is still exact, and
+# an acquisition is at least one picosecond, the timestamp resolution
 _CONFIG_FIELDS = {
     "model": (str, _REQUIRED, lambda v: v in _MODEL_NAMES or f"must be one of {', '.join(_MODEL_NAMES)}"),
     "mean_photon_number": (float, _REQUIRED, lambda v: 0 <= v <= MAX_MEAN_PHOTON_NUMBER
                            or f"must be in [0, {MAX_MEAN_PHOTON_NUMBER:.1f}]"),
     "seed": (int, _REQUIRED, lambda v: v >= 0 or "must be >= 0"),
-    "slot_rate": (float, _default_slot_rate, lambda v: v > 0 or "must be > 0"),
+    "slot_rate": (float, _default_slot_rate, lambda v: 0 < v < math.inf or "must be finite and > 0"),
     "efficiency": (float, _default_efficiency, lambda v: 0 <= v <= 1 or "must be in [0, 1]"),
-    "dark_rate": (float, 27.0, lambda v: v >= 0 or "must be >= 0"),
+    "dark_rate": (float, 27.0, lambda v: 0 <= v < math.inf or "must be finite and >= 0"),
     "dead_time_ps": (int, 22_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
     "pulse_width_ps": (int, 10_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
-    "jitter_ps": (float, 350.0, lambda v: v >= 0 or "must be >= 0"),
+    "jitter_ps": (float, 350.0, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
     "window_ps": (int, 5_000, lambda v: 0 < v < 2**53 or "must be in (0, 2^53)"),
-    "acquisition_s": (float, 1.0, lambda v: v > 0 or "must be > 0"),
+    "acquisition_s": (float, 1.0, lambda v: 1e-12 <= v < math.inf or "must be finite and >= 1e-12"),
     "output_dir": (str, "out", lambda v: True),
     "events_format": (str, "none", lambda v: v in _EVENT_FORMATS or f"must be one of {', '.join(_EVENT_FORMATS)}"),
 }
@@ -197,6 +198,7 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
             violations.append(f"{key}: cannot read {supplied!r} as {convert.__name__}")
             unparsable.add(key)
 
+    valid = set()
     for key, (_, default, check) in _CONFIG_FIELDS.items():
         if key not in values:
             if key in unparsable:
@@ -209,12 +211,19 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
                 continue
             values[key] = default() if callable(default) else default
         verdict = check(values[key])
-        if verdict is not True:
+        if verdict is True:
+            valid.add(key)
+        else:
             violations.append(f"{key}: {verdict}")
 
     if "dead_time_ps" in values and "pulse_width_ps" in values:
         if values["pulse_width_ps"] > values["dead_time_ps"]:
             violations.append("pulse_width_ps: must not exceed dead_time_ps")
+    # the limits of photon_source.slot_count and of numpy's Poisson sampler
+    if {"slot_rate", "acquisition_s"} <= valid and values["slot_rate"] * values["acquisition_s"] > MAX_SLOTS:
+        violations.append("acquisition_s: acquisition_s * slot_rate must not exceed 2^53 slots")
+    if {"dark_rate", "acquisition_s"} <= valid and values["dark_rate"] * values["acquisition_s"] > MAX_DARK_MEAN:
+        violations.append(f"dark_rate: dark_rate * acquisition_s must not exceed {MAX_DARK_MEAN:.4g}")
 
     if violations:
         raise ConfigError(violations)

@@ -9,10 +9,12 @@ single non-paralyzable dead-time pass, because a registered dark click blinds
 the detector exactly like a photon click does.
 
 split_counts and detect_counts draw in photon_source.draw_blocks: a chunk's
-count rows are int32 and its per-slot uniforms, probabilities and jittered
-times exist one block at a time. The blocks consume the generator as one
-whole-array call would, in the same stage-major order, so the output is the
-same for any block size.
+count rows are int16 (photon numbers above 2^15 - 1 are rejected, not
+wrapped) and its per-slot uniforms, probabilities and jittered times exist
+one block at a time. detect_counts takes the slot clock as a function and
+asks it for the nominal times of the fired slots only. The blocks consume
+the generator as one whole-array call would, in the same stage-major order,
+so the output is the same for any block size.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_source import draw_blocks
+from .photon_source import COUNT_DTYPE, draw_blocks, photon_numbers
 
 
 class Detector(enum.IntEnum):
@@ -47,6 +49,10 @@ _LABELS = {
 }
 
 LABEL_TO_DETECTOR = {label: det for det, label in _LABELS.items()}
+
+# numpy's Generator.poisson rejects larger means ("lam value too large"); the
+# mean number of dark clicks per detector, dark_rate * duration, must not exceed it
+MAX_DARK_MEAN = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -73,15 +79,17 @@ class DetectorConfig:
 def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Fair 50/50 split of each port's photons onto its detector pair.
 
-    Returns four length-m int32 count rows, indexed by Detector. Every
-    block's port-1 draw comes before any port-2 draw.
+    Returns four length-m int16 count rows, indexed by Detector; port
+    occupancies must lie in [0, 2^15 - 1], or ValueError. Every block's
+    port-1 draw comes before any port-2 draw.
     """
+    port1, port2 = photon_numbers(port1), photon_numbers(port2)
     rows = []
     for port in (port1, port2):
-        first = np.empty(port.size, dtype=np.int32)
+        first = np.empty(port.size, dtype=COUNT_DTYPE)
         for block in draw_blocks(port.size):
             first[block] = rng.binomial(port[block], 0.5)
-        rows += [first, np.subtract(port, first, dtype=np.int32)]
+        rows += [first, np.subtract(port, first, dtype=COUNT_DTYPE)]
     return tuple(rows)
 
 
@@ -92,13 +100,15 @@ def click_probability(k, efficiency: float):
 
 def detect_counts(
     counts,
-    slot_times_ps: np.ndarray,
+    slot_time,
     config: DetectorConfig,
     rng: np.random.Generator,
 ) -> dict[Detector, np.ndarray]:
     """Vectorised click sampling for a chunk of slots.
 
-    counts holds four length-m rows indexed by Detector; returns
+    counts holds four length-m rows indexed by Detector, and slot_time maps
+    an int64 array of row indices to the nominal int64 ps times of those
+    slots (an array of times passes as times.__getitem__). Returns
     per-detector candidate click times (int64 ps, jittered, clipped at 0),
     before dead-time filtering. Draw order is fixed: per detector in
     canonical order, one uniform per occupied slot, then one normal per
@@ -115,7 +125,7 @@ def detect_counts(
         sel = np.concatenate(fired)
         clicks = np.empty(sel.size, dtype=np.int64)
         for block in draw_blocks(sel.size):
-            t = slot_times_ps[sel[block]].astype(np.float64)
+            t = slot_time(sel[block]).astype(np.float64)
             if config.jitter_sigma_ps > 0:
                 t = t + rng.normal(0.0, config.jitter_sigma_ps, size=t.size)
             clicks[block] = np.maximum(np.rint(t), 0)

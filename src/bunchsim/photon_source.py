@@ -8,7 +8,8 @@ Poisson CDF as the uniform u = (w >> 11) * 2^-53 that ``Generator.random``
 would make of it. The CDF is turned into an integer table once, so the word
 is compared as an integer and no per-slot float is built. Only the occupied
 slots (n_j >= 1) are materialised: at the reference operating points over
-95% of slots are empty.
+95% of slots are empty. They are held narrow, as int32 offsets into the
+chunk and int16 photon numbers, built block by block and concatenated once.
 
 Reproducibility contract: all randomness is drawn from Philox counter-based
 generators keyed by (seed, purpose, chunk).  Slot streams are generated in
@@ -36,12 +37,18 @@ STREAM_DARK = 3
 
 # Slot counts above this are not exactly representable as float products and
 # would take days to simulate anyway.
-_MAX_SLOTS = 2**53
+MAX_SLOTS = 2**53
 
 # Above this mean exp(-mean) is no longer a normal double and the Poisson
 # CDF table loses its precision (at 740 it ends at 1.000078, at 800 it is 0).
 # Every entry point that takes a mean photon number checks it against this.
 MAX_MEAN_PHOTON_NUMBER = -math.log(sys.float_info.min)
+
+# Photon numbers per slot, port and detector are held in int16 count rows. A
+# photon number is an index into the CDF table, which has at most
+# 21 + 12 * MAX_MEAN_PHOTON_NUMBER ~ 8521 entries, well below 2^15.
+COUNT_DTYPE = np.int16
+MAX_COUNT = int(np.iinfo(COUNT_DTYPE).max)
 
 # Entries drawn at a time, by the source scan and by the per-chunk routing,
 # split and detection draws. A 512 KB block is reused by the allocator from
@@ -87,10 +94,22 @@ def draw_blocks(size: int) -> list[slice]:
     return [slice(lo, min(lo + _SCAN_BLOCK, size)) for lo in range(0, size, _SCAN_BLOCK)]
 
 
+def photon_numbers(n) -> np.ndarray:
+    """n as an array, or ValueError if an entry does not fit an int16 count row.
+
+    route_counts and split_counts are public and accept any integer input;
+    they reject photon numbers outside [0, MAX_COUNT] instead of wrapping.
+    """
+    n = np.asarray(n)
+    if n.size and (n.min() < 0 or n.max() > MAX_COUNT):
+        raise ValueError(f"photon numbers must be in [0, {MAX_COUNT}]")
+    return n
+
+
 def slot_count(config: SourceConfig) -> int:
     """floor(duration * slot_rate), with an explicit overflow failure."""
     product = config.duration * config.slot_rate
-    if not math.isfinite(product) or product > _MAX_SLOTS:
+    if not math.isfinite(product) or product > MAX_SLOTS:
         raise OverflowError(f"slot count {product!r} overflows the exact integer range")
     return int(math.floor(product))
 
@@ -136,8 +155,11 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndar
     """(start_index, offsets, photon_numbers) of the occupied slots of one chunk.
 
     Slot start + offsets[i] carries photon_numbers[i] >= 1 photons; every
-    other slot of the chunk is empty. One 64-bit word w per slot is drawn
-    from the chunk's substream and n = searchsorted(edges, w, side='right'),
+    other slot of the chunk is empty. offsets are int32 (they are below
+    CHUNK_SLOTS) and photon_numbers int16 (COUNT_DTYPE). Widen offsets to
+    int64 before adding start: from chunk 512 on, start is 2^31 or more and
+    does not fit int32. One 64-bit word w per slot is drawn from the
+    chunk's substream and n = searchsorted(edges, w, side='right'),
     which is the inversion of u = (w >> 11) * 2^-53 through the CDF table.
     A slot is empty exactly when w < edges[0], and only the others are
     inverted; words are scanned in draw_blocks. This is the primitive
@@ -150,13 +172,13 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndar
         raise IndexError(f"chunk {chunk_index} out of range")
     m = min(CHUNK_SLOTS, total - start)
     edges = _cdf_edges(poisson_cdf_table(config.mean_photon_number))
-    offsets = [np.empty(0, np.int64)]
-    counts = [np.empty(0, np.int64)]
+    offsets = [np.empty(0, np.int32)]
+    counts = [np.empty(0, COUNT_DTYPE)]
     if edges.size:
         bits = substream(config.seed, STREAM_SOURCE, chunk_index).bit_generator
         for block in draw_blocks(m):
             raw = bits.random_raw(block.stop - block.start)
             hit = np.flatnonzero(raw >= edges[0])
-            offsets.append(hit + block.start)
-            counts.append(np.searchsorted(edges, raw[hit], side="right"))
+            offsets.append(np.add(hit, block.start, dtype=np.int32))
+            counts.append(np.searchsorted(edges, raw[hit], side="right").astype(COUNT_DTYPE))
     return start, np.concatenate(offsets), np.concatenate(counts)

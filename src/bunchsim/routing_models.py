@@ -12,10 +12,11 @@ Three interchangeable models:
    surface phase_basis_fallback_count() in run metadata.
  * bunching: all n photons exit one port together, fair coin per slot.
 
-route_counts draws in photon_source.draw_blocks and writes int32 rows, so a
-chunk's routing holds no full-length int64 temporary. Block-wise drawing is
-exact: the blocks consume the generator as one whole-array call would, and
-leave it in the same state.
+route_counts draws in photon_source.draw_blocks and writes int16 rows, so a
+chunk's routing holds no full-length int64 temporary; photon numbers above
+2^15 - 1 are rejected, not wrapped. Block-wise drawing is exact: the blocks
+consume the generator as one whole-array call would, and leave it in the
+same state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .photon_source import draw_blocks
+from .photon_source import COUNT_DTYPE, draw_blocks, photon_numbers
 
 ENUM_MAX_N = 12
 
@@ -37,15 +38,15 @@ class RoutingModel(enum.Enum):
 
 
 def route_counts(model: RoutingModel, n, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised routing: port-1 occupancy (int32) for each entry of a 1-D n.
+    """Vectorised routing: port-1 occupancy (int16) for each entry of a 1-D n.
 
-    Every block's binomial (or bunching coin) draw comes first, then the
-    phase-basis n = 2 uniforms of every block, as in one whole-array call.
+    n must lie in [0, 2^15 - 1], or ValueError. Every block's binomial (or
+    bunching coin) draw comes first, then the phase-basis n = 2 uniforms of
+    every block, as in one whole-array call; the draws do not depend on the
+    dtype of n.
     """
-    n = np.asarray(n)
-    if n.size and n.min() < 0:
-        raise ValueError("photon numbers must be >= 0")
-    port1 = np.empty(n.size, dtype=np.int32)
+    n = photon_numbers(n)
+    port1 = np.empty(n.size, dtype=COUNT_DTYPE)
     for block in draw_blocks(n.size):
         if model is RoutingModel.BUNCHING:
             port1[block] = n[block] * rng.integers(0, 2, size=n[block].size, dtype=np.int64)

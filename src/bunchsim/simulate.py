@@ -7,8 +7,14 @@ Worker processes only compute per-chunk candidate clicks; dark counts and the
 dead-time filter run once on the merged per-detector streams, because dead
 time couples events across chunk boundaries.
 
+Per chunk the engine holds the occupied slots as int32 offsets and int16
+photon numbers, and per model one int16 port row and four int16 count rows.
+No full-length slot-time array is built: the slot clock
+rint((start + offset) / slot_rate * 1e12) is evaluated only for the slots
+that fire, with each offset widened to int64 before start is added.
+
 Several routing models run in one pass: each chunk's occupied slots are drawn
-and timed once, then routed, split and detected once per model. The routing
+once, then routed, split and detected once per model. The routing
 and detection substreams do not depend on the model, so each model gets the
 same draws, and the same output, as it would alone.
 """
@@ -54,13 +60,15 @@ class SimConfig:
     ccu: CcuConfig
 
     def __post_init__(self):
-        acq_ps = int(round(self.ccu.acquisition_s * 1e12))
-        dur_ps = int(round(self.source.duration * 1e12))
-        if dur_ps >= _MAX_DURATION_PS:
+        # compared as a float, so that a duration beyond the int range is
+        # rejected too; round(x) >= 2^53 exactly when x >= 2^53
+        if self.source.duration * 1e12 >= _MAX_DURATION_PS:
             raise ValueError(
                 f"stream of {self.source.duration} s reaches 2^53 ps, beyond which "
                 "slot times are not exact"
             )
+        acq_ps = int(round(self.ccu.acquisition_s * 1e12))
+        dur_ps = int(round(self.source.duration * 1e12))
         if acq_ps > dur_ps:
             raise ValueError(
                 f"acquisition ({self.ccu.acquisition_s} s) exceeds the simulated "
@@ -97,16 +105,19 @@ def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
     start, occupied, k = occupied_slots(src, chunk_index)
     if occupied.size == 0:
         return [({det: np.empty(0, dtype=np.int64) for det in Detector}, 0) for _ in models]
-    # nominal slot centres; exact because SimConfig caps the duration below 2^53 ps
-    times = np.rint((start + occupied) / src.slot_rate * 1e12).astype(np.int64)
-    del occupied
+
+    def slot_time(idx):
+        # nominal slot centres, exact because SimConfig caps the duration below
+        # 2^53 ps; the int32 offsets are widened before start is added
+        return np.rint((start + occupied[idx].astype(np.int64)) / src.slot_rate * 1e12).astype(np.int64)
+
     results = []
     for model in models:
         route_rng = substream(src.seed, STREAM_ROUTING, chunk_index)
         port1 = route_counts(model, k, route_rng)
-        counts = split_counts(port1, np.subtract(k, port1, dtype=np.int32), route_rng)
+        counts = split_counts(port1, k - port1, route_rng)
         del port1
-        clicks = detect_counts(counts, times, detectors, substream(src.seed, STREAM_DETECT, chunk_index))
+        clicks = detect_counts(counts, slot_time, detectors, substream(src.seed, STREAM_DETECT, chunk_index))
         results.append((clicks, phase_basis_fallback_count(model, k)))
     return results
 

@@ -3,12 +3,14 @@
 A dense source that inverts the Poisson CDF for every slot, one-slot
 routing, per-slot detection with a scalar dead-time check, grouping of
 interleaved (detector, time) events into streams, and event dumps written
-and read one struct record or text line at a time.
+and read one struct record or text line at a time. traced_peak measures the
+memory the fast paths hold.
 """
 
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -128,3 +130,13 @@ def read_events(path, fmt: str) -> dict:
             for det_id, t in RECORD.iter_unpack(fh.read()):
                 collected[Detector(det_id)].append(t)
     return {det: np.asarray(ts, dtype=np.int64) for det, ts in collected.items()}
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

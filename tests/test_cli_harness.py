@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -434,6 +435,73 @@ def test_predict_exits_0_or_1_for_any_numeric_flags(model, flags, exact):
             code = stop.code
     assert code in (0, 1), err.getvalue()
     assert (code == 0) == bool(out.getvalue())
+
+
+# ordinary values keep a run within ~1000 slots and a few dark clicks
+ODD_RUN_FLOATS = ["0", "-0.0", "-1", "-1e300", "inf", "-inf", "nan", "1e300"]
+RUN_FLOATS = {
+    "--mean-photon-number": st.floats(0, 5),
+    "--slot-rate": st.floats(0, 1e8),
+    "--efficiency": st.floats(0, 1),
+    "--dark-rate": st.floats(0, 1e6),
+    "--jitter-ps": st.floats(0, 1e6),
+}
+RUN_INTS = dict.fromkeys(["--seed", "--dead-time-ps", "--pulse-width-ps", "--window-ps"], st.integers(0, 10**6))
+RUN_FLAGS = {name: st.one_of(st.sampled_from(ODD_RUN_FLOATS), values.map(repr)) for name, values in RUN_FLOATS.items()}
+RUN_FLAGS |= {name: st.one_of(st.sampled_from(["0", "-1", "inf", "nan", "1e300"]), values.map(str)) for name, values in RUN_INTS.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["run", "compare"]),
+    acquisition=st.one_of(st.sampled_from([*ODD_RUN_FLOATS, "5e-324", "1e-13"]), st.floats(1e-9, 1e-5).map(repr)),
+    flags=st.lists(st.sampled_from(sorted(RUN_FLAGS)), max_size=4, unique=True).flatmap(
+        lambda names: st.tuples(*(st.tuples(st.just(name), RUN_FLAGS[name]) for name in names))
+    ),
+)
+def test_run_and_compare_exit_0_or_1_for_any_numeric_flags(command, acquisition, flags):
+    # exit 2 is for runtime failures; every value parse_config accepts must run
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--mean-photon-number", "0.5", "--seed", "1", "--quiet", "--output-dir", tmp]
+        argv += ["--model", "classical"] if command == "run" else ["--models", "classical,phase-basis,bunching"]
+        argv += ["--acquisition-s", acquisition]
+        for flag, value in flags:
+            argv += [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse usage errors
+                code = stop.code
+    assert code in (0, 1), err.getvalue()
+    assert (code == 0) == bool(out.getvalue())
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--slot-rate", "inf"], "slot_rate: must be finite and > 0"),
+        (["--slot-rate", "1e300"], "acquisition_s * slot_rate must not exceed 2^53 slots"),
+        (["--acquisition-s", "inf"], "acquisition_s: must be finite and >= 1e-12"),
+        (["--acquisition-s", "1e-13"], "acquisition_s: must be finite and >= 1e-12"),
+        (["--jitter-ps", "inf"], "jitter_ps: must be in [0, 2^53)"),
+        (["--dark-rate", "inf"], "dark_rate: must be finite and >= 0"),
+        (["--dark-rate", "1e300"], "dark_rate * acquisition_s must not exceed"),
+    ],
+)
+def test_run_and_compare_reject_configs_the_engine_cannot_run(tmp_path, capsys, flags, message):
+    compare = ["compare", *run_flags(tmp_path, *flags)[1:], "--models", "classical,bunching"]
+    for argv in (run_flags(tmp_path, *flags), compare):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stream_beyond_the_int_range_is_a_config_error(tmp_path, capsys):
+    # a tiny slot rate keeps the slot count small; the 2^53 ps stream limit still applies
+    assert main(run_flags(tmp_path, "--slot-rate", "5e-324", "--dark-rate", "0", "--acquisition-s", "1e300")) == 1
+    assert "reaches 2^53 ps" in capsys.readouterr().err
 
 
 def test_main_calibrate_reports_block_fit(capsys):

@@ -77,7 +77,7 @@ def test_detect_counts_perfect_efficiency_no_jitter():
     cfg = config(efficiency=1.0, jitter_sigma_ps=0.0, dark_rate=0.0)
     counts = np.array([[1, 0, 2], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
     times = np.array([1000, 2000, 3000], dtype=np.int64)
-    clicks = detect_counts(counts, times, cfg, substream(1))
+    clicks = detect_counts(counts, times.__getitem__, cfg, substream(1))
     assert clicks[Detector.A1].tolist() == [1000, 3000]
     assert clicks[Detector.A2].tolist() == [3000]
     assert clicks[Detector.B1].tolist() == [2000]
@@ -88,7 +88,7 @@ def test_detect_counts_zero_efficiency_never_fires():
     cfg = config(efficiency=1e-12, jitter_sigma_ps=0.0)
     counts = np.ones((4, 500), dtype=np.int64)
     times = np.arange(500, dtype=np.int64) * 100_000
-    clicks = detect_counts(counts, times, cfg, substream(2))
+    clicks = detect_counts(counts, times.__getitem__, cfg, substream(2))
     assert sum(c.size for c in clicks.values()) == 0
 
 
@@ -98,7 +98,7 @@ def test_jitter_statistics():
     counts = np.zeros((4, m), dtype=np.int64)
     counts[Detector.B2] = 1
     times = np.full(m, 10_000_000, dtype=np.int64)
-    clicks = detect_counts(counts, times, cfg, substream(3))
+    clicks = detect_counts(counts, times.__getitem__, cfg, substream(3))
     residuals = clicks[Detector.B2].astype(float) - 10_000_000
     assert clicks[Detector.B2].size == m
     assert abs(residuals.mean()) < 4 * 350 / math.sqrt(m)
@@ -111,7 +111,8 @@ def test_efficiency_hit_rate():
     m = 100_000
     counts = np.zeros((4, m), dtype=np.int64)
     counts[Detector.A1] = 1
-    clicks = detect_counts(counts, np.arange(m, dtype=np.int64) * 50_000, cfg, substream(4))
+    times = np.arange(m, dtype=np.int64) * 50_000
+    clicks = detect_counts(counts, times.__getitem__, cfg, substream(4))
     sigma = math.sqrt(m * 0.582 * 0.418)
     assert abs(clicks[Detector.A1].size - m * 0.582) <= 4 * sigma
 

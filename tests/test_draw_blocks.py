@@ -1,22 +1,31 @@
-"""The per-chunk model stage draws in photon_source.draw_blocks.
+"""The per-chunk model stage draws in photon_source.draw_blocks into narrow rows.
 
 Routing, splitting and detection must give the same values, and leave their
 generator in the same state, for any block size: a block at least as long as
-the input is one whole-array call.
+the input is one whole-array call. Count rows are int16, and a chunk's
+memory stays bounded; the slot clock stays exact past 2^31 slots.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bunchsim import photon_source
 from bunchsim.detector_bank import Detector, DetectorConfig, detect_counts, split_counts
-from bunchsim.photon_source import CHUNK_SLOTS, SourceConfig, substream
+from bunchsim.photon_source import (
+    CHUNK_SLOTS,
+    STREAM_ROUTING,
+    SourceConfig,
+    num_chunks,
+    occupied_slots,
+    substream,
+)
 from bunchsim.routing_models import RoutingModel, route_counts
 from bunchsim.simulate import _simulate_chunk
+from oracles import traced_peak
 
 ONE_BLOCK = CHUNK_SLOTS + 1
 BLOCKS = st.sampled_from([1, 3, 1000, 1 << 16, ONE_BLOCK])
@@ -55,18 +64,18 @@ def clicks_equal(a, b):
 def test_route_counts_independent_of_block_size(block, model, n):
     n = np.array(n, dtype=np.int64)
     assert_block_invariant(block, lambda rng: route_counts(model, n, rng), np.array_equal)
-    assert route_counts(model, n, substream(1)).dtype == np.int32
+    assert route_counts(model, n, substream(1)).dtype == np.int16
 
 
 @settings(max_examples=60, deadline=None)
 @given(block=BLOCKS, port1=PHOTON_NUMBERS, data=st.data())
 def test_split_counts_independent_of_block_size(block, port1, data):
-    port1 = np.array(port1, dtype=np.int32)
-    port2 = np.array(data.draw(st.lists(PHOTON_NUMBER, min_size=port1.size, max_size=port1.size)), dtype=np.int32)
+    port1 = np.array(port1, dtype=np.int16)
+    port2 = np.array(data.draw(st.lists(PHOTON_NUMBER, min_size=port1.size, max_size=port1.size)), dtype=np.int16)
     assert_block_invariant(block, lambda rng: split_counts(port1, port2, rng), rows_equal)
     a1, a2, b1, b2 = split_counts(port1, port2, substream(2))
     assert np.array_equal(a1 + a2, port1) and np.array_equal(b1 + b2, port2)
-    assert {row.dtype for row in (a1, a2, b1, b2)} == {np.dtype(np.int32)}
+    assert {row.dtype for row in (a1, a2, b1, b2)} == {np.dtype(np.int16)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,11 +88,11 @@ def test_split_counts_independent_of_block_size(block, port1, data):
 )
 def test_detect_counts_independent_of_block_size(block, m, efficiency, jitter, seed):
     source = np.random.default_rng(seed)
-    counts = source.integers(0, 3, size=(4, m)).astype(np.int32)
+    counts = source.integers(0, 3, size=(4, m)).astype(np.int16)
     counts[:, source.random(m) < 0.05] = 70
     times = np.cumsum(source.integers(1, 50_000, size=m))
     cfg = DetectorConfig(efficiency=efficiency, jitter_sigma_ps=jitter)
-    assert_block_invariant(block, lambda rng: detect_counts(counts, times, cfg, rng), clicks_equal)
+    assert_block_invariant(block, lambda rng: detect_counts(counts, times.__getitem__, cfg, rng), clicks_equal)
 
 
 @settings(max_examples=10, deadline=None)
@@ -100,16 +109,67 @@ def test_simulate_chunk_independent_of_block_size(block, seed, slots):
         assert clicks_equal(clicks, ref_clicks) and fallback == ref_fallback
 
 
-def test_bright_chunk_holds_no_full_length_int64_temporaries():
-    # one full chunk at mean 1.0: 2.65e6 occupied slots, 21 MB per int64
-    # row. With full-length int64 count rows and draws the chunk peaked at
-    # ~217 MiB; with int32 rows and block-wise draws it takes ~105 MiB
+def bright_chunk(models):
+    # one full chunk at mean 1.0: 2.65e6 occupied slots, 21 MB per int64 row
     src = SourceConfig(mean_photon_number=1.0, slot_rate=1.0, duration=float(CHUNK_SLOTS), seed=7)
-    task = (src, DetectorConfig(efficiency=0.5), [RoutingModel.CLASSICAL], 0)
-    tracemalloc.start()
-    try:
-        _simulate_chunk(task)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 160 * 2**20
+    return (src, DetectorConfig(efficiency=0.5), models, 0)
+
+
+def test_bright_chunk_holds_no_full_length_int64_temporaries():
+    # with full-length int64 count rows and draws the chunk peaked at
+    # ~217 MiB; with block-wise draws into narrow rows it takes ~60 MiB
+    assert traced_peak(_simulate_chunk, bright_chunk([RoutingModel.CLASSICAL])) < 160 * 2**20
+
+
+@pytest.mark.parametrize(
+    "models, bound_mib",
+    # int32 rows, int64 source lists and a full-length int64 slot-time array
+    # peaked at ~105 and ~172 MiB; int16 rows and int32 offsets, with slot
+    # times for fired slots only, take ~60 and ~96 MiB
+    [([RoutingModel.CLASSICAL], 80), (list(RoutingModel), 128)],
+)
+def test_bright_chunk_peak_with_narrow_rows(models, bound_mib):
+    assert traced_peak(_simulate_chunk, bright_chunk(models)) < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_route_counts_rejects_photon_numbers_beyond_int16(model):
+    top = np.array([2**15 - 1, 2], dtype=np.int64)
+    port1 = route_counts(model, top, substream(3))
+    assert port1.dtype == np.int16 and 0 <= port1[0] <= 2**15 - 1
+    for bad in (2**15, -1):
+        with pytest.raises(ValueError, match="photon numbers must be in"):
+            route_counts(model, np.array([bad, 2], dtype=np.int64), substream(3))
+
+
+def test_split_counts_rejects_photon_numbers_beyond_int16():
+    top = np.array([2**15 - 1], dtype=np.int64)
+    a1, a2, b1, b2 = split_counts(top, top, substream(4))
+    assert a1 + a2 == top and b1 + b2 == top
+    over = np.array([2**15], dtype=np.int64)
+    for port1, port2 in ((over, top), (top, over)):
+        with pytest.raises(ValueError, match="photon numbers must be in"):
+            split_counts(port1, port2, substream(4))
+
+
+# 2.5e11 slots/s and 2^53 ps: ~2.25e15 slots, ~5.4e8 chunks
+FAST_SOURCE = SourceConfig(mean_photon_number=0.3, slot_rate=2.5e11, duration=2**53 / 1e12 * (1 - 1e-9), seed=5)
+
+
+@pytest.mark.parametrize("chunk", [510, 511, 512, num_chunks(FAST_SOURCE) - 1])
+def test_slot_clock_is_exact_past_int32_slot_indices(chunk):
+    # chunk 511 ends at slot 2^31 - 1; from chunk 512 on start itself is
+    # beyond int32, so the int32 offsets must be widened before it is added.
+    # With efficiency 1 and no jitter every detector that gets a photon
+    # clicks at its slot's nominal time
+    detectors = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0)
+    [(clicks, _)] = _simulate_chunk((FAST_SOURCE, detectors, [RoutingModel.CLASSICAL], chunk))
+    start, offsets, k = occupied_slots(FAST_SOURCE, chunk)
+    route_rng = substream(FAST_SOURCE.seed, STREAM_ROUTING, chunk)
+    port1 = route_counts(RoutingModel.CLASSICAL, k, route_rng)
+    counts = split_counts(port1, k - port1, route_rng)
+    nominal = np.rint((start + offsets.astype(np.int64)) / FAST_SOURCE.slot_rate * 1e12).astype(np.int64)
+    assert nominal[-1] < 2**53 and (chunk < 512 or start >= 2**31)
+    for det in Detector:
+        assert np.array_equal(clicks[det], nominal[counts[det] > 0])
+    assert sum(c.size for c in clicks.values()) >= offsets.size

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +10,7 @@ from scipy import stats
 from bunchsim import photon_source
 from bunchsim.photon_source import (
     CHUNK_SLOTS,
+    MAX_MEAN_PHOTON_NUMBER,
     SourceConfig,
     _cdf_edges,
     num_chunks,
@@ -19,7 +19,7 @@ from bunchsim.photon_source import (
     slot_count,
     substream,
 )
-from oracles import dense_chunk, dense_stream
+from oracles import dense_chunk, dense_stream, traced_peak
 
 
 def small_config(**kw):
@@ -64,7 +64,7 @@ def test_occupied_slots_equal_dense_inversion(mean, duration):
         assert start == dense_start
         assert np.array_equal(offsets, np.flatnonzero(dense))
         assert np.array_equal(n, dense[offsets])
-        assert n.dtype == np.int64
+        assert n.dtype == np.int16
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,7 +86,7 @@ def test_occupied_slots_match_dense_oracle(block, mean, seed, tail, full):
     for chunk, (start, offsets, n) in enumerate(parts):
         dense_start, dense = dense_chunk(cfg, chunk)
         assert start == dense_start
-        assert offsets.dtype == np.int64 and n.dtype == np.int64
+        assert offsets.dtype == np.int32 and n.dtype == np.int16
         assert np.array_equal(offsets, np.flatnonzero(dense))
         assert np.array_equal(n, dense[offsets])
 
@@ -140,13 +140,20 @@ def test_low_mean_chunk_scans_in_small_blocks():
     # one full chunk at the block-2 mean: no per-slot array (2^22 doubles
     # are 32 MB) may be built, only the occupied slots' ~4% and one block
     cfg = small_config(mean_photon_number=0.044, slot_rate=1.0, duration=float(CHUNK_SLOTS))
-    tracemalloc.start()
-    try:
-        occupied_slots(cfg, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced_peak(occupied_slots, cfg, 0) < 16 * 2**20
+
+
+def test_bright_chunk_source_holds_narrow_rows():
+    # one full chunk at mean 1.0, 2.65e6 occupied slots: int32 offsets and
+    # int16 photon numbers, per block and concatenated, take ~31 MiB; the
+    # int64 lists and their concatenations took ~82 MiB
+    cfg = small_config(mean_photon_number=1.0, slot_rate=1.0, duration=float(CHUNK_SLOTS), seed=7)
+    assert traced_peak(occupied_slots, cfg, 0) < 40 * 2**20
+
+
+def test_photon_numbers_fit_int16_count_rows():
+    # a photon number is an index into the CDF table, so every table fits
+    assert poisson_cdf_table(MAX_MEAN_PHOTON_NUMBER).size < 2**15
 
 
 def test_sampled_counts_match_poisson_pmf():
