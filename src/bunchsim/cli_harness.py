@@ -446,22 +446,23 @@ def _cmd_compare(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.mean_photon_number is not None and not 0 < args.mean_photon_number <= MAX_MEAN_PHOTON_NUMBER:
         raise ConfigError([f"--mean-photon-number: must be in (0, {MAX_MEAN_PHOTON_NUMBER:.1f}]"])
-    if args.from_tally:
-        if args.mean_photon_number is None:
-            raise ConfigError(["--mean-photon-number is required with --from-tally"])
-        tally = tally_from_csv(
-            Path(args.from_tally).read_text(encoding="utf-8"), acquisition_s=args.acquisition_s
-        )
-        targets = ReferenceBlock(
-            mean_photon_number=args.mean_photon_number,
-            acquisition_s=tally.acquisition_s,
-            singles=tally.singles,
-            pairs=tally.pairs,
-            triples=tally.triples,
-        )
-        result = calibrate(targets)
-    else:
-        result = calibrate(REFERENCE_BLOCKS[args.block], args.mean_photon_number)
+    if args.from_tally and args.mean_photon_number is None:
+        raise ConfigError(["--mean-photon-number is required with --from-tally"])
+    try:
+        if args.from_tally:
+            tally = tally_from_csv(Path(args.from_tally).read_text(encoding="utf-8"), args.acquisition_s)
+            targets = ReferenceBlock(
+                mean_photon_number=args.mean_photon_number,
+                acquisition_s=tally.acquisition_s,
+                singles=tally.singles,
+                pairs=tally.pairs,
+                triples=tally.triples,
+            )
+        else:
+            targets = REFERENCE_BLOCKS[args.block]
+        result = calibrate(targets, args.mean_photon_number)
+    except (OSError, ValueError) as err:  # an unreadable tally, or targets calibrate rejects
+        raise ConfigError([f"calibrate: {err}"]) from err
     lines = ["quantity,value"]
     lines.append(f"slot_rate,{result.slot_rate!r}")
     lines.append(f"efficiency,{result.efficiency!r}")
@@ -514,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="closed-form counter rates, no simulation")
     _add_config_flags(p_pred)
-    p_pred.add_argument("--exact", action="store_true", help="full Poisson sums instead of leading order")
+    p_pred.add_argument("--exact", action="store_true", help="exact per-slot click probabilities at any mean; no dead time")
     p_pred.set_defaults(func=_cmd_predict)
     return parser
 

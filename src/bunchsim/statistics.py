@@ -12,6 +12,9 @@ routing-model enumeration with the exact second-splitter binomial split;
 they are never hand-coded. Inverting the first two relations gives the
 calibration closed forms: pair/singles = nbar * eta / 4 fixes eta, then the
 singles rate fixes R.
+
+The exact predictor reads every counter off click_pattern_table, the closed-form
+per-slot probability of each click pattern at any mean (no dead time).
 """
 
 from __future__ import annotations
@@ -136,6 +139,24 @@ def triple_pattern_probability(model: RoutingModel, triple) -> float:
     return dist.get(tuple(want), 0.0)
 
 
+def click_pattern_table(model: RoutingModel, mean_photon_number: float, efficiency: float) -> list[float]:
+    """Entry m: per-slot P(exactly the detectors in bitmask m fire), bit d for Detector d.
+
+    Saturating detection 1 - (1 - eta)^k detects each photon on its own, so
+    the detectors a slot lights fire independently: classical and phase-basis
+    routing (binomial at every n) light all four, each firing with
+    q = 1 - exp(-nbar * eta / 4); bunching lights one side, fair coin, with
+    q = 1 - exp(-nbar * eta / 2). Entries depend only on how many detectors
+    fire, so exchangeable counters come out equal to the bit.
+    """
+    sides = (0b0011, 0b1100) if model is RoutingModel.BUNCHING else (0b1111,)
+    lit = 4 // len(sides)
+    x = mean_photon_number * efficiency / lit
+    q, e = -math.expm1(-x), math.exp(-x)
+    by_fired = [q**k * e ** (lit - k) for k in range(lit + 1)]
+    return [sum(by_fired[m.bit_count()] for side in sides if m & ~side == 0) / len(sides) for m in range(16)]
+
+
 # --- predictions -------------------------------------------------------------
 
 
@@ -159,36 +180,6 @@ def accidental_pair_rate(rate1: float, rate2: float, window_ps: int) -> float:
     return 2.0 * (window_ps * 1e-12) * rate1 * rate2
 
 
-def _exact_slot_probabilities(model: RoutingModel, nbar: float, efficiency: float):
-    """Per-slot click probabilities from the full truncated Poisson sum.
-
-    For each photon number up to the enumeration bound, composes the exact
-    outcome distribution with saturating click probabilities
-    1 - (1 - eta)^k; a pair (triple) fires when both (all three) of its
-    detectors click, whatever the other detectors do.
-    """
-    from .routing_models import ENUM_MAX_N
-
-    singles = {det: 0.0 for det in Detector}
-    pairs = {key: 0.0 for key in PAIR_KEYS}
-    triples = {key: 0.0 for key in TRIPLE_KEYS}
-    weight = math.exp(-nbar)
-    for n in range(1, ENUM_MAX_N + 1):
-        weight *= nbar / n  # Poisson pmf built iteratively
-        if weight < 1e-18:
-            break
-        for occupancy, p_out in detector_outcome_distribution(model, n).items():
-            click = [1.0 - (1.0 - efficiency) ** k for k in occupancy]
-            w = weight * p_out
-            for det in Detector:
-                singles[det] += w * click[det]
-            for key in pairs:
-                pairs[key] += w * click[key[0]] * click[key[1]]
-            for key in triples:
-                triples[key] += w * click[key[0]] * click[key[1]] * click[key[2]]
-    return singles, pairs, triples
-
-
 def predicted_rates(
     model: RoutingModel,
     mean_photon_number: float,
@@ -200,14 +191,15 @@ def predicted_rates(
 ) -> RatePrediction:
     """Closed-form rates for every counter.
 
-    Leading-order by default (one Poisson term per counter class); with
-    exact=True the full truncated Poisson sum with saturating click
-    probabilities is used instead. Pair channels include dark-driven
-    accidentals (photon x dark and dark x dark); photon-photon accidentals
-    between different slots are excluded by the slot spacing and do not
-    appear at leading order.
+    Leading-order by default (one Poisson term per counter class, dilute
+    means only). With exact=True every counter is slot_rate times the
+    probability, summed over click_pattern_table, that all of its detectors
+    fire in one slot: exact at any mean photon number, with saturation but
+    no dead time. Pair channels include dark-driven accidentals (photon x
+    dark and dark x dark); photon-photon accidentals between different slots
+    are excluded by the slot spacing.
     """
-    if mean_photon_number > NBAR_SMALL_LIMIT:
+    if not exact and mean_photon_number > NBAR_SMALL_LIMIT:
         warnings.warn(
             f"mean photon number {mean_photon_number} is outside the dilute regime; "
             "predictions degrade",
@@ -215,11 +207,13 @@ def predicted_rates(
         )
     nbar = mean_photon_number
     if exact:
-        p_single, p_pair, p_triple = _exact_slot_probabilities(model, nbar, efficiency)
-        photon_single = slot_rate * p_single[Detector.A1]
-        singles = {det: slot_rate * p_single[det] + dark_rate for det in Detector}
-        pair_photon = {key: slot_rate * p_pair[key] for key in PAIR_KEYS}
-        triples = {key: slot_rate * p_triple[key] for key in TRIPLE_KEYS}
+        table = click_pattern_table(model, nbar, efficiency)
+        # fire[m]: rate of slots in which every detector of bitmask m fires
+        fire = [slot_rate * sum(p for mask, p in enumerate(table) if mask & m == m) for m in range(16)]
+        photon_single = fire[1 << Detector.A1]
+        singles = {det: fire[1 << det] + dark_rate for det in Detector}
+        pair_photon = {key: fire[sum(1 << det for det in key)] for key in PAIR_KEYS}
+        triples = {key: fire[sum(1 << det for det in key)] for key in TRIPLE_KEYS}
     else:
         photon_single = slot_rate * nbar * efficiency / 4.0
         singles = {det: photon_single + dark_rate for det in Detector}
@@ -267,6 +261,8 @@ def calibrate(targets: ReferenceBlock, mean_photon_number: float | None = None) 
     if not targets.singles or not targets.pairs:
         raise ValueError("calibration needs at least one singles and one pair counter")
     acq = targets.acquisition_s
+    if not 0 < acq < math.inf:
+        raise ValueError(f"acquisition_s must be finite and > 0, got {acq}")
     s = float(np.mean(list(targets.singles.values()))) / acq
     p = float(np.mean(list(targets.pairs.values()))) / acq
     eta = 4.0 * p / (s * nbar)

@@ -2,13 +2,15 @@
 
 A dense source that inverts the Poisson CDF for every slot, one-slot
 routing, per-slot detection with a scalar dead-time check, grouping of
-interleaved (detector, time) events into streams, and event dumps written
-and read one struct record or text line at a time. traced_peak measures the
+interleaved (detector, time) events into streams, event dumps written and
+read one struct record or text line at a time, and the click-pattern table
+as a Poisson sum over enumerated photon numbers. traced_peak measures the
 memory the fast paths hold.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import tracemalloc
 from typing import NamedTuple
@@ -24,7 +26,8 @@ from bunchsim.photon_source import (
     slot_count,
     substream,
 )
-from bunchsim.routing_models import RoutingModel, route_counts
+from bunchsim.routing_models import ENUM_MAX_N, RoutingModel, route_counts
+from bunchsim.statistics import detector_outcome_distribution
 
 
 def dense_chunk(config, chunk_index: int) -> tuple[int, np.ndarray]:
@@ -130,6 +133,26 @@ def read_events(path, fmt: str) -> dict:
             for det_id, t in RECORD.iter_unpack(fh.read()):
                 collected[Detector(det_id)].append(t)
     return {det: np.asarray(ts, dtype=np.int64) for det, ts in collected.items()}
+
+
+def enumerated_click_table(model: RoutingModel, mean_photon_number: float, efficiency: float) -> list[float]:
+    """Per-slot click-pattern probabilities, entry m for the bitmask m of firing
+    detectors, from the Poisson sum over n = 0..ENUM_MAX_N photons.
+
+    Composes each photon number's exact outcome distribution with saturating
+    click probabilities; it misses the Poisson tail P(N > ENUM_MAX_N).
+    """
+    fired = np.array([[mask >> det & 1 for det in Detector] for mask in range(16)], dtype=bool)
+    table = np.zeros(16)
+    weight = math.exp(-mean_photon_number)
+    for n in range(ENUM_MAX_N + 1):
+        if n:
+            weight *= mean_photon_number / n  # Poisson pmf built iteratively
+        outcomes = detector_outcome_distribution(model, n)
+        click = click_probability(np.array(list(outcomes)), efficiency)[:, None, :]
+        p_pattern = np.where(fired, click, 1.0 - click).prod(axis=2)  # (occupancy, mask)
+        table += weight * (np.array(list(outcomes.values())) @ p_pattern)
+    return table.tolist()
 
 
 def traced_peak(fn, *args) -> int:

@@ -25,9 +25,12 @@ from bunchsim.cli_harness import (
 )
 from bunchsim.coincidence_unit import (
     CROSS_SIDE_PAIRS,
+    CSV_HEADER,
     PAIR_KEYS,
+    SAME_SIDE_PAIRS,
     TRIPLE_KEYS,
     TallyTable,
+    counter_name,
     tally_to_csv,
 )
 from bunchsim.detector_bank import Detector, read_events
@@ -343,6 +346,57 @@ def test_main_predict_lists_all_counters(capsys):
     assert all(math.isfinite(v) and v >= 0 for v in values)
 
 
+def predict_exact(model, mean, *flags):
+    """`predict --exact` output as {counter name: printed rate string}."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["predict", "--exact", "--model", model, "--mean-photon-number", str(mean), *flags]) == 0
+    return dict(line.split(",") for line in out.getvalue().splitlines()[1:])
+
+
+SINGLE_NAMES = [counter_name("single", det) for det in Detector]
+PAIR_NAMES = [counter_name("pair", key) for key in PAIR_KEYS]
+SAME_SIDE_NAMES = [counter_name("pair", key) for key in SAME_SIDE_PAIRS]
+CROSS_SIDE_NAMES = [counter_name("pair", key) for key in CROSS_SIDE_PAIRS]
+TRIPLE_NAMES = [counter_name("triple", key) for key in TRIPLE_KEYS]
+
+
+@pytest.mark.parametrize("model", ["classical", "phase-basis", "bunching"])
+@pytest.mark.parametrize("mean", [5, 10, 50, 700])
+def test_predict_exact_holds_at_high_means(model, mean):
+    # with independent detectors a counter of k detectors fires with q^k per slot
+    cal = calibrate(REFERENCE_BLOCKS["block1"])
+    rates = {name: float(rate) for name, rate in predict_exact(model, mean, "--dark-rate", "0").items()}
+    if model == "bunching":  # one side lit per slot, half the time each
+        q = -math.expm1(-mean * cal.efficiency / 2)
+        expected = dict.fromkeys(SINGLE_NAMES, cal.slot_rate * q / 2)
+        expected |= dict.fromkeys(SAME_SIDE_NAMES, cal.slot_rate * q**2 / 2)
+        expected |= dict.fromkeys(CROSS_SIDE_NAMES + TRIPLE_NAMES, 0.0)
+    else:
+        q = -math.expm1(-mean * cal.efficiency / 4)
+        expected = dict.fromkeys(SINGLE_NAMES, cal.slot_rate * q)
+        expected |= dict.fromkeys(PAIR_NAMES, cal.slot_rate * q**2)
+        expected |= dict.fromkeys(TRIPLE_NAMES, cal.slot_rate * q**3)
+    assert rates.keys() == expected.keys()
+    for name, rate in rates.items():
+        assert rate == pytest.approx(expected[name], rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("model", ["classical", "phase-basis", "bunching"])
+@pytest.mark.parametrize("mean", [0.022, 0.3, 1.0, 5.0, 37.7, 700.0])
+@pytest.mark.parametrize("dark", ["0", "27"])
+def test_predict_exact_prints_exchangeable_counters_bit_identical(model, mean, dark):
+    rates = predict_exact(model, mean, "--dark-rate", dark)
+    if model == "bunching":
+        classes = [SINGLE_NAMES, SAME_SIDE_NAMES, CROSS_SIDE_NAMES, TRIPLE_NAMES]
+        if dark == "0":
+            assert {rates[name] for name in CROSS_SIDE_NAMES + TRIPLE_NAMES} == {"0.0"}
+    else:
+        classes = [SINGLE_NAMES, PAIR_NAMES, TRIPLE_NAMES]
+    for names in classes:
+        assert len({rates[name] for name in names}) == 1, names
+
+
 LIMIT = f"{MAX_MEAN_PHOTON_NUMBER:.1f}"
 
 
@@ -531,3 +585,60 @@ def test_main_calibrate_from_tally_file(tmp_path, capsys):
     assert float(rows["efficiency"]) == pytest.approx(eta, rel=1e-12)
     assert float(rows["slot_rate"]) == pytest.approx(4 * 250_000 / (0.022 * eta), rel=1e-12)
     assert main(["calibrate", "--from-tally", str(path)]) == 1  # no mean photon number
+
+@pytest.fixture(scope="module")
+def tally_path(tmp_path_factory):
+    tally = TallyTable(
+        singles={det: 250_000 for det in Detector},
+        pairs={key: 800 for key in PAIR_KEYS},
+        triples={key: 2 for key in TRIPLE_KEYS},
+        acquisition_s=1.0,
+    )
+    path = tmp_path_factory.mktemp("calibrate") / "tally.csv"
+    path.write_text(tally_to_csv(tally))
+    return path
+
+
+@pytest.mark.parametrize("acquisition", ["-0.01", "0", "-0.0", "inf", "-inf", "nan"])
+def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(tally_path, acquisition, capsys):
+    argv = ["calibrate", "--from-tally", str(tally_path), "--mean-photon-number", "0.022"]
+    assert main([*argv, f"--acquisition-s={acquisition}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "acquisition_s must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "No such file or directory"), ("not,a,tally\n", "not a tally CSV"), (CSV_HEADER + "\n", "missing counters")],
+)
+def test_calibrate_reports_an_unusable_tally_as_a_config_error(tmp_path, capsys, content, message):
+    path = tmp_path / "tally.csv"
+    if content is not None:
+        path.write_text(content)
+    assert main(["calibrate", "--from-tally", str(path), "--mean-photon-number", "0.022"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.sampled_from(["block1", "block2", "tally"]),
+    flags=st.lists(st.sampled_from(["--mean-photon-number", "--acquisition-s"]), max_size=2, unique=True).flatmap(
+        lambda names: st.tuples(*(st.tuples(st.just(name), FLOAT_FLAG) for name in names))
+    ),
+)
+def test_calibrate_exits_0_or_1_for_any_numeric_flags(tally_path, source, flags):
+    argv = ["calibrate", *(["--from-tally", str(tally_path)] if source == "tally" else ["--block", source])]
+    for flag, value in flags:
+        argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse usage errors
+            code = stop.code
+    assert code in (0, 1), err.getvalue()
+    assert (code == 0) == bool(out.getvalue())

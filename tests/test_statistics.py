@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from oracles import enumerated_click_table
+from scipy import special, stats
 
 from bunchsim.coincidence_unit import (
     CROSS_SIDE_PAIRS,
@@ -15,8 +18,8 @@ from bunchsim.coincidence_unit import (
     TallyTable,
 )
 from bunchsim.detector_bank import Detector, DetectorConfig
-from bunchsim.photon_source import SourceConfig
-from bunchsim.routing_models import RoutingModel
+from bunchsim.photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
+from bunchsim.routing_models import ENUM_MAX_N, RoutingModel
 from bunchsim.simulate import SimConfig, simulate
 from bunchsim.statistics import (
     REFERENCE_BLOCKS,
@@ -24,6 +27,7 @@ from bunchsim.statistics import (
     accidental_pair_rate,
     bunching_fraction,
     calibrate,
+    click_pattern_table,
     detector_outcome_distribution,
     equal_ratio_chisquare,
     g2_zero,
@@ -119,6 +123,9 @@ def test_predicted_rates_include_dark_terms():
 def test_dilute_regime_warning():
     with pytest.warns(UserWarning):
         predicted_rates(RoutingModel.CLASSICAL, 0.2, 1e7, 0.5, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exact predictor holds at any mean
+        predicted_rates(RoutingModel.CLASSICAL, 0.2, 1e7, 0.5, 0.0, exact=True)
 
 
 def test_exact_mode_applies_saturation():
@@ -132,6 +139,32 @@ def test_exact_mode_applies_saturation():
     for key in CROSS_SIDE_PAIRS:
         pred = predicted_rates(RoutingModel.BUNCHING, 0.05, 1e7, 0.6, 0.0, exact=True)
         assert pred.pairs[key] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(MODELS), nbar=st.floats(0, 2), eta=st.floats(0, 1))
+def test_click_pattern_table_matches_enumerated_oracle(model, nbar, eta):
+    table = click_pattern_table(model, nbar, eta)
+    oracle = enumerated_click_table(model, nbar, eta)
+    tail = special.pdtrc(ENUM_MAX_N, nbar)  # P(N > ENUM_MAX_N), which the oracle leaves out
+    assert len(table) == 16
+    for p, ref in zip(table, oracle):
+        assert p >= 0
+        assert abs(p - ref) <= 1e-13 + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(MODELS), nbar=st.floats(0, MAX_MEAN_PHOTON_NUMBER), eta=st.floats(0, 1))
+def test_click_pattern_table_is_a_distribution_at_any_mean(model, nbar, eta):
+    table = click_pattern_table(model, nbar, eta)
+    assert min(table) >= 0
+    assert abs(sum(table) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+def test_click_pattern_table_without_photons_never_fires(model, eta):
+    assert click_pattern_table(model, 0.0, eta) == [1.0] + [0.0] * 15
 
 
 # --- calibration --------------------------------------------------------------
@@ -184,6 +217,13 @@ def test_calibrate_rejects_inconsistent_targets():
         calibrate(silly)
     with pytest.raises(ValueError):
         calibrate(block, mean_photon_number=0.0)
+
+
+@pytest.mark.parametrize("acquisition", [-0.01, 0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(acquisition):
+    block = dataclasses.replace(REFERENCE_BLOCKS["block1"], acquisition_s=acquisition)
+    with pytest.raises(ValueError, match="acquisition_s must be finite and > 0"):
+        calibrate(block)
 
 
 def test_calibrate_normalizes_by_acquisition():
