@@ -7,7 +7,7 @@ from .bs_algebra import Combination, PhaseBasis, bs_matrix, global_phase_equival
 from .coincidence_unit import CcuConfig, TallyTable, accumulate, tally_from_csv, tally_to_csv
 from .detector_bank import Detector, DetectorConfig
 from .photon_source import CHUNK_SLOTS, SourceConfig, occupied_slots, substream
-from .routing_models import RoutingModel, enumerate_distribution
+from .routing_models import RoutingModel
 from .simulate import SimConfig, simulate, simulate_streams
 from .statistics import (
     REFERENCE_BLOCKS,
@@ -39,7 +39,6 @@ __all__ = [
     "accumulate",
     "bs_matrix",
     "calibrate",
-    "enumerate_distribution",
     "g2_zero",
     "global_phase_equivalent",
     "occupied_slots",

@@ -327,8 +327,13 @@ def tally_from_csv(text: str, acquisition_s: float, metadata: dict | None = None
         raise ValueError("not a tally CSV: bad header")
     for ln in lines[1:]:
         name, count, _rate = ln.split(",")
+        if name not in lookup:
+            raise ValueError(f"tally CSV names an unknown counter: {name!r}")
         kind, key = lookup[name]
-        {"single": singles, "pair": pairs, "triple": triples}[kind][key] = int(count)
+        value = int(count)
+        if not 0 <= value < 2**63:
+            raise ValueError(f"tally CSV count of {name} must be in [0, 2^63), got {count}")
+        {"single": singles, "pair": pairs, "triple": triples}[kind][key] = value
     missing = (set(Detector) - singles.keys()) or (set(PAIR_KEYS) - pairs.keys()) or (
         set(TRIPLE_KEYS) - triples.keys()
     )

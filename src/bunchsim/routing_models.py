@@ -12,6 +12,9 @@ Three interchangeable models:
    surface phase_basis_fallback_count() in run metadata.
  * bunching: all n photons exit one port together, fair coin per slot.
 
+So classical and phase-basis routing share one binomial law at every n, and
+statistics.click_pattern_table states all three models in closed form.
+
 route_counts draws in photon_source.draw_blocks and writes int16 rows, so a
 chunk's routing holds no full-length int64 temporary; photon numbers above
 2^15 - 1 are rejected, not wrapped. Block-wise drawing is exact: the blocks
@@ -22,13 +25,10 @@ same state.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
 from .photon_source import COUNT_DTYPE, draw_blocks, photon_numbers
-
-ENUM_MAX_N = 12
 
 
 class RoutingModel(enum.Enum):
@@ -66,21 +66,3 @@ def phase_basis_fallback_count(model: RoutingModel, n) -> int:
         return 0
     n = np.asarray(n)
     return int(np.count_nonzero(n >= 3))
-
-
-def enumerate_distribution(model: RoutingModel, n: int) -> dict[tuple[int, int], float]:
-    """Exact outcome probabilities {(port1, port2): p} for an n-photon slot.
-
-    All probabilities are dyadic rationals, hence exact in binary floats.
-    Enumeration is capped at n = 12; the regime of interest never reaches it.
-    """
-    if not 0 <= n <= ENUM_MAX_N:
-        raise ValueError(f"n must be in [0, {ENUM_MAX_N}], got {n}")
-    if n == 0:
-        return {(0, 0): 1.0}
-    if model is RoutingModel.BUNCHING:
-        return {(n, 0): 0.5, (0, n): 0.5}
-    if model is RoutingModel.PHASE_BASIS and n == 2:
-        return {(2, 0): 0.25, (0, 2): 0.25, (1, 1): 0.5}
-    scale = 2.0**n
-    return {(k, n - k): math.comb(n, k) / scale for k in range(n, -1, -1)}

@@ -1,20 +1,17 @@
 """Closed-form rate predictions, calibration and correlation estimators.
 
-Leading-order rates for a Poisson source at mean photon number nbar, slot
-rate R and detector efficiency eta:
+Both predictor orders read one description of each routing model (_sides):
+the detectors a slot lights fire independently. click_pattern_table gives
+the exact per-slot probability of every click pattern at any mean (no dead
+time); its first term in nbar is the leading order, for a Poisson source at
+mean photon number nbar, slot rate R and detector efficiency eta:
 
-    singles (each detector)   R * nbar * eta / 4            + dark_rate
-    pair channel {x, y}       R * (nbar^2 / 2) * eta^2 * P2 + dark accidentals
-    triple channel {x, y, z}  R * (nbar^3 / 6) * eta^3 * P3
+    counter of k detectors    R * (nbar^k / k!) * eta^k * P_k   (+ darks)
 
-P2 and P3 are detector-level outcome probabilities obtained by composing the
-routing-model enumeration with the exact second-splitter binomial split;
-they are never hand-coded. Inverting the first two relations gives the
-calibration closed forms: pair/singles = nbar * eta / 4 fixes eta, then the
-singles rate fixes R.
-
-The exact predictor reads every counter off click_pattern_table, the closed-form
-per-slot probability of each click pattern at any mean (no dead time).
+P_k (leading_pattern_probability) is 1/4 for singles, 1/8 for pairs and 3/32
+for triples under classical and phase-basis routing. Inverting the singles
+and pair relations gives the calibration closed forms: pair/singles =
+nbar * eta / 4 fixes eta, then the singles rate fixes R.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .coincidence_unit import (
     counter_name,
 )
 from .detector_bank import Detector
-from .routing_models import RoutingModel, enumerate_distribution
+from .routing_models import RoutingModel
 
 NBAR_SMALL_LIMIT = 0.1
 DEFAULT_WINDOW_PS = 5_000
@@ -107,54 +104,42 @@ REFERENCE_BLOCKS = {
 # --- outcome probabilities ---------------------------------------------------
 
 
-def detector_outcome_distribution(model: RoutingModel, n: int) -> dict[tuple, float]:
-    """Exact distribution of the 4-detector photon occupancy for an n-photon slot.
+def _sides(model: RoutingModel) -> tuple[int, ...]:
+    """Bitmasks of the detectors a slot may light, each side equally likely.
 
-    Composes the first-splitter routing distribution with the exact binomial
-    split of each port onto its detector pair. Dyadic probabilities, so the
-    composition is exact in floats.
+    Classical and phase-basis routing (binomial at every n) light all four;
+    bunching lights one side, picked by a fair coin.
     """
-    out: dict[tuple, float] = {}
-    for (p1, p2), p_route in enumerate_distribution(model, n).items():
-        for a1 in range(p1 + 1):
-            w_a = math.comb(p1, a1) / 2.0**p1
-            for b1 in range(p2 + 1):
-                w_b = math.comb(p2, b1) / 2.0**p2
-                key = (a1, p1 - a1, b1, p2 - b1)
-                out[key] = out.get(key, 0.0) + p_route * w_a * w_b
-    return out
-
-
-def pair_pattern_probability(model: RoutingModel, pair) -> float:
-    """P2: probability a 2-photon slot lands exactly one photon on each of `pair`."""
-    dist = detector_outcome_distribution(model, 2)
-    want = [1 if det in pair else 0 for det in Detector]
-    return dist.get(tuple(want), 0.0)
-
-
-def triple_pattern_probability(model: RoutingModel, triple) -> float:
-    """P3: probability a 3-photon slot lands exactly one photon on each of `triple`."""
-    dist = detector_outcome_distribution(model, 3)
-    want = [1 if det in triple else 0 for det in Detector]
-    return dist.get(tuple(want), 0.0)
+    return (0b0011, 0b1100) if model is RoutingModel.BUNCHING else (0b1111,)
 
 
 def click_pattern_table(model: RoutingModel, mean_photon_number: float, efficiency: float) -> list[float]:
     """Entry m: per-slot P(exactly the detectors in bitmask m fire), bit d for Detector d.
 
     Saturating detection 1 - (1 - eta)^k detects each photon on its own, so
-    the detectors a slot lights fire independently: classical and phase-basis
-    routing (binomial at every n) light all four, each firing with
-    q = 1 - exp(-nbar * eta / 4); bunching lights one side, fair coin, with
-    q = 1 - exp(-nbar * eta / 2). Entries depend only on how many detectors
-    fire, so exchangeable counters come out equal to the bit.
+    the detectors a slot lights fire independently, each with
+    q = 1 - exp(-nbar * eta / lit) on a side of lit detectors. Entries depend
+    only on how many detectors fire, so exchangeable counters come out equal
+    to the bit.
     """
-    sides = (0b0011, 0b1100) if model is RoutingModel.BUNCHING else (0b1111,)
+    sides = _sides(model)
     lit = 4 // len(sides)
     x = mean_photon_number * efficiency / lit
     q, e = -math.expm1(-x), math.exp(-x)
     by_fired = [q**k * e ** (lit - k) for k in range(lit + 1)]
     return [sum(by_fired[m.bit_count()] for side in sides if m & ~side == 0) / len(sides) for m in range(16)]
+
+
+def leading_pattern_probability(model: RoutingModel, mask: int) -> float:
+    """P_k: chance that a k-photon slot, k = popcount(mask), puts one photon on each detector of mask.
+
+    k!/lit^k on every side that holds the mask, averaged over the sides; a
+    dyadic rational, so exact in floats.
+    """
+    sides = _sides(model)
+    lit = 4 // len(sides)
+    k = mask.bit_count()
+    return sum(math.factorial(k) / lit**k for side in sides if mask & ~side == 0) / len(sides)
 
 
 # --- predictions -------------------------------------------------------------
@@ -191,13 +176,16 @@ def predicted_rates(
 ) -> RatePrediction:
     """Closed-form rates for every counter.
 
-    Leading-order by default (one Poisson term per counter class, dilute
-    means only). With exact=True every counter is slot_rate times the
-    probability, summed over click_pattern_table, that all of its detectors
-    fire in one slot: exact at any mean photon number, with saturation but
-    no dead time. Pair channels include dark-driven accidentals (photon x
-    dark and dark x dark); photon-photon accidentals between different slots
-    are excluded by the slot spacing.
+    Every counter is slot_rate times the per-slot probability that all of
+    its detectors fire. With exact=True that probability is summed over
+    click_pattern_table: exact at any mean photon number, with saturation
+    but no dead time. By default it is the table's first term in nbar,
+    (nbar^k / k!) * eta^k * P_k for a counter of k detectors: valid at
+    dilute means and never below the exact rate. Without darks the gap
+    1 - exact/leading lies in [0, k * x / 2], x = nbar * eta / lit, since
+    x - x^2/2 <= 1 - exp(-x) <= x. Pair channels include dark-driven
+    accidentals (photon x dark and dark x dark); photon-photon accidentals
+    between different slots are excluded by the slot spacing.
     """
     if not exact and mean_photon_number > NBAR_SMALL_LIMIT:
         warnings.warn(
@@ -206,30 +194,24 @@ def predicted_rates(
             stacklevel=2,
         )
     nbar = mean_photon_number
+    # fire(m): rate of slots in which every detector of bitmask m fires
     if exact:
         table = click_pattern_table(model, nbar, efficiency)
-        # fire[m]: rate of slots in which every detector of bitmask m fires
-        fire = [slot_rate * sum(p for mask, p in enumerate(table) if mask & m == m) for m in range(16)]
-        photon_single = fire[1 << Detector.A1]
-        singles = {det: fire[1 << det] + dark_rate for det in Detector}
-        pair_photon = {key: fire[sum(1 << det for det in key)] for key in PAIR_KEYS}
-        triples = {key: fire[sum(1 << det for det in key)] for key in TRIPLE_KEYS}
+
+        def fire(m: int) -> float:
+            return slot_rate * sum(p for mask, p in enumerate(table) if mask & m == m)
+
     else:
-        photon_single = slot_rate * nbar * efficiency / 4.0
-        singles = {det: photon_single + dark_rate for det in Detector}
-        pair_scale = slot_rate * (nbar**2 / 2.0) * efficiency**2
-        pair_photon = {
-            key: pair_scale * pair_pattern_probability(model, key) for key in PAIR_KEYS
-        }
-        triple_scale = slot_rate * (nbar**3 / 6.0) * efficiency**3
-        triples = {
-            key: triple_scale * triple_pattern_probability(model, key) for key in TRIPLE_KEYS
-        }
-    pairs = {}
-    for key in PAIR_KEYS:
-        acc = accidental_pair_rate(photon_single, dark_rate, window_ps) * 2.0
-        acc += accidental_pair_rate(dark_rate, dark_rate, window_ps)
-        pairs[key] = pair_photon[key] + acc
+
+        def fire(m: int) -> float:
+            k = m.bit_count()
+            return slot_rate * (nbar**k / math.factorial(k)) * efficiency**k * leading_pattern_probability(model, m)
+
+    singles = {det: fire(1 << det) + dark_rate for det in Detector}
+    acc = accidental_pair_rate(fire(1 << Detector.A1), dark_rate, window_ps) * 2.0
+    acc += accidental_pair_rate(dark_rate, dark_rate, window_ps)
+    pairs = {key: fire(sum(1 << det for det in key)) + acc for key in PAIR_KEYS}
+    triples = {key: fire(sum(1 << det for det in key)) for key in TRIPLE_KEYS}
     return RatePrediction(singles, pairs, triples)
 
 
@@ -265,6 +247,8 @@ def calibrate(targets: ReferenceBlock, mean_photon_number: float | None = None) 
         raise ValueError(f"acquisition_s must be finite and > 0, got {acq}")
     s = float(np.mean(list(targets.singles.values()))) / acq
     p = float(np.mean(list(targets.pairs.values()))) / acq
+    if not s > 0:
+        raise ValueError(f"calibration needs a positive mean singles rate, got {s}")
     eta = 4.0 * p / (s * nbar)
     if not 0.0 < eta <= 1.0:
         raise ValueError(
@@ -315,7 +299,7 @@ def bunching_fraction(tally: TallyTable) -> float:
     return 2.0 * same / denom
 
 
-def g2_zero(tally: TallyTable, slot_rate: float, config=None) -> CorrelationResult:
+def g2_zero(tally: TallyTable, slot_rate: float) -> CorrelationResult:
     """Window-based zero-delay correlation estimators from a tally.
 
     With per-slot probabilities P(X) = N_X / (R * T):
@@ -326,8 +310,6 @@ def g2_zero(tally: TallyTable, slot_rate: float, config=None) -> CorrelationResu
     Zero singles on a side make the estimator undefined; that is reported as
     NaN rather than raised, so dark-only runs still produce a report.
     """
-    if config is not None and config.acquisition_s != tally.acquisition_s:
-        raise ValueError("config acquisition does not match the tally")
     n_slots = slot_rate * tally.acquisition_s
     s = tally.singles
     n_a = s[Detector.A1] + s[Detector.A2]

@@ -3,9 +3,10 @@
 A dense source that inverts the Poisson CDF for every slot, one-slot
 routing, per-slot detection with a scalar dead-time check, grouping of
 interleaved (detector, time) events into streams, event dumps written and
-read one struct record or text line at a time, and the click-pattern table
-as a Poisson sum over enumerated photon numbers. traced_peak measures the
-memory the fast paths hold.
+read one struct record or text line at a time, exact enumeration of each
+model's routing and detector occupancies for one n-photon slot, and the
+click-pattern table as a Poisson sum over those enumerations. traced_peak
+measures the memory the fast paths hold.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from bunchsim.photon_source import (
     slot_count,
     substream,
 )
-from bunchsim.routing_models import ENUM_MAX_N, RoutingModel, route_counts
-from bunchsim.statistics import detector_outcome_distribution
+from bunchsim.routing_models import RoutingModel, route_counts
+
+ENUM_MAX_N = 12
 
 
 def dense_chunk(config, chunk_index: int) -> tuple[int, np.ndarray]:
@@ -133,6 +135,56 @@ def read_events(path, fmt: str) -> dict:
             for det_id, t in RECORD.iter_unpack(fh.read()):
                 collected[Detector(det_id)].append(t)
     return {det: np.asarray(ts, dtype=np.int64) for det, ts in collected.items()}
+
+
+def enumerate_distribution(model: RoutingModel, n: int) -> dict[tuple[int, int], float]:
+    """Exact outcome probabilities {(port1, port2): p} for an n-photon slot.
+
+    All probabilities are dyadic rationals, hence exact in binary floats.
+    Enumeration is capped at n = 12; the regime of interest never reaches it.
+    """
+    if not 0 <= n <= ENUM_MAX_N:
+        raise ValueError(f"n must be in [0, {ENUM_MAX_N}], got {n}")
+    if n == 0:
+        return {(0, 0): 1.0}
+    if model is RoutingModel.BUNCHING:
+        return {(n, 0): 0.5, (0, n): 0.5}
+    if model is RoutingModel.PHASE_BASIS and n == 2:
+        return {(2, 0): 0.25, (0, 2): 0.25, (1, 1): 0.5}
+    scale = 2.0**n
+    return {(k, n - k): math.comb(n, k) / scale for k in range(n, -1, -1)}
+
+
+def detector_outcome_distribution(model: RoutingModel, n: int) -> dict[tuple, float]:
+    """Exact distribution of the 4-detector photon occupancy for an n-photon slot.
+
+    Composes the first-splitter routing distribution with the exact binomial
+    split of each port onto its detector pair. Dyadic probabilities, so the
+    composition is exact in floats.
+    """
+    out: dict[tuple, float] = {}
+    for (p1, p2), p_route in enumerate_distribution(model, n).items():
+        for a1 in range(p1 + 1):
+            w_a = math.comb(p1, a1) / 2.0**p1
+            for b1 in range(p2 + 1):
+                w_b = math.comb(p2, b1) / 2.0**p2
+                key = (a1, p1 - a1, b1, p2 - b1)
+                out[key] = out.get(key, 0.0) + p_route * w_a * w_b
+    return out
+
+
+def pair_pattern_probability(model: RoutingModel, pair) -> float:
+    """P2: probability a 2-photon slot lands exactly one photon on each of `pair`."""
+    dist = detector_outcome_distribution(model, 2)
+    want = [1 if det in pair else 0 for det in Detector]
+    return dist.get(tuple(want), 0.0)
+
+
+def triple_pattern_probability(model: RoutingModel, triple) -> float:
+    """P3: probability a 3-photon slot lands exactly one photon on each of `triple`."""
+    dist = detector_outcome_distribution(model, 3)
+    want = [1 if det in triple else 0 for det in Detector]
+    return dist.get(tuple(want), 0.0)
 
 
 def enumerated_click_table(model: RoutingModel, mean_photon_number: float, efficiency: float) -> list[float]:

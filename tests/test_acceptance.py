@@ -29,7 +29,7 @@ from bunchsim.coincidence_unit import (
 )
 from bunchsim.detector_bank import Detector, DetectorConfig
 from bunchsim.photon_source import SourceConfig, substream
-from bunchsim.routing_models import RoutingModel, enumerate_distribution, route_counts
+from bunchsim.routing_models import RoutingModel, route_counts
 from bunchsim.simulate import SimConfig, simulate
 from bunchsim.statistics import (
     REFERENCE_BLOCKS,
@@ -40,6 +40,7 @@ from bunchsim.statistics import (
     predicted_rates,
     scaling_check,
 )
+from oracles import enumerate_distribution
 
 CAL = calibrate(REFERENCE_BLOCKS["block1"])
 BLOCK1 = REFERENCE_BLOCKS["block1"]

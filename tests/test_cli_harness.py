@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bunchsim
@@ -228,6 +228,12 @@ def test_sim_config_rejects_durations_of_2_pow_53_ps(tmp_path):
     assert with_duration(9e3).source.duration == 9e3
     with pytest.raises(ValueError, match="2\\^53 ps"):
         with_duration(1e4)
+
+
+def test_every_name_in_all_resolves():
+    # a stale entry would fail only at `from bunchsim import *`
+    missing = [name for name in bunchsim.__all__ if not hasattr(bunchsim, name)]
+    assert not missing
 
 
 def test_setup_does_not_import_scipy_stats():
@@ -475,11 +481,13 @@ PREDICT_FLAGS = dict.fromkeys(
     ),
     exact=st.booleans(),
 )
+@example(model=None, flags=(("--mean-photon-number", "-inf"), ("--dark-rate", "-inf")), exact=False)
+@example(model="bunching", flags=(("--slot-rate", "-inf"), ("--efficiency", "-inf")), exact=True)
 def test_predict_exits_0_or_1_for_any_numeric_flags(model, flags, exact):
-    # a few flags at a time, so that most of the others keep their valid defaults
+    # a few flags at a time, so that most of the others keep their valid defaults;
+    # one --flag=value token each, so that values such as -inf reach the parser
     argv = ["predict", *(["--model", model] if model else []), *(["--exact"] if exact else [])]
-    for flag, value in flags:
-        argv += [flag, value]
+    argv += [f"{flag}={value}" for flag, value in flags]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -513,14 +521,14 @@ RUN_FLAGS |= {name: st.one_of(st.sampled_from(["0", "-1", "inf", "nan", "1e300"]
         lambda names: st.tuples(*(st.tuples(st.just(name), RUN_FLAGS[name]) for name in names))
     ),
 )
+@example(command="run", acquisition="-inf", flags=(("--slot-rate", "-inf"),))
+@example(command="compare", acquisition="1e-6", flags=(("--mean-photon-number", "-inf"), ("--jitter-ps", "-inf")))
 def test_run_and_compare_exit_0_or_1_for_any_numeric_flags(command, acquisition, flags):
     # exit 2 is for runtime failures; every value parse_config accepts must run
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, "--mean-photon-number", "0.5", "--seed", "1", "--quiet", "--output-dir", tmp]
         argv += ["--model", "classical"] if command == "run" else ["--models", "classical,phase-basis,bunching"]
-        argv += ["--acquisition-s", acquisition]
-        for flag, value in flags:
-            argv += [flag, value]
+        argv += [f"--acquisition-s={acquisition}", *(f"{flag}={value}" for flag, value in flags)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -610,7 +618,12 @@ def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(tally_p
 
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "No such file or directory"), ("not,a,tally\n", "not a tally CSV"), (CSV_HEADER + "\n", "missing counters")],
+    [
+        (None, "No such file or directory"),
+        ("not,a,tally\n", "not a tally CSV"),
+        (CSV_HEADER + "\n", "missing counters"),
+        (CSV_HEADER + "\nfoo,1,1\n", "unknown counter: 'foo'"),
+    ],
 )
 def test_calibrate_reports_an_unusable_tally_as_a_config_error(tmp_path, capsys, content, message):
     path = tmp_path / "tally.csv"
@@ -629,10 +642,11 @@ def test_calibrate_reports_an_unusable_tally_as_a_config_error(tmp_path, capsys,
         lambda names: st.tuples(*(st.tuples(st.just(name), FLOAT_FLAG) for name in names))
     ),
 )
+@example(source="tally", flags=(("--mean-photon-number", "-inf"),))
+@example(source="block2", flags=(("--acquisition-s", "-inf"), ("--mean-photon-number", "0.044")))
 def test_calibrate_exits_0_or_1_for_any_numeric_flags(tally_path, source, flags):
     argv = ["calibrate", *(["--from-tally", str(tally_path)] if source == "tally" else ["--block", source])]
-    for flag, value in flags:
-        argv += [flag, value]
+    argv += [f"{flag}={value}" for flag, value in flags]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -640,5 +654,49 @@ def test_calibrate_exits_0_or_1_for_any_numeric_flags(tally_path, source, flags)
             code = main(argv)
         except SystemExit as stop:  # argparse usage errors
             code = stop.code
+    assert code in (0, 1), err.getvalue()
+    assert (code == 0) == bool(out.getvalue())
+
+
+COUNTER_NAMES = [counter_name("single", det) for det in Detector]
+COUNTER_NAMES += [counter_name("pair", key) for key in PAIR_KEYS] + [counter_name("triple", key) for key in TRIPLE_KEYS]
+TALLY_FIELDS = st.one_of(
+    st.sampled_from(["", "0", "-1", "1.5", "nan", "-inf", "1_000", "9" * 400, "9" * 5000]),
+    st.integers(-(10**6), 10**30).map(str),
+    st.text(max_size=8),
+)
+TALLY_LINES = st.one_of(
+    st.tuples(st.one_of(st.sampled_from(COUNTER_NAMES), st.text(max_size=8)), TALLY_FIELDS, TALLY_FIELDS).map(",".join),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 10**6), min_size=14, max_size=14),
+    edits=st.lists(st.tuples(st.integers(0, 15), st.booleans(), TALLY_LINES), max_size=4),
+    mean=st.sampled_from(["0.022", "0.3"]),
+)
+@example(counts=[0] * 14, edits=[], mean="0.022")
+@example(counts=[1] * 14, edits=[(1, True, "single_A'," + "9" * 400 + ",1.0")], mean="0.022")
+@example(counts=[1] * 14, edits=[(2, True, "single_A'',-5,1.0")], mean="0.022")
+def test_calibrate_exits_0_or_1_for_any_tally_file(counts, edits, mean):
+    # a well-formed tally with a few lines replaced or inserted, or the header broken
+    tally = TallyTable(
+        singles=dict(zip(Detector, counts[:4])),
+        pairs=dict(zip(PAIR_KEYS, counts[4:10])),
+        triples=dict(zip(TRIPLE_KEYS, counts[10:])),
+        acquisition_s=1.0,
+    )
+    lines = tally_to_csv(tally).splitlines()
+    for position, replace, line in edits:
+        lines[position : position + replace] = [line]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tally.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["calibrate", "--from-tally", str(path), f"--mean-photon-number={mean}"])
     assert code in (0, 1), err.getvalue()
     assert (code == 0) == bool(out.getvalue())

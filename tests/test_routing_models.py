@@ -5,14 +5,8 @@ import pytest
 
 from bunchsim.bs_algebra import Combination, PhaseBasis, apply_same_basis, intensity, superpose_opposite
 from bunchsim.photon_source import substream
-from bunchsim.routing_models import (
-    ENUM_MAX_N,
-    RoutingModel,
-    enumerate_distribution,
-    phase_basis_fallback_count,
-    route_counts,
-)
-from oracles import route
+from bunchsim.routing_models import RoutingModel, phase_basis_fallback_count, route_counts
+from oracles import ENUM_MAX_N, enumerate_distribution, route
 
 MODELS = list(RoutingModel)
 

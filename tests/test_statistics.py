@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerated_click_table
+from oracles import (
+    ENUM_MAX_N,
+    detector_outcome_distribution,
+    enumerated_click_table,
+    pair_pattern_probability,
+    triple_pattern_probability,
+)
 from scipy import special, stats
 
 from bunchsim.coincidence_unit import (
@@ -19,7 +25,7 @@ from bunchsim.coincidence_unit import (
 )
 from bunchsim.detector_bank import Detector, DetectorConfig
 from bunchsim.photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
-from bunchsim.routing_models import ENUM_MAX_N, RoutingModel
+from bunchsim.routing_models import RoutingModel
 from bunchsim.simulate import SimConfig, simulate
 from bunchsim.statistics import (
     REFERENCE_BLOCKS,
@@ -28,13 +34,11 @@ from bunchsim.statistics import (
     bunching_fraction,
     calibrate,
     click_pattern_table,
-    detector_outcome_distribution,
     equal_ratio_chisquare,
     g2_zero,
-    pair_pattern_probability,
+    leading_pattern_probability,
     predicted_rates,
     scaling_check,
-    triple_pattern_probability,
 )
 
 MODELS = list(RoutingModel)
@@ -91,6 +95,65 @@ def test_triple_pattern_tables():
     for key in TRIPLE_KEYS:
         # every triple needs photons on both sides; bunching never does that
         assert triple_pattern_probability(RoutingModel.BUNCHING, key) == 0.0
+
+
+def occupancy(mask):
+    """Per-detector photon counts of one photon on each detector of bitmask mask."""
+    return tuple(mask >> det & 1 for det in Detector)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_leading_pattern_probability_matches_the_enumeration(model):
+    for mask in range(16):
+        oracle = detector_outcome_distribution(model, mask.bit_count()).get(occupancy(mask), 0.0)
+        assert leading_pattern_probability(model, mask) == oracle, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(MODELS),
+    nbar=st.floats(0, MAX_MEAN_PHOTON_NUMBER),
+    slot_rate=st.floats(0, 1e10),
+    eta=st.floats(0, 1),
+    dark=st.floats(0, 1e6),
+    window=st.integers(0, 10**6),
+)
+def test_leading_order_is_the_enumerated_first_term(model, nbar, slot_rate, eta, dark, window):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the dilute-regime warning
+        pred = predicted_rates(model, nbar, slot_rate, eta, dark, window_ps=window)
+
+    def first_term(k, p_k):
+        return slot_rate * (nbar**k / math.factorial(k)) * eta**k * p_k
+
+    single_oracle = detector_outcome_distribution(model, 1)
+    photon_single = first_term(1, single_oracle[occupancy(1 << Detector.A1)])
+    acc = accidental_pair_rate(photon_single, dark, window) * 2.0 + accidental_pair_rate(dark, dark, window)
+    for det in Detector:
+        assert pred.singles[det] == first_term(1, single_oracle[occupancy(1 << det)]) + dark
+    for key in PAIR_KEYS:
+        assert pred.pairs[key] == first_term(2, pair_pattern_probability(model, key)) + acc
+    for key in TRIPLE_KEYS:
+        assert pred.triples[key] == first_term(3, triple_pattern_probability(model, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(MODELS), nbar=st.floats(1e-3, 0.1), eta=st.floats(1e-2, 1))
+def test_exact_rates_agree_with_leading_order_to_first_order(model, nbar, eta):
+    # x - x^2/2 <= 1 - exp(-x) <= x bounds each of a counter's k detector
+    # factors, so 1 - exact/leading lies in [0, k * x / 2]. The lower ends of
+    # nbar and eta keep that gap far above float rounding.
+    lit = 2 if model is RoutingModel.BUNCHING else 4
+    x = nbar * eta / lit
+    leading = predicted_rates(model, nbar, 1e7, eta, 0.0)
+    exact = predicted_rates(model, nbar, 1e7, eta, 0.0, exact=True)
+    by_order = [(leading.singles, exact.singles), (leading.pairs, exact.pairs), (leading.triples, exact.triples)]
+    for k, (lead, ex) in enumerate(by_order, start=1):
+        for key, rate in lead.items():
+            if rate:
+                assert 0 <= 1 - ex[key] / rate <= k * x / 2 + 1e-12, key
+            else:
+                assert ex[key] == 0.0, key
 
 
 def test_predicted_rates_against_hand_derived_constants():
@@ -217,6 +280,9 @@ def test_calibrate_rejects_inconsistent_targets():
         calibrate(silly)
     with pytest.raises(ValueError):
         calibrate(block, mean_photon_number=0.0)
+    dark = dataclasses.replace(block, singles=dict.fromkeys(block.singles, 0))
+    with pytest.raises(ValueError, match="positive mean singles rate"):
+        calibrate(dark)
 
 
 @pytest.mark.parametrize("acquisition", [-0.01, 0.0, -0.0, math.inf, -math.inf, math.nan])
@@ -277,12 +343,6 @@ def test_g2_zero_undefined_without_singles():
     out = g2_zero(empty, slot_rate=1e6)
     assert math.isnan(out.g2_cross) and math.isnan(out.g2_same)
     assert math.isnan(out.bunching_fraction)
-
-
-def test_g2_zero_checks_acquisition():
-    tally = synthetic_tally({Detector.A1: 1}, {})
-    with pytest.raises(ValueError):
-        g2_zero(tally, slot_rate=1e6, config=CcuConfig(window_ps=5000, acquisition_s=2.0))
 
 
 def test_bunching_fraction_signatures():
