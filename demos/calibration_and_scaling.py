@@ -4,7 +4,6 @@
 # two quick simulated acquisitions.
 
 from bunchsim.detector_bank import DetectorConfig
-from bunchsim.coincidence_unit import CcuConfig
 from bunchsim.photon_source import SourceConfig
 from bunchsim.routing_models import RoutingModel
 from bunchsim.simulate import SimConfig, simulate
@@ -33,7 +32,7 @@ def run(nbar, seed):
         source=SourceConfig(mean_photon_number=nbar, slot_rate=2e7, duration=1.0, seed=seed),
         detectors=DetectorConfig(efficiency=1.0, dark_rate=0.0),
         model=RoutingModel.PHASE_BASIS,
-        ccu=CcuConfig(window_ps=5_000, acquisition_s=1.0),
+        window_ps=5_000,
     )
     return simulate(cfg)
 

@@ -25,7 +25,6 @@ from .coincidence_unit import (
     PAIR_KEYS,
     REFERENCE_PAIRS,
     TRIPLE_KEYS,
-    CcuConfig,
     TallyTable,
     accumulate,
     counter_name,
@@ -65,7 +64,6 @@ class ExperimentConfig:
     efficiency: float
     dark_rate: float
     dead_time_ps: int
-    pulse_width_ps: int
     jitter_ps: float
     window_ps: int
     acquisition_s: float
@@ -83,12 +81,11 @@ class ExperimentConfig:
             detectors=DetectorConfig(
                 efficiency=self.efficiency,
                 dead_time_ps=self.dead_time_ps,
-                pulse_width_ps=self.pulse_width_ps,
                 jitter_sigma_ps=self.jitter_ps,
                 dark_rate=self.dark_rate,
             ),
             model=RoutingModel(self.model),
-            ccu=CcuConfig(window_ps=self.window_ps, acquisition_s=self.acquisition_s),
+            window_ps=self.window_ps,
         )
 
 
@@ -121,7 +118,6 @@ _CONFIG_FIELDS = {
     "efficiency": (float, _default_efficiency, lambda v: 0 <= v <= 1 or "must be in [0, 1]"),
     "dark_rate": (float, 27.0, lambda v: 0 <= v < math.inf or "must be finite and >= 0"),
     "dead_time_ps": (int, 22_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
-    "pulse_width_ps": (int, 10_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
     "jitter_ps": (float, 350.0, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
     "window_ps": (int, 5_000, lambda v: 0 < v < 2**53 or "must be in (0, 2^53)"),
     "acquisition_s": (float, 1.0, lambda v: 1e-12 <= v < math.inf or "must be finite and >= 1e-12"),
@@ -216,9 +212,6 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
         else:
             violations.append(f"{key}: {verdict}")
 
-    if "dead_time_ps" in values and "pulse_width_ps" in values:
-        if values["pulse_width_ps"] > values["dead_time_ps"]:
-            violations.append("pulse_width_ps: must not exceed dead_time_ps")
     # the limits of photon_source.slot_count and of numpy's Poisson sampler
     if {"slot_rate", "acquisition_s"} <= valid and values["slot_rate"] * values["acquisition_s"] > MAX_SLOTS:
         violations.append("acquisition_s: acquisition_s * slot_rate must not exceed 2^53 slots")
@@ -268,13 +261,7 @@ def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress):
     counted = []
     for sim, (streams, metadata) in zip(sims, runs):
         metadata["version"] = __version__
-        tally = accumulate(
-            streams,
-            sim.ccu,
-            stream_duration_ps=int(round(sim.source.duration * 1e12)),
-            metadata=metadata,
-        )
-        counted.append((streams, tally))
+        counted.append((streams, accumulate(streams, sim.ccu, metadata=metadata)))
     return counted
 
 
@@ -382,19 +369,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="flat key = value configuration file")
     parser.add_argument("--preset", help="named preset: table1-block1 or table1-block2")
-    parser.add_argument("--model", choices=_MODEL_NAMES)
-    parser.add_argument("--mean-photon-number", type=float, dest="mean_photon_number")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--slot-rate", type=float, dest="slot_rate")
-    parser.add_argument("--efficiency", type=float)
-    parser.add_argument("--dark-rate", type=float, dest="dark_rate")
-    parser.add_argument("--dead-time-ps", type=int, dest="dead_time_ps")
-    parser.add_argument("--pulse-width-ps", type=int, dest="pulse_width_ps")
-    parser.add_argument("--jitter-ps", type=float, dest="jitter_ps")
-    parser.add_argument("--window-ps", type=int, dest="window_ps")
-    parser.add_argument("--acquisition-s", type=float, dest="acquisition_s")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--events-format", choices=_EVENT_FORMATS, dest="events_format")
+    choices = {"model": _MODEL_NAMES, "events_format": _EVENT_FORMATS}
+    for key, (convert, _, _) in _CONFIG_FIELDS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=convert, choices=choices.get(key))
 
 
 def _config_from_args(args, require_seed: bool = True) -> ExperimentConfig:

@@ -92,11 +92,6 @@ def _require_sorted(times: np.ndarray, who: str) -> np.ndarray:
     return t
 
 
-def count_singles(times) -> int:
-    """Event count of one detector stream; rejects unordered input."""
-    return int(_require_sorted(times, "count_singles").size)
-
-
 # Merge keys 4 * t + detector are int64, so timestamps must stay below 2**61 ps.
 _MAX_KEY_TIME_PS = 2**61
 
@@ -242,32 +237,20 @@ def count_triples(clusters: _Clusters, config: CcuConfig) -> dict:
     return {key: _cluster_count(clusters, key, 2 * int(config.window_ps)) for key in TRIPLE_KEYS}
 
 
-def accumulate(
-    streams: dict,
-    config: CcuConfig,
-    stream_duration_ps: int | None = None,
-    metadata: dict | None = None,
-) -> TallyTable:
-    """Count all singles, pairs and triples for one acquisition.
+def accumulate(streams: dict, config: CcuConfig, metadata: dict | None = None) -> TallyTable:
+    """Count all singles, pairs and triples for one acquisition [0, acquisition_s).
 
     The ten counters read one set of clusters cut at time gaps > 2 * window;
     such gaps split every greedy walk exactly (module docstring).
-
-    stream_duration_ps, when known, must cover the configured acquisition;
-    a shorter stream would silently undercount, so it is an explicit error.
     """
     acq_ps = int(round(config.acquisition_s * 1e12))
     if acq_ps >= _MAX_KEY_TIME_PS:
         raise ValueError(f"acquisition of {acq_ps} ps exceeds the counter's limit of {_MAX_KEY_TIME_PS - 1} ps")
-    if stream_duration_ps is not None and stream_duration_ps < acq_ps:
-        raise ValueError(
-            f"streams cover {stream_duration_ps} ps but the acquisition needs {acq_ps} ps"
-        )
     clean = {}
     for det in Detector:
         t = _require_sorted(streams[det], f"accumulate[{det.label}]")
-        if t.size and (t[0] < 0 or t[-1] > acq_ps):
-            raise ValueError(f"accumulate[{det.label}]: timestamps outside [0, acquisition]")
+        if t.size and (t[0] < 0 or t[-1] >= acq_ps):
+            raise ValueError(f"accumulate[{det.label}]: timestamps outside [0, acquisition)")
         clean[det] = t
     singles = {det: int(clean[det].size) for det in Detector}
     spread = 2 * int(config.window_ps)
@@ -330,10 +313,13 @@ def tally_from_csv(text: str, acquisition_s: float, metadata: dict | None = None
         if name not in lookup:
             raise ValueError(f"tally CSV names an unknown counter: {name!r}")
         kind, key = lookup[name]
+        group = {"single": singles, "pair": pairs, "triple": triples}[kind]
+        if key in group:
+            raise ValueError(f"tally CSV repeats the counter {name!r}")
         value = int(count)
         if not 0 <= value < 2**63:
             raise ValueError(f"tally CSV count of {name} must be in [0, 2^63), got {count}")
-        {"single": singles, "pair": pairs, "triple": triples}[kind][key] = value
+        group[key] = value
     missing = (set(Detector) - singles.keys()) or (set(PAIR_KEYS) - pairs.keys()) or (
         set(TRIPLE_KEYS) - triples.keys()
     )

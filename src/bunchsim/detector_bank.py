@@ -59,17 +59,14 @@ MAX_DARK_MEAN = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).m
 class DetectorConfig:
     efficiency: float
     dead_time_ps: int = 22_000
-    pulse_width_ps: int = 10_000
     jitter_sigma_ps: float = 350.0
     dark_rate: float = 27.0  # counts per second per detector
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
-        if self.pulse_width_ps < 0:
-            raise ValueError("pulse_width_ps must be >= 0")
-        if self.dead_time_ps < self.pulse_width_ps:
-            raise ValueError("dead_time_ps must be >= pulse_width_ps")
+        if self.dead_time_ps < 0:
+            raise ValueError("dead_time_ps must be >= 0")
         if self.jitter_sigma_ps < 0:
             raise ValueError("jitter_sigma_ps must be >= 0")
         if self.dark_rate < 0:

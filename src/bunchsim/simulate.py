@@ -54,10 +54,12 @@ _MAX_DURATION_PS = 2**53
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One acquisition: the source's duration is the counted stream, [0, duration)."""
+
     source: SourceConfig
     detectors: DetectorConfig
     model: RoutingModel
-    ccu: CcuConfig
+    window_ps: int
 
     def __post_init__(self):
         # compared as a float, so that a duration beyond the int range is
@@ -67,13 +69,11 @@ class SimConfig:
                 f"stream of {self.source.duration} s reaches 2^53 ps, beyond which "
                 "slot times are not exact"
             )
-        acq_ps = int(round(self.ccu.acquisition_s * 1e12))
-        dur_ps = int(round(self.source.duration * 1e12))
-        if acq_ps > dur_ps:
-            raise ValueError(
-                f"acquisition ({self.ccu.acquisition_s} s) exceeds the simulated "
-                f"stream ({self.source.duration} s)"
-            )
+        self.ccu  # CcuConfig checks the window
+
+    @property
+    def ccu(self) -> CcuConfig:
+        return CcuConfig(self.window_ps, self.source.duration)
 
 
 def config_metadata(config: SimConfig) -> dict:
@@ -84,15 +84,13 @@ def config_metadata(config: SimConfig) -> dict:
         "model": config.model.value,
         "mean_photon_number": config.source.mean_photon_number,
         "slot_rate": config.source.slot_rate,
-        "duration": config.source.duration,
         "seed": config.source.seed,
         "efficiency": config.detectors.efficiency,
         "dark_rate": config.detectors.dark_rate,
         "dead_time_ps": config.detectors.dead_time_ps,
-        "pulse_width_ps": config.detectors.pulse_width_ps,
         "jitter_sigma_ps": config.detectors.jitter_sigma_ps,
-        "window_ps": config.ccu.window_ps,
-        "acquisition_s": config.ccu.acquisition_s,
+        "window_ps": config.window_ps,
+        "acquisition_s": config.source.duration,
     }
 
 
@@ -126,7 +124,7 @@ def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dic
     """Run the full pipeline for configs that differ only in their model.
 
     Returns [(per-detector sorted streams, metadata)] in the order of configs.
-    Streams are dead-time filtered and cut to the configured acquisition.
+    Streams are dead-time filtered and cut to the acquisition [0, duration).
     progress, if given, is called as progress(done_chunks, total_chunks).
     """
     configs = list(configs)
@@ -159,7 +157,7 @@ def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dic
         for i, task in enumerate(tasks):
             consume(i, _simulate_chunk(task))
 
-    acq_ps = int(round(base.ccu.acquisition_s * 1e12))
+    acq_ps = int(round(src.duration * 1e12))
     runs = []
     for m, config in enumerate(configs):
         # darks are few; drawing them per model from the same substream keeps one
@@ -171,7 +169,7 @@ def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dic
             merged.sort()
             registered = apply_dead_time(merged, detectors.dead_time_ps)
             # sorted, so the cut to the acquisition is a prefix view, not a copy
-            streams[det] = registered[: np.searchsorted(registered, acq_ps, side="right")]
+            streams[det] = registered[: np.searchsorted(registered, acq_ps)]
         metadata = {
             "config": config_metadata(config),
             "slots": slot_count(src),
@@ -184,9 +182,4 @@ def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dic
 def simulate(config: SimConfig, workers: int = 1, progress=None) -> TallyTable:
     """Simulate one acquisition and count every singles/pair/triple channel."""
     [(streams, metadata)] = simulate_streams([config], workers=workers, progress=progress)
-    return accumulate(
-        streams,
-        config.ccu,
-        stream_duration_ps=int(round(config.source.duration * 1e12)),
-        metadata=metadata,
-    )
+    return accumulate(streams, config.ccu, metadata=metadata)

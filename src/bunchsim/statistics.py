@@ -347,7 +347,6 @@ _SCALING_CONFIG_KEYS = (
     "efficiency",
     "dark_rate",
     "dead_time_ps",
-    "pulse_width_ps",
     "jitter_sigma_ps",
     "window_ps",
     "acquisition_s",

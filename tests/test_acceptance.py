@@ -25,7 +25,6 @@ from bunchsim.coincidence_unit import (
     CROSS_SIDE_PAIRS,
     REFERENCE_PAIRS,
     SAME_SIDE_PAIRS,
-    CcuConfig,
 )
 from bunchsim.detector_bank import Detector, DetectorConfig
 from bunchsim.photon_source import SourceConfig, substream
@@ -53,7 +52,7 @@ def sim_config(model, nbar, seed, efficiency=CAL.efficiency, dark_rate=27.0,
                             duration=duration, seed=seed),
         detectors=DetectorConfig(efficiency=efficiency, dark_rate=dark_rate),
         model=model,
-        ccu=CcuConfig(window_ps=5_000, acquisition_s=duration),
+        window_ps=5_000,
     )
 
 

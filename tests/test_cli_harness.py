@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -16,7 +17,10 @@ from hypothesis import strategies as st
 
 import bunchsim
 from bunchsim.cli_harness import (
+    _CONFIG_FIELDS,
     ConfigError,
+    ExperimentConfig,
+    build_parser,
     compare_models,
     main,
     parse_config,
@@ -51,7 +55,6 @@ def test_parse_config_fills_documented_defaults():
     assert cfg.efficiency == cal.efficiency
     assert cfg.dark_rate == 27.0
     assert cfg.dead_time_ps == 22_000
-    assert cfg.pulse_width_ps == 10_000
     assert cfg.jitter_ps == 350.0
     assert cfg.window_ps == 5_000
     assert cfg.acquisition_s == 1.0
@@ -79,7 +82,7 @@ def test_parse_config_reports_every_violation_at_once():
         (MINIMAL + "just some words\n", "expected 'key = value'"),
         ("model = heisenberg\nmean_photon_number = 0.02\nseed = 1\n", "model: must be one of"),
         (MINIMAL + "mean_photon_number = -1\n", "duplicate"),
-        (MINIMAL + "pulse_width_ps = 30000\n", "must not exceed dead_time_ps"),
+        (MINIMAL + "pulse_width_ps = 30000\n", "pulse_width_ps: unknown key"),
         (MINIMAL + "efficiency = 1.2\n", "efficiency: must be in [0, 1]"),
     ],
 )
@@ -87,6 +90,20 @@ def test_parse_config_rejections(text, needle):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert needle in str(excinfo.value)
+
+
+def test_config_flags_are_the_config_schema(capsys):
+    assert [field.name for field in dataclasses.fields(ExperimentConfig)] == list(_CONFIG_FIELDS)
+    [commands] = [action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    own = {"-h", "--help", "--config", "--preset", "--workers", "--quiet", "--models", "--exact"}
+    expected = {"--" + key.replace("_", "-"): key for key in _CONFIG_FIELDS}
+    for command, required in (("run", []), ("compare", ["--models", "classical,bunching"]), ("predict", [])):
+        flags = {flag: action.dest for action in commands[command]._actions for flag in action.option_strings}
+        assert {flag: dest for flag, dest in flags.items() if flag not in own} == expected, command
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *required, "--pulse-width-ps", "1"])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --pulse-width-ps" in capsys.readouterr().err
 
 
 def test_preset_matches_published_calibration():
@@ -205,7 +222,7 @@ def test_simulate_streams_rejects_configs_differing_beyond_model(tmp_path):
     changed = [
         dataclasses.replace(base, source=dataclasses.replace(base.source, seed=6)),
         dataclasses.replace(base, detectors=dataclasses.replace(base.detectors, dark_rate=1.0)),
-        dataclasses.replace(base, ccu=dataclasses.replace(base.ccu, window_ps=4_000)),
+        dataclasses.replace(base, window_ps=4_000),
     ]
     for other in changed:
         with pytest.raises(ValueError, match="differ only in model"):
@@ -219,13 +236,9 @@ def test_sim_config_rejects_durations_of_2_pow_53_ps(tmp_path):
     base = quick_config(tmp_path, slot_rate=1.0).sim_config()
 
     def with_duration(seconds):
-        return dataclasses.replace(
-            base,
-            source=dataclasses.replace(base.source, duration=seconds),
-            ccu=dataclasses.replace(base.ccu, acquisition_s=seconds),
-        )
+        return dataclasses.replace(base, source=dataclasses.replace(base.source, duration=seconds))
 
-    assert with_duration(9e3).source.duration == 9e3
+    assert with_duration(9e3).ccu.acquisition_s == 9e3
     with pytest.raises(ValueError, match="2\\^53 ps"):
         with_duration(1e4)
 
@@ -470,7 +483,7 @@ INT_FLAG = st.one_of(
 )
 PREDICT_FLAGS = dict.fromkeys(
     ["--mean-photon-number", "--slot-rate", "--efficiency", "--dark-rate", "--jitter-ps", "--acquisition-s"], FLOAT_FLAG
-) | dict.fromkeys(["--seed", "--dead-time-ps", "--pulse-width-ps", "--window-ps"], INT_FLAG)
+) | dict.fromkeys(["--seed", "--dead-time-ps", "--window-ps"], INT_FLAG)
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,7 +521,7 @@ RUN_FLOATS = {
     "--dark-rate": st.floats(0, 1e6),
     "--jitter-ps": st.floats(0, 1e6),
 }
-RUN_INTS = dict.fromkeys(["--seed", "--dead-time-ps", "--pulse-width-ps", "--window-ps"], st.integers(0, 10**6))
+RUN_INTS = dict.fromkeys(["--seed", "--dead-time-ps", "--window-ps"], st.integers(0, 10**6))
 RUN_FLAGS = {name: st.one_of(st.sampled_from(ODD_RUN_FLOATS), values.map(repr)) for name, values in RUN_FLOATS.items()}
 RUN_FLAGS |= {name: st.one_of(st.sampled_from(["0", "-1", "inf", "nan", "1e300"]), values.map(str)) for name, values in RUN_INTS.items()}
 
@@ -623,6 +636,7 @@ def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(tally_p
         ("not,a,tally\n", "not a tally CSV"),
         (CSV_HEADER + "\n", "missing counters"),
         (CSV_HEADER + "\nfoo,1,1\n", "unknown counter: 'foo'"),
+        (CSV_HEADER + "\nsingle_A',1,1\nsingle_A',2,1\n", "repeats the counter"),
     ],
 )
 def test_calibrate_reports_an_unusable_tally_as_a_config_error(tmp_path, capsys, content, message):
@@ -680,6 +694,7 @@ TALLY_LINES = st.one_of(
 @example(counts=[0] * 14, edits=[], mean="0.022")
 @example(counts=[1] * 14, edits=[(1, True, "single_A'," + "9" * 400 + ",1.0")], mean="0.022")
 @example(counts=[1] * 14, edits=[(2, True, "single_A'',-5,1.0")], mean="0.022")
+@example(counts=[1] * 14, edits=[(15, False, "single_A',7,1.0")], mean="0.022")
 def test_calibrate_exits_0_or_1_for_any_tally_file(counts, edits, mean):
     # a well-formed tally with a few lines replaced or inserted, or the header broken
     tally = TallyTable(

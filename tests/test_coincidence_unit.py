@@ -16,7 +16,6 @@ from bunchsim.coincidence_unit import (
     TRIPLE_KEYS,
     CcuConfig,
     accumulate,
-    count_singles,
     counter_name,
     pair_coincidences,
     tally_from_csv,
@@ -273,12 +272,6 @@ def test_streams_from_events_sorts_interleaved_input():
         assert streams[det].tolist() == mine
 
 
-def test_count_singles_rejects_unsorted():
-    with pytest.raises(ValueError):
-        count_singles(np.array([5, 3], dtype=np.int64))
-    assert count_singles(np.array([3, 5], dtype=np.int64)) == 2
-
-
 def build_tally(rng, config=None):
     config = config or CcuConfig(window_ps=5_000, acquisition_s=1.0)
     acq_ps = int(config.acquisition_s * 1e12)
@@ -307,12 +300,10 @@ def test_accumulate_validates_streams():
     bad_order[Detector.A1] = np.array([20, 10], dtype=np.int64)
     with pytest.raises(ValueError):
         accumulate(bad_order, config)
-    late = dict(good)
-    late[Detector.B2] = np.array([10, int(2e12)], dtype=np.int64)
-    with pytest.raises(ValueError):
-        accumulate(late, config)
-    with pytest.raises(ValueError):
-        accumulate(good, config, stream_duration_ps=int(0.5e12))
+    # the acquisition is [0, 1e12 ps): its last picosecond counts, its end does not
+    assert accumulate(good | {Detector.B2: np.array([10, 10**12 - 1])}, config).singles[Detector.B2] == 2
+    with pytest.raises(ValueError, match="outside \\[0, acquisition\\)"):
+        accumulate(good | {Detector.B2: np.array([10, 10**12])}, config)
     # the merged-timeline keys 4 * t + detector must fit in int64
     with pytest.raises(ValueError):
         accumulate(good, CcuConfig(window_ps=5_000, acquisition_s=2.4e6))
@@ -339,6 +330,9 @@ def test_csv_parser_rejects_garbage():
     lines = tally_to_csv(tally).splitlines()
     with pytest.raises(ValueError):
         tally_from_csv("\n".join(lines[:-1]) + "\n", acquisition_s=1.0)
+    # a second row for one counter would silently replace the first
+    with pytest.raises(ValueError, match="repeats the counter \"single_A'\""):
+        tally_from_csv("\n".join([*lines, "single_A',7,1.0"]) + "\n", acquisition_s=1.0)
 
 
 def test_json_report_lists_published_channels():

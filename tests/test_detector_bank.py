@@ -254,7 +254,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config(dark_rate=-1.0)
     with pytest.raises(ValueError):
-        config(dead_time_ps=5_000, pulse_width_ps=10_000)  # pulse longer than dead time
+        config(dead_time_ps=-1)
 
 
 def test_dark_poisson_distribution():

@@ -20,7 +20,6 @@ from bunchsim.coincidence_unit import (
     PAIR_KEYS,
     SAME_SIDE_PAIRS,
     TRIPLE_KEYS,
-    CcuConfig,
     TallyTable,
 )
 from bunchsim.detector_bank import Detector, DetectorConfig
@@ -387,7 +386,6 @@ def tally_with_config(nbar, singles, pairs, triples):
             "efficiency": 0.6,
             "dark_rate": 0.0,
             "dead_time_ps": 22_000,
-            "pulse_width_ps": 10_000,
             "jitter_sigma_ps": 350.0,
             "window_ps": 5_000,
             "acquisition_s": 1.0,
@@ -447,7 +445,7 @@ def mc_config(model, seed, slot_rate=1e7, nbar=0.022):
         source=SourceConfig(mean_photon_number=nbar, slot_rate=slot_rate, duration=1.0, seed=seed),
         detectors=DetectorConfig(efficiency=0.5828, dark_rate=27.0),
         model=model,
-        ccu=CcuConfig(window_ps=5_000, acquisition_s=1.0),
+        window_ps=5_000,
     )
 
 
@@ -472,7 +470,7 @@ def test_g2_cross_is_one_for_classical_light():
         source=SourceConfig(mean_photon_number=0.022, slot_rate=1e8, duration=1.0, seed=77),
         detectors=DetectorConfig(efficiency=0.5828, dark_rate=0.0),
         model=RoutingModel.CLASSICAL,
-        ccu=CcuConfig(window_ps=5_000, acquisition_s=1.0),
+        window_ps=5_000,
     )
     tally = simulate(cfg)
     out = g2_zero(tally, slot_rate=1e8)
