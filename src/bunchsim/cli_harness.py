@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -22,24 +21,21 @@ from pathlib import Path
 
 from . import __version__
 from .coincidence_unit import (
-    PAIR_KEYS,
+    COUNTERS,
     REFERENCE_PAIRS,
-    TRIPLE_KEYS,
     TallyTable,
     accumulate,
-    counter_name,
     tally_from_csv,
     tally_to_csv,
     tally_to_json,
 )
-from .detector_bank import MAX_DARK_MEAN, Detector, DetectorConfig, write_events
+from .detector_bank import MAX_DARK_MEAN, DetectorConfig, write_events
 from .photon_source import MAX_MEAN_PHOTON_NUMBER, MAX_SLOTS, SourceConfig
 from .routing_models import RoutingModel
-from .simulate import SimConfig, config_metadata, simulate_streams
+from .simulate import SimConfig, simulate_streams
 from .statistics import (
     REFERENCE_BLOCKS,
     CorrelationResult,
-    ReferenceBlock,
     calibrate,
     equal_ratio_chisquare,
     g2_zero,
@@ -89,18 +85,8 @@ class ExperimentConfig:
         )
 
 
-@functools.lru_cache(maxsize=1)
-def _block1_calibration():
-    return calibrate(REFERENCE_BLOCKS["block1"])
-
-
-def _default_slot_rate() -> float:
-    return _block1_calibration().slot_rate
-
-
-def _default_efficiency() -> float:
-    return _block1_calibration().efficiency
-
+# the built-in slot rate and efficiency: the closed-form fit of block 1
+_BLOCK1 = calibrate(REFERENCE_BLOCKS["block1"])
 
 _MODEL_NAMES = tuple(m.value for m in RoutingModel)
 _EVENT_FORMATS = ("none", "text", "binary")
@@ -114,8 +100,8 @@ _CONFIG_FIELDS = {
     "mean_photon_number": (float, _REQUIRED, lambda v: 0 <= v <= MAX_MEAN_PHOTON_NUMBER
                            or f"must be in [0, {MAX_MEAN_PHOTON_NUMBER:.1f}]"),
     "seed": (int, _REQUIRED, lambda v: v >= 0 or "must be >= 0"),
-    "slot_rate": (float, _default_slot_rate, lambda v: 0 < v < math.inf or "must be finite and > 0"),
-    "efficiency": (float, _default_efficiency, lambda v: 0 <= v <= 1 or "must be in [0, 1]"),
+    "slot_rate": (float, _BLOCK1.slot_rate, lambda v: 0 < v < math.inf or "must be finite and > 0"),
+    "efficiency": (float, _BLOCK1.efficiency, lambda v: 0 <= v <= 1 or "must be in [0, 1]"),
     "dark_rate": (float, 27.0, lambda v: 0 <= v < math.inf or "must be finite and >= 0"),
     "dead_time_ps": (int, 22_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
     "jitter_ps": (float, 350.0, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
@@ -127,18 +113,15 @@ _CONFIG_FIELDS = {
 
 
 def preset_values(name: str) -> dict:
-    """Published-condition presets: block calibration plus the block's source strength."""
+    """Published-condition presets: the block's source strength and acquisition.
+
+    Slot rate and efficiency stay at their defaults, the block-1 fit.
+    """
     blocks = {"table1-block1": "block1", "table1-block2": "block2"}
     if name not in blocks:
         raise ConfigError([f"preset: unknown preset '{name}' (choices: {', '.join(sorted(blocks))})"])
-    cal = _block1_calibration()
-    return {
-        "mean_photon_number": REFERENCE_BLOCKS[blocks[name]].mean_photon_number,
-        "acquisition_s": REFERENCE_BLOCKS[blocks[name]].acquisition_s,
-        "dark_rate": 27.0,
-        "slot_rate": cal.slot_rate,
-        "efficiency": cal.efficiency,
-    }
+    block = REFERENCE_BLOCKS[blocks[name]]
+    return {"mean_photon_number": block.mean_photon_number, "acquisition_s": block.acquisition_s}
 
 
 def _parse_lines(text: str):
@@ -205,7 +188,7 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
                 else:
                     violations.append(f"{key}: required key is missing")
                 continue
-            values[key] = default() if callable(default) else default
+            values[key] = default
         verdict = check(values[key])
         if verdict is True:
             valid.add(key)
@@ -307,14 +290,8 @@ def comparison_csv(results) -> str:
     header += [f"z_{labels[i]}_vs_{labels[j]}" for i, j in pairs]
     lines = [",".join(header)]
 
-    counter_rows = []
-    for det in Detector:
-        counter_rows.append((counter_name("single", det), [t.singles[det] for _, t, _ in results]))
-    for key in PAIR_KEYS:
-        counter_rows.append((counter_name("pair", key), [t.pairs[key] for _, t, _ in results]))
-    for key in TRIPLE_KEYS:
-        counter_rows.append((counter_name("triple", key), [t.triples[key] for _, t, _ in results]))
-    for name, counts in counter_rows:
+    for name, group, key in COUNTERS:
+        counts = [getattr(t, group)[key] for _, t, _ in results]
         cells = [name, *(str(c) for c in counts)]
         for i, j in pairs:
             a, b = counts[i], counts[j]
@@ -427,14 +404,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(["--mean-photon-number is required with --from-tally"])
     try:
         if args.from_tally:
-            tally = tally_from_csv(Path(args.from_tally).read_text(encoding="utf-8"), args.acquisition_s)
-            targets = ReferenceBlock(
-                mean_photon_number=args.mean_photon_number,
-                acquisition_s=tally.acquisition_s,
-                singles=tally.singles,
-                pairs=tally.pairs,
-                triples=tally.triples,
-            )
+            targets = tally_from_csv(Path(args.from_tally).read_text(encoding="utf-8"))
         else:
             targets = REFERENCE_BLOCKS[args.block]
         result = calibrate(targets, args.mean_photon_number)
@@ -486,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="closed-form slot-rate/efficiency fit")
     p_cal.add_argument("--block", choices=sorted(REFERENCE_BLOCKS), default="block1")
     p_cal.add_argument("--mean-photon-number", type=float, dest="mean_photon_number")
-    p_cal.add_argument("--from-tally", metavar="PATH", help="calibrate from a tally.csv instead")
-    p_cal.add_argument("--acquisition-s", type=float, dest="acquisition_s", default=1.0)
+    p_cal.add_argument("--from-tally", metavar="PATH", help="calibrate from a tally.csv; acquisition read from rate_per_s")
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_pred = sub.add_parser("predict", help="closed-form counter rates, no simulation")

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .detector_bank import Detector, LABEL_TO_DETECTOR
+from .detector_bank import Detector
 
 PAIR_KEYS = tuple(itertools.combinations(Detector, 2))
 TRIPLE_KEYS = tuple(itertools.combinations(Detector, 3))
@@ -61,6 +62,20 @@ def counter_name(kind: str, key) -> str:
     return f"{kind}_{pair_name(key)}"
 
 
+# (name, group, key) of the 14 counters in canonical order; group names the
+# dict that holds the counter on a TallyTable or RatePrediction
+COUNTERS = (
+    *((counter_name("single", det), "singles", det) for det in Detector),
+    *((counter_name("pair", key), "pairs", key) for key in PAIR_KEYS),
+    *((counter_name("triple", key), "triples", key) for key in TRIPLE_KEYS),
+)
+
+
+def counter_values(table):
+    """Iterate (name, value) of every counter of table in canonical order."""
+    return ((name, getattr(table, group)[key]) for name, group, key in COUNTERS)
+
+
 @dataclass
 class TallyTable:
     singles: dict
@@ -74,22 +89,7 @@ class TallyTable:
 
     def counters(self):
         """Iterate (name, count, rate) in canonical order."""
-        for det in Detector:
-            c = self.singles[det]
-            yield counter_name("single", det), c, self.rate(c)
-        for key in PAIR_KEYS:
-            c = self.pairs[key]
-            yield counter_name("pair", key), c, self.rate(c)
-        for key in TRIPLE_KEYS:
-            c = self.triples[key]
-            yield counter_name("triple", key), c, self.rate(c)
-
-
-def _require_sorted(times: np.ndarray, who: str) -> np.ndarray:
-    t = np.asarray(times, dtype=np.int64)
-    if t.size > 1 and np.any(np.diff(t) < 0):
-        raise ValueError(f"{who}: stream is not time-ordered")
-    return t
+        return ((name, count, self.rate(count)) for name, count in counter_values(self))
 
 
 # Merge keys 4 * t + detector are int64, so timestamps must stay below 2**61 ps.
@@ -206,27 +206,6 @@ def _cluster_count(c: _Clusters, key, width: int) -> int:
     return int(count)
 
 
-def _count_streams(times, width: int, who: str) -> int:
-    """One count over 2 or 3 sorted streams put on detector slots, shifted to start at 0."""
-    streams = {det: np.empty(0, dtype=np.int64) for det in Detector}
-    streams.update(zip(Detector, (_require_sorted(t, who) for t in times)))
-    origin = min((int(t[0]) for t in streams.values() if t.size), default=0)
-    if max((int(t[-1]) - origin for t in streams.values() if t.size), default=0) >= _MAX_KEY_TIME_PS:
-        raise ValueError(f"{who}: the streams span {_MAX_KEY_TIME_PS} ps or more")
-    keys = _with_neighbour({det: t - origin for det, t in streams.items()}, width)
-    return _cluster_count(_clusters(keys, width), tuple(Detector)[: len(times)], width)
-
-
-def pair_coincidences(times_x, times_y, window_ps: int) -> int:
-    """Greedy single-use pair count between two sorted streams."""
-    return _count_streams((times_x, times_y), int(window_ps), "pair_coincidences")
-
-
-def triple_coincidences(times_x, times_y, times_z, window_ps: int) -> int:
-    """Greedy single-use triple count; spread limit is 2 * window_ps."""
-    return _count_streams((times_x, times_y, times_z), 2 * int(window_ps), "triple_coincidences")
-
-
 def count_pairs(clusters: _Clusters, config: CcuConfig) -> dict:
     """All six pair counters over the clusters of one acquisition."""
     return {key: _cluster_count(clusters, key, int(config.window_ps)) for key in PAIR_KEYS}
@@ -240,29 +219,32 @@ def count_triples(clusters: _Clusters, config: CcuConfig) -> dict:
 def accumulate(streams: dict, config: CcuConfig, metadata: dict | None = None) -> TallyTable:
     """Count all singles, pairs and triples for one acquisition [0, acquisition_s).
 
-    The ten counters read one set of clusters cut at time gaps > 2 * window;
-    such gaps split every greedy walk exactly (module docstring).
+    The one counting entry point, for simulated runs and event replays
+    alike. The ten coincidence counters read one set of clusters cut at time
+    gaps > 2 * window; such gaps split every greedy walk exactly (module
+    docstring).
     """
     acq_ps = int(round(config.acquisition_s * 1e12))
     if acq_ps >= _MAX_KEY_TIME_PS:
         raise ValueError(f"acquisition of {acq_ps} ps exceeds the counter's limit of {_MAX_KEY_TIME_PS - 1} ps")
     clean = {}
     for det in Detector:
-        t = _require_sorted(streams[det], f"accumulate[{det.label}]")
+        t = np.asarray(streams[det], dtype=np.int64)
+        if t.size > 1 and np.any(np.diff(t) < 0):
+            raise ValueError(f"accumulate[{det.label}]: stream is not time-ordered")
         if t.size and (t[0] < 0 or t[-1] >= acq_ps):
             raise ValueError(f"accumulate[{det.label}]: timestamps outside [0, acquisition)")
         clean[det] = t
     singles = {det: int(clean[det].size) for det in Detector}
     spread = 2 * int(config.window_ps)
     clusters = _clusters(_with_neighbour(clean, spread), spread)
-    tally = TallyTable(
+    return TallyTable(
         singles=singles,
         pairs=count_pairs(clusters, config),
         triples=count_triples(clusters, config),
         acquisition_s=config.acquisition_s,
         metadata=dict(metadata or {}),
     )
-    return tally
 
 
 # --- serialisation ----------------------------------------------------------
@@ -290,39 +272,40 @@ def tally_to_json(tally: TallyTable) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _group_name_lookup():
-    names = {}
-    for det in Detector:
-        names[counter_name("single", det)] = ("single", det)
-    for key in PAIR_KEYS:
-        names[counter_name("pair", key)] = ("pair", key)
-    for key in TRIPLE_KEYS:
-        names[counter_name("triple", key)] = ("triple", key)
-    return names
+def tally_from_csv(text: str, metadata: dict | None = None) -> TallyTable:
+    """Rebuild a TallyTable from its CSV form (counts are authoritative).
 
-
-def tally_from_csv(text: str, acquisition_s: float, metadata: dict | None = None) -> TallyTable:
-    """Rebuild a TallyTable from its CSV form (counts are authoritative)."""
-    lookup = _group_name_lookup()
-    singles, pairs, triples = {}, {}, {}
+    The acquisition is count / rate_per_s of the row with the largest count,
+    and every row's rate must agree with it to a relative 1e-12.
+    """
+    lookup = {name: (group, key) for name, group, key in COUNTERS}
+    groups = {"singles": {}, "pairs": {}, "triples": {}}
+    rows = {}
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("not a tally CSV: bad header")
     for ln in lines[1:]:
-        name, count, _rate = ln.split(",")
+        name, count, rate = ln.split(",")
         if name not in lookup:
             raise ValueError(f"tally CSV names an unknown counter: {name!r}")
-        kind, key = lookup[name]
-        group = {"single": singles, "pair": pairs, "triple": triples}[kind]
-        if key in group:
+        if name in rows:
             raise ValueError(f"tally CSV repeats the counter {name!r}")
         value = int(count)
         if not 0 <= value < 2**63:
             raise ValueError(f"tally CSV count of {name} must be in [0, 2^63), got {count}")
-        group[key] = value
-    missing = (set(Detector) - singles.keys()) or (set(PAIR_KEYS) - pairs.keys()) or (
-        set(TRIPLE_KEYS) - triples.keys()
-    )
+        rows[name] = value, float(rate)
+        group, key = lookup[name]
+        groups[group][key] = value
+    missing = [name for name in lookup if name not in rows]
     if missing:
-        raise ValueError(f"tally CSV is missing counters: {sorted(missing)}")
-    return TallyTable(singles, pairs, triples, acquisition_s, dict(metadata or {}))
+        raise ValueError(f"tally CSV is missing counters: {missing}")
+    top, top_rate = max(rows.values(), key=lambda row: row[0])
+    if top == 0:
+        raise ValueError("tally CSV has no counts, so its acquisition is unknown")
+    acquisition_s = top / top_rate if 0 < top_rate < math.inf else math.nan
+    if not acquisition_s < math.inf:
+        raise ValueError(f"tally CSV rate_per_s {top_rate!r} of {top} counts gives no finite, positive acquisition")
+    for name, (count, rate) in rows.items():
+        if not abs(rate - count / acquisition_s) <= 1e-12 * (count / acquisition_s):
+            raise ValueError(f"tally CSV rows disagree on the acquisition: {name} has rate_per_s {rate!r}")
+    return TallyTable(**groups, acquisition_s=acquisition_s, metadata=dict(metadata or {}))

@@ -30,6 +30,7 @@ from .coincidence_unit import (
     TRIPLE_KEYS,
     TallyTable,
     counter_name,
+    counter_values,
 )
 from .detector_bank import Detector
 from .routing_models import RoutingModel
@@ -152,12 +153,7 @@ class RatePrediction:
     triples: dict
 
     def counters(self):
-        for det in Detector:
-            yield counter_name("single", det), self.singles[det]
-        for key in PAIR_KEYS:
-            yield counter_name("pair", key), self.pairs[key]
-        for key in TRIPLE_KEYS:
-            yield counter_name("triple", key), self.triples[key]
+        return counter_values(self)
 
 
 def accidental_pair_rate(rate1: float, rate2: float, window_ps: int) -> float:
@@ -225,8 +221,11 @@ class CalibrationResult:
     residuals: dict = field(default_factory=dict)
 
 
-def calibrate(targets: ReferenceBlock, mean_photon_number: float | None = None) -> CalibrationResult:
+def calibrate(targets: ReferenceBlock | TallyTable, mean_photon_number: float | None = None) -> CalibrationResult:
     """Fit slot rate and efficiency from measured singles and pair rates.
+
+    targets is a ReferenceBlock or a TallyTable; its mean_photon_number is
+    read only when mean_photon_number is None (a TallyTable has none).
 
     Uses the mean of the provided singles counters and the mean of the
     provided pair counters:

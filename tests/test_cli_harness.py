@@ -28,6 +28,7 @@ from bunchsim.cli_harness import (
     run_experiment,
 )
 from bunchsim.coincidence_unit import (
+    COUNTERS,
     CROSS_SIDE_PAIRS,
     CSV_HEADER,
     PAIR_KEYS,
@@ -107,11 +108,13 @@ def test_config_flags_are_the_config_schema(capsys):
 
 
 def test_preset_matches_published_calibration():
-    values = preset_values("table1-block2")
+    cfg = parse_config("model = phase-basis\nseed = 1\n", {"preset": "table1-block2"})
     cal = calibrate(REFERENCE_BLOCKS["block1"])
-    assert values["mean_photon_number"] == REFERENCE_BLOCKS["block2"].mean_photon_number
-    assert values["slot_rate"] == cal.slot_rate
-    assert values["efficiency"] == cal.efficiency
+    assert cfg.mean_photon_number == REFERENCE_BLOCKS["block2"].mean_photon_number
+    assert cfg.acquisition_s == REFERENCE_BLOCKS["block2"].acquisition_s
+    assert cfg.slot_rate == cal.slot_rate
+    assert cfg.efficiency == cal.efficiency
+    assert cfg.dark_rate == 27.0
     with pytest.raises(ConfigError):
         preset_values("table0")
 
@@ -354,6 +357,18 @@ def test_main_compare_writes_csv(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == (tmp_path / "cmp" / "comparison.csv").read_text()
     assert captured.out.splitlines()[0].startswith("counter_name,classical,bunching,z_")
+
+
+def test_every_counter_listing_follows_counters(tmp_path, capsys):
+    names = [name for name, _, _ in COUNTERS]
+    assert len(set(names)) == len(names) == 14
+    cfg = quick_config(tmp_path)
+    [(_, tally, _), _] = compare_models(cfg, ["classical", "bunching"])
+    assert [row.split(",")[0] for row in tally_to_csv(tally).splitlines()[1:]] == names
+    rows = (tmp_path / "out" / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows[: len(names)]] == names
+    assert main(["predict", "--model", "phase-basis", "--mean-photon-number", "0.022"]) == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == names
 
 
 def test_main_predict_lists_all_counters(capsys):
@@ -621,12 +636,36 @@ def tally_path(tmp_path_factory):
 
 
 @pytest.mark.parametrize("acquisition", ["-0.01", "0", "-0.0", "inf", "-inf", "nan"])
-def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(tally_path, acquisition, capsys):
-    argv = ["calibrate", "--from-tally", str(tally_path), "--mean-photon-number", "0.022"]
-    assert main([*argv, f"--acquisition-s={acquisition}"]) == 1
+def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(tmp_path, acquisition, capsys):
+    # the acquisition is count / rate_per_s, so these rates give none
+    rate = float(acquisition)
+    lines = [CSV_HEADER, *(f"{name},{i},{rate * i!r}" for i, (name, _, _) in enumerate(COUNTERS, start=1))]
+    path = tmp_path / "tally.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["calibrate", "--from-tally", str(path), "--mean-photon-number", "0.022"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "acquisition_s must be finite and > 0" in captured.err
+    assert "no finite, positive acquisition" in captured.err
+
+
+def test_calibrate_reads_the_acquisition_of_a_short_run_from_its_tally(tmp_path, capsys):
+    # a 0.02 s run: calibrating its tally as if it were 1 s long gave a slot rate 50x too low
+    text = "model = classical\nmean_photon_number = 0.022\nseed = 1\nacquisition_s = 0.02\n"
+    tally, _ = run_experiment(parse_config(text, {"output_dir": str(tmp_path)}))
+    assert main(["calibrate", "--from-tally", str(tmp_path / "tally.csv"), "--mean-photon-number", "0.022"]) == 0
+    rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+    expected = calibrate(tally, 0.022)
+    assert float(rows["slot_rate"]) == pytest.approx(expected.slot_rate, rel=1e-12)
+    assert float(rows["efficiency"]) == pytest.approx(expected.efficiency, rel=1e-12)
+    assert 6e7 < float(rows["slot_rate"]) < 9e7
+
+
+def test_calibrate_has_no_acquisition_flag(tally_path, capsys):
+    argv = ["calibrate", "--from-tally", str(tally_path), "--mean-photon-number", "0.022", "--acquisition-s", "1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --acquisition-s" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -652,12 +691,10 @@ def test_calibrate_reports_an_unusable_tally_as_a_config_error(tmp_path, capsys,
 @settings(max_examples=150, deadline=None)
 @given(
     source=st.sampled_from(["block1", "block2", "tally"]),
-    flags=st.lists(st.sampled_from(["--mean-photon-number", "--acquisition-s"]), max_size=2, unique=True).flatmap(
-        lambda names: st.tuples(*(st.tuples(st.just(name), FLOAT_FLAG) for name in names))
-    ),
+    flags=st.lists(st.tuples(st.just("--mean-photon-number"), FLOAT_FLAG), max_size=1),
 )
 @example(source="tally", flags=(("--mean-photon-number", "-inf"),))
-@example(source="block2", flags=(("--acquisition-s", "-inf"), ("--mean-photon-number", "0.044")))
+@example(source="block2", flags=(("--mean-photon-number", "0.044"),))
 def test_calibrate_exits_0_or_1_for_any_numeric_flags(tally_path, source, flags):
     argv = ["calibrate", *(["--from-tally", str(tally_path)] if source == "tally" else ["--block", source])]
     argv += [f"{flag}={value}" for flag, value in flags]

@@ -10,18 +10,19 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from bunchsim import coincidence_unit
 from bunchsim.coincidence_unit import (
+    COUNTERS,
     CROSS_SIDE_PAIRS,
     PAIR_KEYS,
     SAME_SIDE_PAIRS,
     TRIPLE_KEYS,
     CcuConfig,
+    TallyTable,
     accumulate,
     counter_name,
-    pair_coincidences,
+    counter_values,
     tally_from_csv,
     tally_to_csv,
     tally_to_json,
-    triple_coincidences,
 )
 from bunchsim.coincidence_unit import _greedy_pairs, _greedy_triples, _with_neighbour
 from bunchsim.detector_bank import Detector
@@ -65,37 +66,38 @@ def random_stream(rng, size, span, step=1):
     return np.sort(rng.integers(0, span, size=size).astype(np.int64) * step)
 
 
+def counted(window, *times):
+    """accumulate's count over 2 or 3 streams put on the first detectors, shifted to start at 0."""
+    streams = {det: np.empty(0, dtype=np.int64) for det in Detector}
+    streams.update(zip(Detector, (np.asarray(t, dtype=np.int64) for t in times)))
+    origin = min((int(t[0]) for t in streams.values() if t.size), default=0)
+    tally = accumulate({det: t - origin for det, t in streams.items()}, CcuConfig(window_ps=window, acquisition_s=1.0))
+    key = tuple(Detector)[: len(times)]
+    return tally.pairs[key] if len(times) == 2 else tally.triples[key]
+
+
 # --- window semantics --------------------------------------------------------
 
 
 def test_pair_window_is_inclusive():
     x = np.array([100_000], dtype=np.int64)
-    assert pair_coincidences(x, x + 5_000, 5_000) == 1
-    assert pair_coincidences(x, x + 5_001, 5_000) == 0
-    assert pair_coincidences(x, x - 5_000, 5_000) == 1
+    assert counted(5_000, x, x + 5_000) == 1
+    assert counted(5_000, x, x + 5_001) == 0
+    assert counted(5_000, x, x - 5_000) == 1
 
 
 def test_triple_spread_is_twice_the_window():
     x = np.array([0], dtype=np.int64)
     y = np.array([5_000], dtype=np.int64)
     z = np.array([10_000], dtype=np.int64)
-    assert triple_coincidences(x, y, z, 5_000) == 1  # max-min = 10_000 = 2w
-    assert triple_coincidences(x, y, z + 1, 5_000) == 0
-
-
-def test_public_counters_accept_any_origin_within_the_key_range():
-    # the streams are shifted to start at 0 before the merge keys 4 * t + detector
-    far = np.array([-(2**62)], dtype=np.int64)
-    assert pair_coincidences(far, far + 5, 5) == 1
-    assert triple_coincidences(far, far + 5, far + 10, 5) == 1
-    with pytest.raises(ValueError, match="span"):
-        pair_coincidences(np.array([0], dtype=np.int64), np.array([2**61], dtype=np.int64), 5)
+    assert counted(5_000, x, y, z) == 1  # max-min = 10_000 = 2w
+    assert counted(5_000, x, y, z + 1) == 0
 
 
 def test_each_event_used_once():
     x = np.array([0, 10], dtype=np.int64)
     y = np.array([5], dtype=np.int64)
-    assert pair_coincidences(x, y, 1_000) == 1
+    assert counted(1_000, x, y) == 1
 
 
 def test_pair_count_symmetric():
@@ -104,14 +106,14 @@ def test_pair_count_symmetric():
         x = random_stream(rng, int(rng.integers(0, 40)), 500)
         y = random_stream(rng, int(rng.integers(0, 40)), 500)
         w = int(rng.integers(1, 60))
-        assert pair_coincidences(x, y, w) == pair_coincidences(y, x, w)
+        assert counted(w, x, y) == counted(w, y, x)
 
 
 def test_pair_count_monotone_in_window():
     rng = np.random.default_rng(22)
     x = random_stream(rng, 300, 20_000)
     y = random_stream(rng, 280, 20_000)
-    counts = [pair_coincidences(x, y, w) for w in (1, 10, 100, 1_000, 10_000)]
+    counts = [counted(w, x, y) for w in (1, 10, 100, 1_000, 10_000)]
     assert counts == sorted(counts)
 
 
@@ -124,7 +126,7 @@ def test_greedy_pairs_equal_maximum_matching():
         x = random_stream(rng, int(rng.integers(0, 60)), 800)
         y = random_stream(rng, int(rng.integers(0, 60)), 800)
         w = int(rng.integers(1, 50))
-        assert pair_coincidences(x, y, w) == optimal_pairs(x, y, w)
+        assert counted(w, x, y) == optimal_pairs(x, y, w)
 
 
 def test_greedy_triples_equal_exhaustive_maximum():
@@ -133,20 +135,20 @@ def test_greedy_triples_equal_exhaustive_maximum():
         sizes = rng.integers(0, 6, size=3)
         x, y, z = (random_stream(rng, int(s), 60) for s in sizes)
         w = int(rng.integers(1, 15))
-        assert triple_coincidences(x, y, z, w) == optimal_triples(x, y, z, 2 * w)
+        assert counted(w, x, y, z) == optimal_triples(x, y, z, 2 * w)
 
 
 def test_prefilter_preserves_greedy_counts():
-    # the public counters drop partnerless events before matching; the raw
-    # greedy walk over everything must give identical results
+    # accumulate drops partnerless events and splits the walk per cluster;
+    # the raw greedy walk over everything must give identical results
     rng = np.random.default_rng(25)
     for _ in range(200):
         x = random_stream(rng, int(rng.integers(0, 80)), 3_000)
         y = random_stream(rng, int(rng.integers(0, 80)), 3_000)
         z = random_stream(rng, int(rng.integers(0, 80)), 3_000)
         w = int(rng.integers(1, 100))
-        assert pair_coincidences(x, y, w) == _greedy_pairs(list(x), list(y), w)
-        assert triple_coincidences(x, y, z, w) == _greedy_triples(list(x), list(y), list(z), 2 * w)
+        assert counted(w, x, y) == _greedy_pairs(list(x), list(y), w)
+        assert counted(w, x, y, z) == _greedy_triples(list(x), list(y), list(z), 2 * w)
 
 
 @st.composite
@@ -315,24 +317,73 @@ def test_accumulate_validates_streams():
 def test_csv_roundtrip_exact():
     tally = build_tally(np.random.default_rng(28))
     text = tally_to_csv(tally)
-    back = tally_from_csv(text, acquisition_s=tally.acquisition_s)
+    back = tally_from_csv(text)
     assert back.singles == tally.singles
     assert back.pairs == tally.pairs
     assert back.triples == tally.triples
     assert back.acquisition_s == tally.acquisition_s
 
 
+def test_csv_roundtrip_keeps_every_counter_in_place():
+    # 14 distinct counts, so a swapped key in COUNTERS or the parser shows up
+    tally = TallyTable(singles={}, pairs={}, triples={}, acquisition_s=0.25)
+    for count, (_, group, key) in enumerate(COUNTERS, start=1):
+        getattr(tally, group)[key] = 10 * count
+    assert tally_from_csv(tally_to_csv(tally)) == tally
+    assert [value for _, value in counter_values(tally)] == list(range(10, 150, 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 2**63 - 1), min_size=14, max_size=14).filter(any),
+    acquisition=st.floats(1e-12, 1e4),
+)
+def test_csv_reads_the_acquisition_from_the_rates(counts, acquisition):
+    tally = TallyTable(singles={}, pairs={}, triples={}, acquisition_s=acquisition)
+    for count, (_, group, key) in zip(counts, COUNTERS):
+        getattr(tally, group)[key] = count
+    back = tally_from_csv(tally_to_csv(tally))
+    assert back.acquisition_s == pytest.approx(acquisition, rel=1e-15)
+    assert (back.singles, back.pairs, back.triples) == (tally.singles, tally.pairs, tally.triples)
+
+
+def with_rate(lines, row, rate):
+    """The CSV of lines with the rate_per_s of one row replaced."""
+    name, count, _ = lines[row].split(",")
+    return "\n".join([*lines[:row], f"{name},{count},{rate}", *lines[row + 1 :]]) + "\n"
+
+
+def test_csv_parser_rejects_rates_without_one_acquisition():
+    tally = build_tally(np.random.default_rng(32))
+    lines = tally_to_csv(tally).splitlines()
+    top = 1 + max(range(4), key=lambda i: tally.singles[Detector(i)])
+    for rate in ("0", "-0.0", "-5.0", "inf", "-inf", "nan", "1e-320"):
+        with pytest.raises(ValueError, match="no finite, positive acquisition"):
+            tally_from_csv(with_rate(lines, top, rate))
+    with pytest.raises(ValueError, match="could not convert"):
+        tally_from_csv(with_rate(lines, top, "fast"))
+    # a row that disagrees with the largest count's acquisition
+    other = 1 if top != 1 else 2
+    name, count, rate = lines[other].split(",")
+    with pytest.raises(ValueError, match=f"disagree on the acquisition: {name}"):
+        tally_from_csv(with_rate(lines, other, repr(float(rate) * (1 + 1e-11))))
+    assert tally_from_csv(with_rate(lines, other, repr(float(rate) * (1 + 1e-13)))).singles == tally.singles
+    zero = TallyTable({det: 0 for det in Detector}, dict.fromkeys(PAIR_KEYS, 0), dict.fromkeys(TRIPLE_KEYS, 0), 1.0)
+    with pytest.raises(ValueError, match="no counts"):
+        tally_from_csv(tally_to_csv(zero))
+
+
 def test_csv_parser_rejects_garbage():
     with pytest.raises(ValueError):
-        tally_from_csv("nope,really\n1,2\n", acquisition_s=1.0)
+        tally_from_csv("nope,really\n1,2\n")
     # counter missing -> incomplete table
     tally = build_tally(np.random.default_rng(29))
     lines = tally_to_csv(tally).splitlines()
-    with pytest.raises(ValueError):
-        tally_from_csv("\n".join(lines[:-1]) + "\n", acquisition_s=1.0)
+    with pytest.raises(ValueError, match="missing counters: \\[\"triple_A''B'B''\"\\]"):
+        tally_from_csv("\n".join(lines[:-1]) + "\n")
     # a second row for one counter would silently replace the first
     with pytest.raises(ValueError, match="repeats the counter \"single_A'\""):
-        tally_from_csv("\n".join([*lines, "single_A',7,1.0"]) + "\n", acquisition_s=1.0)
+        tally_from_csv("\n".join([*lines, "single_A',7,1.0"]) + "\n")
 
 
 def test_json_report_lists_published_channels():
