@@ -16,21 +16,21 @@ import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .coincidence_unit import (
     COUNTERS,
     REFERENCE_PAIRS,
+    CcuConfig,
     TallyTable,
     accumulate,
     tally_from_csv,
     tally_to_csv,
     tally_to_json,
 )
-from .detector_bank import MAX_DARK_MEAN, DetectorConfig, write_events
-from .photon_source import MAX_MEAN_PHOTON_NUMBER, MAX_SLOTS, SourceConfig
+from .detector_bank import DetectorConfig, write_events
+from .photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
 from .routing_models import RoutingModel
 from .simulate import SimConfig, simulate_streams
 from .statistics import (
@@ -51,40 +51,6 @@ class ConfigError(Exception):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: str
-    mean_photon_number: float
-    seed: int
-    slot_rate: float
-    efficiency: float
-    dark_rate: float
-    dead_time_ps: int
-    jitter_ps: float
-    window_ps: int
-    acquisition_s: float
-    output_dir: str
-    events_format: str
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            source=SourceConfig(
-                mean_photon_number=self.mean_photon_number,
-                slot_rate=self.slot_rate,
-                duration=self.acquisition_s,
-                seed=self.seed,
-            ),
-            detectors=DetectorConfig(
-                efficiency=self.efficiency,
-                dead_time_ps=self.dead_time_ps,
-                jitter_sigma_ps=self.jitter_ps,
-                dark_rate=self.dark_rate,
-            ),
-            model=RoutingModel(self.model),
-            window_ps=self.window_ps,
-        )
-
-
 # the built-in slot rate and efficiency: the closed-form fit of block 1
 _BLOCK1 = calibrate(REFERENCE_BLOCKS["block1"])
 
@@ -92,24 +58,40 @@ _MODEL_NAMES = tuple(m.value for m in RoutingModel)
 _EVENT_FORMATS = ("none", "text", "binary")
 _REQUIRED = object()
 
-# key -> (converter, default-or-required-marker, range check); picosecond
-# values stay below 2^53, where float64 arithmetic on them is still exact, and
-# an acquisition is at least one picosecond, the timestamp resolution
+# key -> (converter, default-or-required-marker, rule); a rule maps a value to
+# True or the reason it is refused. The engine keys take their defaults and
+# rules from the config that owns the value; acquisition_s is the source's
+# duration, and the coincidence unit's acquisition too.
+_SOURCE, _DETECTORS = SourceConfig.rules, DetectorConfig.rules
 _CONFIG_FIELDS = {
     "model": (str, _REQUIRED, lambda v: v in _MODEL_NAMES or f"must be one of {', '.join(_MODEL_NAMES)}"),
-    "mean_photon_number": (float, _REQUIRED, lambda v: 0 <= v <= MAX_MEAN_PHOTON_NUMBER
-                           or f"must be in [0, {MAX_MEAN_PHOTON_NUMBER:.1f}]"),
-    "seed": (int, _REQUIRED, lambda v: v >= 0 or "must be >= 0"),
-    "slot_rate": (float, _BLOCK1.slot_rate, lambda v: 0 < v < math.inf or "must be finite and > 0"),
-    "efficiency": (float, _BLOCK1.efficiency, lambda v: 0 <= v <= 1 or "must be in [0, 1]"),
-    "dark_rate": (float, 27.0, lambda v: 0 <= v < math.inf or "must be finite and >= 0"),
-    "dead_time_ps": (int, 22_000, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
-    "jitter_ps": (float, 350.0, lambda v: 0 <= v < 2**53 or "must be in [0, 2^53)"),
-    "window_ps": (int, 5_000, lambda v: 0 < v < 2**53 or "must be in (0, 2^53)"),
-    "acquisition_s": (float, 1.0, lambda v: 1e-12 <= v < math.inf or "must be finite and >= 1e-12"),
+    "mean_photon_number": (float, _REQUIRED, _SOURCE["mean_photon_number"]),
+    "seed": (int, _REQUIRED, _SOURCE["seed"]),
+    "slot_rate": (float, _BLOCK1.slot_rate, _SOURCE["slot_rate"]),
+    "efficiency": (float, _BLOCK1.efficiency, _DETECTORS["efficiency"]),
+    "dark_rate": (float, DetectorConfig.dark_rate, _DETECTORS["dark_rate"]),
+    "dead_time_ps": (int, DetectorConfig.dead_time_ps, _DETECTORS["dead_time_ps"]),
+    "jitter_ps": (float, DetectorConfig.jitter_sigma_ps, _DETECTORS["jitter_sigma_ps"]),
+    "window_ps": (int, CcuConfig.window_ps, CcuConfig.rules["window_ps"]),
+    "acquisition_s": (float, CcuConfig.acquisition_s, _SOURCE["duration"]),
     "output_dir": (str, "out", lambda v: True),
     "events_format": (str, "none", lambda v: v in _EVENT_FORMATS or f"must be one of {', '.join(_EVENT_FORMATS)}"),
 }
+
+
+def _sim_config(self) -> SimConfig:
+    source = SourceConfig(self.mean_photon_number, self.slot_rate, self.acquisition_s, self.seed)
+    detectors = DetectorConfig(self.efficiency, self.dead_time_ps, self.jitter_ps, self.dark_rate)
+    return SimConfig(source, detectors, RoutingModel(self.model), self.window_ps)
+
+
+# one field per key of _CONFIG_FIELDS, typed by its converter
+ExperimentConfig = dataclasses.make_dataclass(
+    "ExperimentConfig",
+    [(key, convert) for key, (convert, _, _) in _CONFIG_FIELDS.items()],
+    namespace={"__module__": __name__, "sim_config": _sim_config},
+    frozen=True,
+)
 
 
 def preset_values(name: str) -> dict:
@@ -177,8 +159,7 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
             violations.append(f"{key}: cannot read {supplied!r} as {convert.__name__}")
             unparsable.add(key)
 
-    valid = set()
-    for key, (_, default, check) in _CONFIG_FIELDS.items():
+    for key, (_, default, rule) in _CONFIG_FIELDS.items():
         if key not in values:
             if key in unparsable:
                 continue
@@ -189,21 +170,19 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
                     violations.append(f"{key}: required key is missing")
                 continue
             values[key] = default
-        verdict = check(values[key])
-        if verdict is True:
-            valid.add(key)
-        else:
+        verdict = rule(values[key])
+        if verdict is not True:
             violations.append(f"{key}: {verdict}")
-
-    # the limits of photon_source.slot_count and of numpy's Poisson sampler
-    if {"slot_rate", "acquisition_s"} <= valid and values["slot_rate"] * values["acquisition_s"] > MAX_SLOTS:
-        violations.append("acquisition_s: acquisition_s * slot_rate must not exceed 2^53 slots")
-    if {"dark_rate", "acquisition_s"} <= valid and values["dark_rate"] * values["acquisition_s"] > MAX_DARK_MEAN:
-        violations.append(f"dark_rate: dark_rate * acquisition_s must not exceed {MAX_DARK_MEAN:.4g}")
-
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(**values)
+
+    # the engine's joint rules, such as the slot count and the 2^53 ps stream
+    cfg = ExperimentConfig(**values)
+    try:
+        cfg.sim_config()
+    except ValueError as err:
+        raise ConfigError([str(err)]) from err
+    return cfg
 
 
 # --- report writing -----------------------------------------------------------
@@ -233,8 +212,8 @@ def analysis_csv(tally: TallyTable, corr: CorrelationResult) -> str:
 def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress):
     """Simulate cfg under each named model in one shared pass and count each run.
 
-    Returns [(streams, tally)] in the order of models; each run.json metadata
-    carries the package version. Engine-side config checks raise ConfigError.
+    Returns [(streams, tally)] in the order of models. The engine's config
+    checks raise ConfigError, for configs that parse_config did not build.
     """
     try:
         sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
@@ -243,7 +222,6 @@ def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress):
     runs = simulate_streams(sims, workers=workers, progress=progress)
     counted = []
     for sim, (streams, metadata) in zip(sims, runs):
-        metadata["version"] = __version__
         counted.append((streams, accumulate(streams, sim.ccu, metadata=metadata)))
     return counted
 

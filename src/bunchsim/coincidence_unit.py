@@ -20,11 +20,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .detector_bank import Detector
+from .detector_bank import MAX_PS, Detector
+from .photon_source import check_rules
 
 PAIR_KEYS = tuple(itertools.combinations(Detector, 2))
 TRIPLE_KEYS = tuple(itertools.combinations(Detector, 3))
@@ -45,11 +46,13 @@ class CcuConfig:
     window_ps: int = 5_000
     acquisition_s: float = 1.0
 
+    rules: ClassVar[dict] = {
+        "window_ps": lambda v: 0 < v < MAX_PS or "must be in (0, 2^53)",
+        "acquisition_s": lambda v: 0 < v < math.inf or "must be finite and > 0",
+    }
+
     def __post_init__(self):
-        if self.window_ps <= 0:
-            raise ValueError("window_ps must be > 0")
-        if self.acquisition_s <= 0:
-            raise ValueError("acquisition_s must be > 0")
+        check_rules(self, self.rules)
 
 
 def pair_name(key) -> str:
@@ -276,7 +279,9 @@ def tally_from_csv(text: str, metadata: dict | None = None) -> TallyTable:
     """Rebuild a TallyTable from its CSV form (counts are authoritative).
 
     The acquisition is count / rate_per_s of the row with the largest count,
-    and every row's rate must agree with it to a relative 1e-12.
+    or the float within 2 ulp of it that reproduces every printed rate, so
+    that the table prints back to the same text. Every row's rate must agree
+    with it to a relative 1e-12.
     """
     lookup = {name: (group, key) for name, group, key in COUNTERS}
     groups = {"singles": {}, "pairs": {}, "triples": {}}
@@ -302,9 +307,12 @@ def tally_from_csv(text: str, metadata: dict | None = None) -> TallyTable:
     top, top_rate = max(rows.values(), key=lambda row: row[0])
     if top == 0:
         raise ValueError("tally CSV has no counts, so its acquisition is unknown")
-    acquisition_s = top / top_rate if 0 < top_rate < math.inf else math.nan
-    if not acquisition_s < math.inf:
+    approx = top / top_rate if 0 < top_rate < math.inf else math.nan
+    if not approx < math.inf:
         raise ValueError(f"tally CSV rate_per_s {top_rate!r} of {top} counts gives no finite, positive acquisition")
+    up, down = math.nextafter(approx, math.inf), math.nextafter(approx, 0)
+    near = (approx, up, down, math.nextafter(up, math.inf), math.nextafter(down, 0))
+    acquisition_s = next((t for t in near if t > 0 and all(count / t == rate for count, rate in rows.values())), approx)
     for name, (count, rate) in rows.items():
         if not abs(rate - count / acquisition_s) <= 1e-12 * (count / acquisition_s):
             raise ValueError(f"tally CSV rows disagree on the acquisition: {name} has rate_per_s {rate!r}")

@@ -20,12 +20,14 @@ so the output is the same for any block size.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .photon_source import COUNT_DTYPE, draw_blocks, photon_numbers
+from .photon_source import COUNT_DTYPE, check_rules, draw_blocks, photon_numbers
 
 
 class Detector(enum.IntEnum):
@@ -48,11 +50,12 @@ _LABELS = {
     Detector.B2: "B''",
 }
 
-LABEL_TO_DETECTOR = {label: det for det, label in _LABELS.items()}
-
 # numpy's Generator.poisson rejects larger means ("lam value too large"); the
 # mean number of dark clicks per detector, dark_rate * duration, must not exceed it
 MAX_DARK_MEAN = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+# picosecond values stay below 2^53, where float64 arithmetic on them is exact
+MAX_PS = 2**53
 
 
 @dataclass(frozen=True)
@@ -62,15 +65,15 @@ class DetectorConfig:
     jitter_sigma_ps: float = 350.0
     dark_rate: float = 27.0  # counts per second per detector
 
+    rules: ClassVar[dict] = {
+        "efficiency": lambda v: 0 <= v <= 1 or "must be in [0, 1]",
+        "dead_time_ps": lambda v: 0 <= v < MAX_PS or "must be in [0, 2^53)",
+        "jitter_sigma_ps": lambda v: 0 <= v < MAX_PS or "must be in [0, 2^53)",
+        "dark_rate": lambda v: 0 <= v < math.inf or "must be finite and >= 0",
+    }
+
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
-        if self.dead_time_ps < 0:
-            raise ValueError("dead_time_ps must be >= 0")
-        if self.jitter_sigma_ps < 0:
-            raise ValueError("jitter_sigma_ps must be >= 0")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be >= 0")
+        check_rules(self, self.rules)
 
 
 def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,22 +64,40 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def check_rules(config, rules: dict, joint=()) -> None:
+    """Raise one ValueError that names every field of config breaking its rule.
+
+    rules maps a field to a check, value -> True or the reason the value is
+    refused; the CLI applies the same checks to its keys. The joint checks,
+    config -> True or a reason, run only once every field has passed its own.
+    """
+    failed = [f"{name}: {why}" for name, rule in rules.items() if (why := rule(getattr(config, name))) is not True]
+    if not failed:
+        failed = [why for rule in joint if (why := rule(config)) is not True]
+    if failed:
+        raise ValueError("; ".join(failed))
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     mean_photon_number: float
     slot_rate: float  # slots per second
-    duration: float  # seconds
+    duration: float  # seconds, at least the 1 ps timestamp resolution
     seed: int
 
+    rules: ClassVar[dict] = {
+        "mean_photon_number": (
+            lambda v: 0 <= v <= MAX_MEAN_PHOTON_NUMBER or f"must be in [0, {MAX_MEAN_PHOTON_NUMBER:.1f}]"
+        ),
+        "slot_rate": lambda v: 0 < v < math.inf or "must be finite and > 0",
+        "duration": lambda v: 1e-12 <= v < math.inf or "must be finite and >= 1e-12",
+        "seed": lambda v: v >= 0 or "must be >= 0",
+    }
+
     def __post_init__(self):
-        if not 0 <= self.mean_photon_number <= MAX_MEAN_PHOTON_NUMBER:
-            raise ValueError(f"mean_photon_number must be in [0, {MAX_MEAN_PHOTON_NUMBER:.1f}]")
-        if self.slot_rate <= 0:
-            raise ValueError("slot_rate must be > 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_rules(self, self.rules, [
+            lambda c: c.duration * c.slot_rate <= MAX_SLOTS or "acquisition_s * slot_rate must not exceed 2^53 slots"
+        ])
 
 
 def draw_blocks(size: int) -> list[slice]:
@@ -107,11 +126,8 @@ def photon_numbers(n) -> np.ndarray:
 
 
 def slot_count(config: SourceConfig) -> int:
-    """floor(duration * slot_rate), with an explicit overflow failure."""
-    product = config.duration * config.slot_rate
-    if not math.isfinite(product) or product > MAX_SLOTS:
-        raise OverflowError(f"slot count {product!r} overflows the exact integer range")
-    return int(math.floor(product))
+    """floor(duration * slot_rate), at most MAX_SLOTS (SourceConfig checks it)."""
+    return math.floor(config.duration * config.slot_rate)
 
 
 def num_chunks(config: SourceConfig) -> int:

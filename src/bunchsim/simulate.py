@@ -26,8 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from .coincidence_unit import CcuConfig, TallyTable, accumulate
 from .detector_bank import (
+    MAX_DARK_MEAN,
+    MAX_PS,
     Detector,
     DetectorConfig,
     apply_dead_time,
@@ -40,16 +43,13 @@ from .photon_source import (
     STREAM_DETECT,
     STREAM_ROUTING,
     SourceConfig,
+    check_rules,
     num_chunks,
     occupied_slots,
     slot_count,
     substream,
 )
 from .routing_models import RoutingModel, phase_basis_fallback_count, route_counts
-
-
-# Slot times are computed in float64 and are exact integers only below 2^53 ps.
-_MAX_DURATION_PS = 2**53
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,15 @@ class SimConfig:
     window_ps: int
 
     def __post_init__(self):
-        # compared as a float, so that a duration beyond the int range is
-        # rejected too; round(x) >= 2^53 exactly when x >= 2^53
-        if self.source.duration * 1e12 >= _MAX_DURATION_PS:
-            raise ValueError(
-                f"stream of {self.source.duration} s reaches 2^53 ps, beyond which "
-                "slot times are not exact"
-            )
-        self.ccu  # CcuConfig checks the window
+        # slot times are computed in float64 and are exact integers only below
+        # 2^53 ps; the duration is compared as a float, so that one beyond the
+        # int range is rejected too, and round(x) >= 2^53 exactly when x >= 2^53
+        check_rules(self, {"window_ps": CcuConfig.rules["window_ps"]}, [
+            lambda c: c.source.duration * 1e12 < MAX_PS
+            or f"stream of {c.source.duration} s reaches 2^53 ps, beyond which slot times are not exact",
+            lambda c: c.detectors.dark_rate * c.source.duration <= MAX_DARK_MEAN
+            or f"dark_rate * acquisition_s must not exceed {MAX_DARK_MEAN:.4g}",
+        ])
 
     @property
     def ccu(self) -> CcuConfig:
@@ -174,6 +175,7 @@ def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dic
             "config": config_metadata(config),
             "slots": slot_count(src),
             "phase_basis_fallback_slots": int(fallback_slots[m]),
+            "version": __version__,
         }
         runs.append((streams, metadata))
     return runs

@@ -28,6 +28,7 @@ from .coincidence_unit import (
     PAIR_KEYS,
     SAME_SIDE_PAIRS,
     TRIPLE_KEYS,
+    CcuConfig,
     TallyTable,
     counter_name,
     counter_values,
@@ -36,7 +37,6 @@ from .detector_bank import Detector
 from .routing_models import RoutingModel
 
 NBAR_SMALL_LIMIT = 0.1
-DEFAULT_WINDOW_PS = 5_000
 
 
 # --- reference measurement blocks -------------------------------------------
@@ -167,7 +167,7 @@ def predicted_rates(
     slot_rate: float,
     efficiency: float,
     dark_rate: float,
-    window_ps: int = DEFAULT_WINDOW_PS,
+    window_ps: int = CcuConfig.window_ps,
     exact: bool = False,
 ) -> RatePrediction:
     """Closed-form rates for every counter.
@@ -340,31 +340,21 @@ def equal_ratio_chisquare(counts) -> tuple[float, float]:
 
 MIN_COUNTS_FOR_FIT = 10
 
-_SCALING_CONFIG_KEYS = (
-    "model",
-    "slot_rate",
-    "efficiency",
-    "dark_rate",
-    "dead_time_ps",
-    "jitter_sigma_ps",
-    "window_ps",
-    "acquisition_s",
-)
-
 
 def scaling_check(tally_low: TallyTable, tally_high: TallyTable) -> dict[str, float]:
     """Fit counter-class scaling exponents between two mean photon numbers.
 
     exponent = ln(rate_high / rate_low) / ln(nbar_high / nbar_low) per class,
     computed on class means over counters with at least 10 counts in both
-    tallies. Expected: singles 1, pairs 2, triples 3.
+    tallies. Expected: singles 1, pairs 2, triples 3. Every key of the two
+    config echoes but mean_photon_number and seed must agree.
     """
     cfg_low = tally_low.metadata.get("config")
     cfg_high = tally_high.metadata.get("config")
     if not cfg_low or not cfg_high:
         raise ValueError("tallies need config metadata for a scaling fit")
-    for key in _SCALING_CONFIG_KEYS:
-        if cfg_low.get(key) != cfg_high.get(key):
+    for key in dict.fromkeys([*cfg_low, *cfg_high]):  # the echo's own order
+        if key not in ("mean_photon_number", "seed") and cfg_low.get(key) != cfg_high.get(key):
             raise ValueError(f"tallies differ in {key}; only mean_photon_number may change")
     n_low = cfg_low["mean_photon_number"]
     n_high = cfg_high["mean_photon_number"]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bunchsim.detector_bank import LABEL_TO_DETECTOR, Detector, click_probability
+from bunchsim.detector_bank import Detector, click_probability
 from bunchsim.photon_source import (
     CHUNK_SLOTS,
     STREAM_SOURCE,
@@ -109,6 +109,7 @@ def streams_from_events(events) -> dict[Detector, np.ndarray]:
 
 
 RECORD = struct.Struct("<BQ")
+LABEL_TO_DETECTOR = {det.label: det for det in Detector}
 
 
 def write_events(path, events_by_detector: dict, fmt: str) -> None:

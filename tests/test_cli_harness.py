@@ -34,13 +34,15 @@ from bunchsim.coincidence_unit import (
     PAIR_KEYS,
     SAME_SIDE_PAIRS,
     TRIPLE_KEYS,
+    CcuConfig,
     TallyTable,
     counter_name,
     tally_to_csv,
 )
-from bunchsim.detector_bank import Detector, read_events
-from bunchsim.photon_source import MAX_MEAN_PHOTON_NUMBER
-from bunchsim.simulate import simulate_streams
+from bunchsim.detector_bank import Detector, DetectorConfig, read_events
+from bunchsim.photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
+from bunchsim.routing_models import RoutingModel
+from bunchsim.simulate import SimConfig, simulate, simulate_streams
 from bunchsim.statistics import REFERENCE_BLOCKS, calibrate
 
 MINIMAL = "model = classical\nmean_photon_number = 0.02\nseed = 7\n"
@@ -211,8 +213,11 @@ def test_compare_rejects_bad_model_lists(tmp_path):
 
 
 def test_engine_rejections_are_config_errors(tmp_path):
-    # SimConfig's own checks (here the 2^53 ps stream limit) that parse_config does not repeat
-    cfg = quick_config(tmp_path, slot_rate=1.0, acquisition_s=1e4)
+    # SimConfig's own checks (here the 2^53 ps stream limit): parse_config reports
+    # them, and so does a run of a config built by hand
+    with pytest.raises(ConfigError, match="2\\^53 ps"):
+        quick_config(tmp_path, slot_rate=1.0, acquisition_s=1e4)
+    cfg = dataclasses.replace(quick_config(tmp_path, slot_rate=1.0), acquisition_s=1e4)
     with pytest.raises(ConfigError, match="2\\^53 ps"):
         run_experiment(cfg)
     with pytest.raises(ConfigError, match="2\\^53 ps"):
@@ -244,6 +249,97 @@ def test_sim_config_rejects_durations_of_2_pow_53_ps(tmp_path):
     assert with_duration(9e3).ccu.acquisition_s == 9e3
     with pytest.raises(ValueError, match="2\\^53 ps"):
         with_duration(1e4)
+
+
+def sim_config(source=None, detectors=None):
+    """A valid SimConfig with some of its source or detector fields replaced."""
+    source = {"mean_photon_number": 0.02, "slot_rate": 1e6, "duration": 1.0, "seed": 1, **(source or {})}
+    detectors = {"efficiency": 0.5, **(detectors or {})}
+    return SimConfig(SourceConfig(**source), DetectorConfig(**detectors), RoutingModel.CLASSICAL, window_ps=5_000)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: sim_config(detectors={"jitter_sigma_ps": math.nan}), "jitter_sigma_ps"),
+        (lambda: sim_config(detectors={"jitter_sigma_ps": math.inf}), "jitter_sigma_ps"),
+        (lambda: sim_config(source={"slot_rate": math.inf}), "slot_rate"),
+        (lambda: sim_config(source={"slot_rate": math.nan}), "slot_rate"),
+        (lambda: sim_config(source={"duration": math.nan}), "duration"),
+        (lambda: sim_config(detectors={"dark_rate": 1e300}), "dark_rate"),
+        (lambda: sim_config(source={"duration": 1e-13}), "duration"),
+        (lambda: sim_config(detectors={"dead_time_ps": 2**70}), "dead_time_ps"),
+        (lambda: CcuConfig(window_ps=5_000, acquisition_s=math.nan), "acquisition_s"),
+    ],
+)
+def test_engine_configs_reject_what_the_cli_rejects(build, field):
+    # each of these once ran wrong (nan jitter simulated none) or failed deep in the engine
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_engine_config_names_every_field_that_fails():
+    with pytest.raises(ValueError) as excinfo:
+        SourceConfig(mean_photon_number=-1.0, slot_rate=math.nan, duration=math.inf, seed=-1)
+    assert [part.split(":")[0] for part in str(excinfo.value).split("; ")] == list(SourceConfig.rules)
+
+
+# every key but output_dir and events_format, which only the CLI reads
+ENGINE_KEYS = [key for key in _CONFIG_FIELDS if key not in ("output_dir", "events_format")]
+ENGINE_PROBES = [math.nan, math.inf, -math.inf, -1, -0.0, 0, 5e-324, 1e-13, 1e300, 2**53, 2**70]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.sampled_from(ENGINE_KEYS),
+    value=st.one_of(
+        st.sampled_from(ENGINE_PROBES),
+        st.sampled_from(["classical", "phase-basis", "bunching"]),
+        st.floats(0, 2),
+        st.floats(0, 1e8),
+        st.integers(0, 10**6),
+    ),
+)
+def test_parse_config_accepts_exactly_what_the_engine_accepts(key, value):
+    base = parse_config(MINIMAL)
+    try:
+        parse_config(MINIMAL, {key: value})
+    except ConfigError:
+        accepted = False
+    else:
+        accepted = True
+    try:
+        converted = _CONFIG_FIELDS[key][0](value)
+    except (ValueError, OverflowError):  # unreadable, so parse_config must refuse it
+        assert not accepted
+        return
+    try:
+        dataclasses.replace(base, **{key: converted}).sim_config()
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted
+
+
+def test_joint_rules_wait_for_their_values_own_rules(capsys):
+    # predict too builds the engine config, so it meets the 2^53 ps stream limit
+    assert main(["predict", "--model", "classical", "--mean-photon-number", "0.02", "--acquisition-s", "1e4"]) == 1
+    assert "reaches 2^53 ps" in capsys.readouterr().err
+    # dark_rate * acquisition_s is checked only once efficiency passes its own rule
+    flags = ["--model", "classical", "--mean-photon-number", "0.02", "--dark-rate", "1e300"]
+    assert main(["predict", *flags, "--efficiency", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "efficiency: must be in [0, 1]" in err and "dark_rate" not in err
+    assert main(["predict", *flags]) == 1
+    assert "dark_rate * acquisition_s must not exceed" in capsys.readouterr().err
+
+
+def test_simulate_carries_the_run_json_metadata(tmp_path):
+    cfg = quick_config(tmp_path, acquisition_s=0.05)
+    run_experiment(cfg)
+    report = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert report["metadata"]["version"] == bunchsim.__version__
+    assert simulate(cfg.sim_config()).metadata == report["metadata"]
 
 
 def test_every_name_in_all_resolves():

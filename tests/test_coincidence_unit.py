@@ -347,6 +347,20 @@ def test_csv_reads_the_acquisition_from_the_rates(counts, acquisition):
     assert (back.singles, back.pairs, back.triples) == (tally.singles, tally.pairs, tally.triples)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 10**6), min_size=14, max_size=14).filter(any),
+    acquisition=st.floats(1e-3, 10),
+)
+def test_csv_prints_back_to_the_same_bytes(counts, acquisition):
+    # count / rate_per_s alone is an ulp off the acquisition for about one tally in ten
+    tally = TallyTable(singles={}, pairs={}, triples={}, acquisition_s=acquisition)
+    for count, (_, group, key) in zip(counts, COUNTERS):
+        getattr(tally, group)[key] = count
+    text = tally_to_csv(tally)
+    assert tally_to_csv(tally_from_csv(text)) == text
+
+
 def with_rate(lines, row, rate):
     """The CSV of lines with the rate_per_s of one row replaced."""
     name, count, _ = lines[row].split(",")

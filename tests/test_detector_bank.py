@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from bunchsim.detector_bank import (
     Detector,

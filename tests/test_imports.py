@@ -1,8 +1,9 @@
-"""Module-level imports of the library that nothing in the module reads.
+"""Module-level imports that nothing in the module reads.
 
-No linter ships with the test dependencies, so this parses each module with
-ast: a name that a top-level import binds must appear somewhere in the
-module as a name. `__init__.py` is skipped, since it imports to re-export.
+No linter ships with the test dependencies, so this parses each module of
+the library, the tests and the demos with ast: a name that a top-level import
+binds must appear somewhere in the module as a name. `__init__.py` is skipped,
+since it imports to re-export.
 """
 
 import ast
@@ -10,8 +11,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bunchsim"
-MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bunchsim"
+MODULES = sorted(
+    path
+    for folder in (SRC, ROOT / "tests", ROOT / "demos")
+    for path in folder.glob("*.py")
+    if path.name != "__init__.py"
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +38,10 @@ def test_unused_import_check_sees_every_binding():
     assert unused_imports(source) == ["d", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def module_id(path: Path) -> str:
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -437,6 +437,19 @@ def test_scaling_check_rejects_mismatched_configs():
         scaling_check(low, TallyTable({}, {}, {}, 1.0))
 
 
+def test_scaling_check_names_the_first_key_that_differs_in_echo_order():
+    low = tally_with_config(0.02, 50_000, 500, 40)
+    high = tally_with_config(0.04, 100_000, 2_000, 320)
+    high.metadata["config"]["seed"] = 2  # a new seed is allowed
+    assert scaling_check(low, high)["pairs"] == pytest.approx(2.0, abs=1e-12)
+    high.metadata["config"].update(window_ps=9_999, slot_rate=2e7, note="extra")
+    with pytest.raises(ValueError, match="differ in slot_rate"):
+        scaling_check(low, high)
+    high.metadata["config"].update(window_ps=5_000, slot_rate=1e7)
+    with pytest.raises(ValueError, match="differ in note"):
+        scaling_check(low, high)
+
+
 # --- Monte Carlo agreement ------------------------------------------------------
 
 
