@@ -171,7 +171,7 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
                 continue
             values[key] = default
         verdict = rule(values[key])
-        if verdict is not True:
+        if isinstance(verdict, str):
             violations.append(f"{key}: {verdict}")
     if violations:
         raise ConfigError(violations)

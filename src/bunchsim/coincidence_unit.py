@@ -25,7 +25,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .detector_bank import MAX_PS, Detector
-from .photon_source import check_rules
+from .photon_source import check_rules, integral
 
 PAIR_KEYS = tuple(itertools.combinations(Detector, 2))
 TRIPLE_KEYS = tuple(itertools.combinations(Detector, 3))
@@ -47,7 +47,7 @@ class CcuConfig:
     acquisition_s: float = 1.0
 
     rules: ClassVar[dict] = {
-        "window_ps": lambda v: 0 < v < MAX_PS or "must be in (0, 2^53)",
+        "window_ps": integral(lambda v: 0 < v < MAX_PS or "must be in (0, 2^53)"),
         "acquisition_s": lambda v: 0 < v < math.inf or "must be finite and > 0",
     }
 

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .photon_source import COUNT_DTYPE, check_rules, draw_blocks, photon_numbers
+from .photon_source import COUNT_DTYPE, check_rules, draw_blocks, integral, photon_numbers
 
 
 class Detector(enum.IntEnum):
@@ -67,7 +67,7 @@ class DetectorConfig:
 
     rules: ClassVar[dict] = {
         "efficiency": lambda v: 0 <= v <= 1 or "must be in [0, 1]",
-        "dead_time_ps": lambda v: 0 <= v < MAX_PS or "must be in [0, 2^53)",
+        "dead_time_ps": integral(lambda v: 0 <= v < MAX_PS or "must be in [0, 2^53)"),
         "jitter_sigma_ps": lambda v: 0 <= v < MAX_PS or "must be in [0, 2^53)",
         "dark_rate": lambda v: 0 <= v < math.inf or "must be finite and >= 0",
     }

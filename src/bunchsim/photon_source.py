@@ -20,11 +20,13 @@ workers reproduces the serial stream exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 # Canonical chunk length in slots. Changing this constant changes which
 # substream each slot draws from, i.e. the realisations for a given seed.
@@ -58,10 +60,10 @@ MAX_COUNT = int(np.iinfo(COUNT_DTYPE).max)
 _SCAN_BLOCK = 1 << 16
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> Generator:
     """Independent generator derived from (seed, path), stable across runs."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    return Generator(Philox(ss))
 
 
 def check_rules(config, rules: dict, joint=()) -> None:
@@ -70,12 +72,18 @@ def check_rules(config, rules: dict, joint=()) -> None:
     rules maps a field to a check, value -> True or the reason the value is
     refused; the CLI applies the same checks to its keys. The joint checks,
     config -> True or a reason, run only once every field has passed its own.
+    Only a reason string fails, so a numpy scalar's np.True_ passes.
     """
-    failed = [f"{name}: {why}" for name, rule in rules.items() if (why := rule(getattr(config, name))) is not True]
+    failed = [f"{name}: {why}" for name, rule in rules.items() if isinstance(why := rule(getattr(config, name)), str)]
     if not failed:
-        failed = [why for rule in joint if (why := rule(config)) is not True]
+        failed = [why for rule in joint if isinstance(why := rule(config), str)]
     if failed:
         raise ValueError("; ".join(failed))
+
+
+def integral(rule):
+    """The range rule of an integer field, after refusing any non-integer such as 2.5 or inf."""
+    return lambda v: rule(v) if isinstance(v, numbers.Integral) else "must be an integer"
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class SourceConfig:
         ),
         "slot_rate": lambda v: 0 < v < math.inf or "must be finite and > 0",
         "duration": lambda v: 1e-12 <= v < math.inf or "must be finite and >= 1e-12",
-        "seed": lambda v: v >= 0 or "must be >= 0",
+        "seed": integral(lambda v: v >= 0 or "must be >= 0"),
     }
 
     def __post_init__(self):

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _special
 
 from .coincidence_unit import (
     CROSS_SIDE_PAIRS,
@@ -325,15 +324,43 @@ def g2_zero(tally: TallyTable, slot_rate: float) -> CorrelationResult:
     )
 
 
+def chi_square_tail(k: int, x: float) -> float:
+    """P(chi-square with k degrees of freedom >= x), k a positive integer.
+
+    Q(k/2, x/2) is a finite sum for integer k (Abramowitz & Stegun 26.4.4
+    and 26.4.5), with h = x/2:
+
+        even k    e^-h * sum_{j < k/2} h^j / j!
+        odd k     erfc(sqrt h) + e^-h * sum_{j < (k-1)/2} h^(j+1/2) / Gamma(j+3/2)
+
+    Each term is the one before it times h / (j + 1) or h / (j + 3/2), so a
+    large h underflows e^-h to 0 and no h^j can overflow into inf * 0.
+    """
+    h = x / 2
+    if h == math.inf:  # e^-h * h would be 0 * inf
+        return 0.0
+    if k % 2:  # the sum starts at h^(1/2) / Gamma(3/2), and Gamma(3/2) = sqrt(pi) / 2
+        q, offset = math.erfc(math.sqrt(h)), 1.5
+        term = math.exp(-h) * math.sqrt(h) * (2 / math.sqrt(math.pi))
+    else:
+        q, offset = 0.0, 1.0
+        term = math.exp(-h)
+    for j in range(k // 2):
+        q += term
+        term *= h / (j + offset)
+    return q
+
+
 def equal_ratio_chisquare(counts) -> tuple[float, float]:
     """Chi-square statistic and p-value against 'all counters equal'."""
     obs = np.asarray(list(counts), dtype=float)
     if obs.size < 2 or obs.sum() == 0:
         raise ValueError("need at least two counters with events")
-    # scipy.stats.chisquare's own arithmetic, without importing scipy.stats
+    # scipy.stats.chisquare's statistic, bit for bit; its p-value to within
+    # rounding, from the closed-form tail in place of scipy's incomplete gamma
     expected = np.mean(obs, keepdims=True)
-    stat = np.sum((obs - expected) ** 2 / expected)
-    return float(stat), float(_special.chdtrc(obs.size - 1.0, stat))
+    stat = float(np.sum((obs - expected) ** 2 / expected))
+    return stat, chi_square_tail(obs.size - 1, stat)
 
 
 # --- scaling ------------------------------------------------------------------

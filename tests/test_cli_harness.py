@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,40 @@ def test_engine_configs_reject_what_the_cli_rejects(build, field):
         build()
 
 
+# a non-integer seed, dead time or window once passed: inf failed deep in the
+# engine, and window 0.5 counted with int(0.5) = 0 ps while echoing 0.5
+NON_INTEGERS = [0.5, 2.5, 1.0, math.inf, math.nan]
+
+
+def test_seed_must_be_an_integer():
+    for seed in NON_INTEGERS:
+        with pytest.raises(ValueError, match="^seed: must be an integer$"):
+            sim_config(source={"seed": seed})
+    with pytest.raises(ValueError, match="^seed: must be >= 0$"):
+        sim_config(source={"seed": -1})
+    assert sim_config(source={"seed": np.uint64(2**63)}).source.seed == 2**63
+
+
+def test_dead_time_must_be_an_integer():
+    for dead_time in NON_INTEGERS:
+        with pytest.raises(ValueError, match="^dead_time_ps: must be an integer$"):
+            sim_config(detectors={"dead_time_ps": dead_time})
+    with pytest.raises(ValueError, match=r"^dead_time_ps: must be in \[0, 2\^53\)$"):
+        sim_config(detectors={"dead_time_ps": -1})
+    assert sim_config(detectors={"dead_time_ps": np.int32(0)}).detectors.dead_time_ps == 0
+
+
+def test_window_must_be_an_integer():
+    for window in NON_INTEGERS:
+        with pytest.raises(ValueError, match="^window_ps: must be an integer$"):
+            CcuConfig(window_ps=window)
+        with pytest.raises(ValueError, match="^window_ps: must be an integer$"):
+            dataclasses.replace(sim_config(), window_ps=window)
+    with pytest.raises(ValueError, match=r"^window_ps: must be in \(0, 2\^53\)$"):
+        dataclasses.replace(sim_config(), window_ps=0)
+    assert dataclasses.replace(sim_config(), window_ps=np.int64(1)).ccu.window_ps == 1
+
+
 def test_engine_config_names_every_field_that_fails():
     with pytest.raises(ValueError) as excinfo:
         SourceConfig(mean_photon_number=-1.0, slot_rate=math.nan, duration=math.inf, seed=-1)
@@ -348,18 +383,34 @@ def test_every_name_in_all_resolves():
     assert not missing
 
 
-def test_setup_does_not_import_scipy_stats():
-    # scipy.stats costs about a second and ~45 MB to import; setup must not load it
+def test_no_command_imports_scipy(tmp_path):
+    # scipy.special alone roughly doubled process start; no command may load any of scipy
     src = str(Path(bunchsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    short = ["--mean-photon-number", "0.02", "--seed", "3", "--slot-rate", "1e6", "--acquisition-s", "0.05", "--quiet"]
+    commands = {
+        "predict": ["predict", "--model", "classical", "--mean-photon-number", "0.02"],
+        "run": ["run", "--model", "classical", *short, "--output-dir", str(tmp_path / "run")],
+        "compare": ["compare", "--models", "classical,bunching", "--workers", "1", *short,
+                    "--output-dir", str(tmp_path / "compare")],
+        "calibrate": ["calibrate"],
+    }
     code = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         "import bunchsim.cli_harness as cli\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         f"cli.parse_config({MINIMAL!r})\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "seen = {'parse_config': scipy_loaded()}\n"
+        f"for name, argv in {commands!r}.items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, name\n"
+        "    seen[name] = scipy_loaded()\n"
+        "print(json.dumps(seen))\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert json.loads(result.stdout) == {step: [] for step in ["parse_config", *commands]}
+    assert (tmp_path / "run" / "analysis.csv").exists() and (tmp_path / "compare" / "comparison.csv").exists()
 
 
 # --- entry point ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from bunchsim.statistics import (
     accidental_pair_rate,
     bunching_fraction,
     calibrate,
+    chi_square_tail,
     click_pattern_table,
     equal_ratio_chisquare,
     g2_zero,
@@ -363,9 +365,45 @@ def test_equal_ratio_chisquare():
 
 
 @given(st.lists(st.integers(0, 10**7), min_size=2, max_size=8).filter(any))
-def test_equal_ratio_chisquare_equals_scipy_stats(counts):
-    reference = stats.chisquare(np.asarray(counts, dtype=float))
-    assert equal_ratio_chisquare(counts) == (float(reference.statistic), float(reference.pvalue))
+def test_equal_ratio_chisquare_statistic_equals_scipy_stats(counts):
+    stat, p = equal_ratio_chisquare(counts)
+    assert stat == float(stats.chisquare(np.asarray(counts, dtype=float)).statistic)
+    assert p == chi_square_tail(len(counts) - 1, stat)
+
+
+def chi_square_tail_bound(x):
+    # Q at k = 1 is erfc(sqrt(x/2)), whose relative condition number grows
+    # like x/2: rounding x alone moves it by ~(x/2) ulp, so a fixed bound
+    # cannot hold there. scipy's chdtrc errs by 8.7e-14 at x = 1400, within
+    # this bound, and by 2.9e-14 at x = 2.1, beyond it.
+    return 8 * (1 + x / 2) * 2.0**-52
+
+
+TAIL_POINTS = [0.0, 5e-324, 1e-300, 1e-10, 1e-3, 0.5, 1.0, 2.0, 3.5, 7.0, 13.0, 30.0, 100.0, 299.7, 640.0, 1000.5, 1399.9]
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_chi_square_tail_matches_mpmath(k):
+    points = TAIL_POINTS + list(np.random.default_rng(k).uniform(0, 1400, 200))
+    for x in points:
+        with mpmath.workdps(40):
+            exact = mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, regularized=True)
+            error = abs(mpmath.mpf(chi_square_tail(k, x)) - exact) / exact
+        assert error <= chi_square_tail_bound(x), (k, x, float(error))
+
+
+@given(k=st.integers(1, 13), x=st.floats(0, 1400), y=st.floats(0, 1400))
+def test_chi_square_tail_is_a_tail_probability(k, x, y):
+    assert chi_square_tail(k, 0.0) == 1.0
+    lo, hi = sorted((x, y))
+    q_lo, q_hi = chi_square_tail(k, lo), chi_square_tail(k, hi)
+    assert 0.0 <= q_hi and q_lo <= 1.0
+    # non-increasing in x, up to the rounding that the accuracy bound allows
+    assert q_hi <= q_lo * (1 + 2 * chi_square_tail_bound(hi))
+
+
+def test_chi_square_tail_of_an_infinite_statistic_is_zero():
+    assert [chi_square_tail(k, math.inf) for k in (1, 2, 3, 4)] == [0.0] * 4
 
 
 def test_accidental_formula():
