@@ -24,7 +24,6 @@ from .coincidence_unit import (
     REFERENCE_PAIRS,
     CcuConfig,
     TallyTable,
-    accumulate,
     tally_from_csv,
     tally_to_csv,
     tally_to_json,
@@ -212,18 +211,16 @@ def analysis_csv(tally: TallyTable, corr: CorrelationResult) -> str:
 def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress):
     """Simulate cfg under each named model in one shared pass and count each run.
 
-    Returns [(streams, tally)] in the order of models. The engine's config
-    checks raise ConfigError, for configs that parse_config did not build.
+    Returns [(streams, tally)] in the order of models; streams are kept only
+    when cfg asks for an event dump, and are None otherwise. The engine's
+    config checks raise ConfigError, for configs that parse_config did not
+    build.
     """
     try:
         sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
     except ValueError as err:
         raise ConfigError([str(err)]) from err
-    runs = simulate_streams(sims, workers=workers, progress=progress)
-    counted = []
-    for sim, (streams, metadata) in zip(sims, runs):
-        counted.append((streams, accumulate(streams, sim.ccu, metadata=metadata)))
-    return counted
+    return simulate_streams(sims, workers=workers, progress=progress, keep_streams=cfg.events_format != "none")
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):

@@ -112,7 +112,12 @@ def _with_neighbour(streams: dict, spread: int) -> np.ndarray:
     within `spread` ps; the dropped ones are alone in their cluster.
     """
     times = [streams[det] for det in Detector]
-    edges = np.unique(np.concatenate([t[::_MERGE_STEP] for t in times]))
+    # sorted and deduplicated by a neighbour comparison: np.unique would
+    # import numpy.ma on its first call
+    edges = np.sort(np.concatenate([t[::_MERGE_STEP] for t in times]))
+    first = np.ones(edges.size, dtype=bool)
+    first[1:] = edges[1:] != edges[:-1]
+    edges = edges[first]
     bounds = [np.append(np.searchsorted(t, edges), t.size) for t in times]
     limit = 4 * spread + 3
     kept, prev, prev_keep = [], None, None

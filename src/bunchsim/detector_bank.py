@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -146,8 +147,13 @@ def dark_events(config: DetectorConfig, duration_s: float, rng: np.random.Genera
     return out
 
 
-def apply_dead_time(times, dead_time_ps: int) -> np.ndarray:
+def apply_dead_time(times, dead_time_ps: int, last: int | None = None) -> np.ndarray:
     """Non-paralyzable dead-time filter on a sorted timestamp array.
+
+    last, if given, is the detector's last registered time before times[0].
+    The events less than dead_time_ps after it are suppressed, and the first
+    one after them is registered, so a stream filtered piece by piece with
+    this carry equals the stream filtered whole.
 
     A registered click blinds the detector for dead_time_ps; suppressed
     clicks do not extend the blind window. An event at least dead_time_ps
@@ -163,6 +169,8 @@ def apply_dead_time(times, dead_time_ps: int) -> np.ndarray:
     int64.
     """
     t = np.asarray(times, dtype=np.int64)
+    if last is not None:
+        t = t[np.searchsorted(t, last + dead_time_ps) :]
     keep = np.ones(t.size, dtype=bool)
     keep[1:] = np.diff(t) >= dead_time_ps
     cur = np.flatnonzero(keep[:-1] & ~keep[1:])
@@ -186,6 +194,8 @@ _RECORD = np.dtype([("det", "u1"), ("t", "<u8")])
 _TEXT_ROW = np.dtype([("label", "U4"), ("t", "<i8")])
 # events formatted per write call, which bounds the text writer's memory
 _TEXT_BLOCK = 1 << 16
+# binary records read at a time, which bounds the binary reader's memory
+_READ_BLOCK = 1 << 16
 
 
 def write_events(path, events_by_detector: dict, fmt: str = "text") -> None:
@@ -209,12 +219,48 @@ def write_events(path, events_by_detector: dict, fmt: str = "text") -> None:
                 records.tofile(fh)
 
 
-def _group_by_detector(ids: np.ndarray, times: np.ndarray, known, what: str) -> dict[Detector, np.ndarray]:
-    """Split events by detector, keeping file order; unknown ids are an error."""
-    out = {det: times[ids == key] for det, key in zip(Detector, known)}
-    if sum(t.size for t in out.values()) != ids.size:
-        bad = ids[~np.isin(ids, known)][0]
-        raise ValueError(f"unknown detector {what} {bad.item()!r} in event dump")
+def _group_by_label(labels: np.ndarray, times: np.ndarray) -> dict[Detector, np.ndarray]:
+    """Split text-dump events by detector, keeping file order; an unknown label is an error."""
+    out = {det: times[labels == det.label] for det in Detector}
+    if sum(t.size for t in out.values()) != labels.size:
+        bad = labels[~np.isin(labels, [det.label for det in Detector])][0]
+        raise ValueError(f"unknown detector label {bad.item()!r} in event dump")
+    return out
+
+
+def _record_blocks(fh):
+    """The binary dump's records, _READ_BLOCK at a time, from the start of the file."""
+    fh.seek(0)
+    while (block := np.fromfile(fh, dtype=_RECORD, count=_READ_BLOCK)).size:
+        yield block
+
+
+def _read_binary(path) -> dict[Detector, np.ndarray]:
+    """Two passes over record blocks: count and check, then fill.
+
+    Only one block of records is held at a time, beside the returned streams.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size % _RECORD.itemsize:
+            raise ValueError(f"binary event dump ends in a partial {_RECORD.itemsize}-byte record")
+        counts = np.zeros(256, dtype=np.int64)
+        top, unknown = 0, None
+        for block in _record_blocks(fh):
+            counts += np.bincount(block["det"], minlength=256)
+            top = max(top, int(block["t"].max()))
+            if unknown is None and block["det"].max() >= len(Detector):
+                unknown = int(block["det"][block["det"] >= len(Detector)][0])
+        if top > np.iinfo(np.int64).max:
+            raise ValueError("binary event dump holds a timestamp beyond the int64 range")
+        if unknown is not None:
+            raise ValueError(f"unknown detector id {unknown!r} in event dump")
+        out = {det: np.empty(counts[det], dtype=np.int64) for det in Detector}
+        filled = dict.fromkeys(Detector, 0)
+        for block in _record_blocks(fh):
+            for det in Detector:
+                times = block["t"][block["det"] == det]
+                out[det][filled[det] : filled[det] + times.size] = times
+                filled[det] += times.size
     return out
 
 
@@ -223,14 +269,7 @@ def read_events(path, fmt: str = "text") -> dict[Detector, np.ndarray]:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(path, dtype=_TEXT_ROW, delimiter="\t", comments=None, ndmin=1)
-        return _group_by_detector(rows["label"], rows["t"], [det.label for det in Detector], "label")
+        return _group_by_label(rows["label"], rows["t"])
     if fmt == "binary":
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) % _RECORD.itemsize:
-            raise ValueError(f"binary event dump ends in a partial {_RECORD.itemsize}-byte record")
-        records = np.frombuffer(data, dtype=_RECORD)
-        if records.size and records["t"].max() > np.iinfo(np.int64).max:
-            raise ValueError("binary event dump holds a timestamp beyond the int64 range")
-        return _group_by_detector(records["det"], records["t"].astype(np.int64), [int(det) for det in Detector], "id")
+        return _read_binary(path)
     raise ValueError(f"unknown event dump format {fmt!r}")

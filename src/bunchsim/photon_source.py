@@ -142,6 +142,11 @@ def num_chunks(config: SourceConfig) -> int:
     return -(-slot_count(config) // CHUNK_SLOTS)
 
 
+def chunk_start(chunk_index: int) -> int:
+    """Index of the first slot of a chunk."""
+    return chunk_index * CHUNK_SLOTS
+
+
 def poisson_cdf_table(mean: float) -> np.ndarray:
     """Cumulative Poisson probabilities truncated at double precision.
 
@@ -191,7 +196,7 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndar
     result independent of how chunks are distributed over workers.
     """
     total = slot_count(config)
-    start = chunk_index * CHUNK_SLOTS
+    start = chunk_start(chunk_index)
     if not 0 <= start < max(total, 1):
         raise IndexError(f"chunk {chunk_index} out of range")
     m = min(CHUNK_SLOTS, total - start)

@@ -3,9 +3,23 @@
 The stream is processed in fixed canonical chunks (photon_source.CHUNK_SLOTS)
 and every random draw comes from a substream keyed by (seed, purpose, chunk),
 so the result is byte-identical for any worker count and any chunk schedule.
-Worker processes only compute per-chunk candidate clicks; dark counts and the
-dead-time filter run once on the merged per-detector streams, because dead
-time couples events across chunk boundaries.
+Worker processes only compute per-chunk candidate clicks. The click side
+(merge with the darks, dead time, the cut at the acquisition end and
+counting) runs in the main process, chunk by chunk in schedule order, with
+carried state:
+
+- a candidate waits until it lies below the chunk's watermark, the nominal
+  time of the next chunk's first slot less the jitter's reach, so that no
+  later candidate can precede it; with a wide jitter it waits across
+  several chunks;
+- the darks are drawn once per model and join in the span they fall in;
+- dead time carries each detector's last registered time across the edge;
+- registered events are counted up to a gap of more than 2 * window in the
+  merged four-detector timeline, where a coincidence cluster is closed, and
+  the tallies of the pieces are added.
+
+So the run holds about one chunk's clicks at a time, not the acquisition's;
+the registered streams are kept whole only for an event dump.
 
 Per chunk the engine holds the occupied slots as int32 offsets and int16
 photon numbers, and per model one int16 port row and four int16 count rows.
@@ -21,13 +35,14 @@ same draws, and the same output, as it would alone.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
-from .coincidence_unit import CcuConfig, TallyTable, accumulate
+from . import __version__, coincidence_unit
+from .coincidence_unit import COUNTERS, PAIR_KEYS, TRIPLE_KEYS, CcuConfig, TallyTable
 from .detector_bank import (
     MAX_DARK_MEAN,
     MAX_PS,
@@ -44,6 +59,7 @@ from .photon_source import (
     STREAM_ROUTING,
     SourceConfig,
     check_rules,
+    chunk_start,
     num_chunks,
     occupied_slots,
     slot_count,
@@ -95,6 +111,15 @@ def config_metadata(config: SimConfig) -> dict:
     }
 
 
+def _slot_times(src: SourceConfig, slots: np.ndarray) -> np.ndarray:
+    """Nominal int64 ps times of int64 slot indices, rint(slot / slot_rate * 1e12).
+
+    Exact, because SimConfig caps the stream below 2^53 ps, and monotone in
+    the slot index.
+    """
+    return np.rint(slots / src.slot_rate * 1e12).astype(np.int64)
+
+
 def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
     """Candidate clicks and fallback slots of every model for one chunk.
 
@@ -106,9 +131,8 @@ def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
         return [({det: np.empty(0, dtype=np.int64) for det in Detector}, 0) for _ in models]
 
     def slot_time(idx):
-        # nominal slot centres, exact because SimConfig caps the duration below
-        # 2^53 ps; the int32 offsets are widened before start is added
-        return np.rint((start + occupied[idx].astype(np.int64)) / src.slot_rate * 1e12).astype(np.int64)
+        # the int32 offsets are widened before start is added
+        return _slot_times(src, start + occupied[idx].astype(np.int64))
 
     results = []
     for model in models:
@@ -121,12 +145,134 @@ def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
     return results
 
 
-def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dict, dict]]:
+# numpy's normal sampler (Generator.normal) is a 256-layer ziggurat. Outside
+# its tail it returns |x| < r = 3.6541528853610088, the base layer's edge. In
+# the tail it returns r + a, a = -log1p(-u1) / r, accepted only when
+# -2 * log1p(-u2) > a^2. Its uniforms are u = k * 2^-53 with k < 2^53, so
+# -log1p(-u) <= 53 ln 2 and a < sqrt(2 * 53 ln 2) = 8.572: no draw lies more
+# than 12.226 sigma from its mean. 12.3 sigma plus 2 ps also covers the float
+# sum with the slot time and the rounding to whole picoseconds; the clip at
+# t = 0 only moves a click later.
+_JITTER_REACH_SIGMAS = 12.3
+
+# the watermark of the last chunk, which releases every remaining event, and
+# one below every event
+_END = int(np.iinfo(np.int64).max)
+_START = int(np.iinfo(np.int64).min)
+
+
+def _watermarks(src: SourceConfig, detectors: DetectorConfig) -> list[int]:
+    """Per chunk, a time that no candidate click of a later chunk lies below.
+
+    The slot clock is monotone, so a later chunk's clicks lie at or after the
+    nominal time of the next chunk's first slot, less the jitter's reach.
+    """
+    reach = math.ceil(_JITTER_REACH_SIGMAS * detectors.jitter_sigma_ps) + 2
+    starts = np.array([chunk_start(i) for i in range(1, num_chunks(src))], dtype=np.int64)
+    return [int(t) - reach for t in _slot_times(src, starts)] + [_END]
+
+
+def _closed_edge(held: list, watermark: int, spread: int) -> int:
+    """A time c such that every held event below c lies more than spread
+    before every event at or above c, held or still to come (those all lie at
+    or above watermark): no coincidence cluster spans c.
+
+    Only the last 64 * (spread + 1) ps before the watermark are searched. If
+    they hold no such gap, c is below every event and nothing is counted yet.
+    """
+    lo = watermark - 64 * (spread + 1)
+    times = np.concatenate([t[np.searchsorted(t, lo) :] for t in held] + [[watermark]])
+    times.sort()
+    gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
+    return int(times[gaps[-1] + 1]) if gaps.size else _START
+
+
+class _ClickSide:
+    """Merge, dead time, cut and counting of one model's clicks, chunk by chunk.
+
+    Fed each chunk's candidate clicks in schedule order with the chunk's
+    watermark, the time no later candidate lies below. An event is released
+    to dead time once it lies below the watermark; before that it waits
+    with the candidates of the next chunks. Darks join the events in the
+    span of the watermark they fall under. Registered events are counted
+    up to a gap of more than 2 * window, where a coincidence cluster is
+    closed (coincidence_unit), and the tallies of the pieces are added.
+    Each event is released, filtered and counted exactly once and in time
+    order, so the result equals the whole-stream pass: merge, sort,
+    apply_dead_time, cut at the acquisition end and accumulate.
+    """
+
+    def __init__(self, dead_time_ps: int, ccu: CcuConfig, dark: dict, keep_streams: bool):
+        self.dead_time_ps = dead_time_ps
+        self.ccu = ccu
+        self.acq_ps = int(round(ccu.acquisition_s * 1e12))
+        self.spread = 2 * int(ccu.window_ps)
+        self.dark = dark
+        self.released_to = _START
+        empty = np.empty(0, dtype=np.int64)
+        self.pending = dict.fromkeys(Detector, empty)  # candidates at or above the watermark
+        self.last = dict.fromkeys(Detector)  # last registered time, for dead time
+        self.held = dict.fromkeys(Detector, empty)  # registered and not yet counted
+        self.counted = {det: [] for det in Detector} if keep_streams else None
+        self.counts = {
+            "singles": dict.fromkeys(Detector, 0),
+            "pairs": dict.fromkeys(PAIR_KEYS, 0),
+            "triples": dict.fromkeys(TRIPLE_KEYS, 0),
+        }
+
+    def feed(self, clicks: dict, watermark: int) -> None:
+        """Take one chunk's candidate clicks, popping them from clicks once merged."""
+        for det in Detector:
+            self._register(det, clicks, watermark)
+        self.released_to = watermark
+        held = [self.held[det] for det in Detector]
+        edge = _END if watermark == _END else _closed_edge(held, watermark, self.spread)
+        piece = {}
+        for det, t in zip(Detector, held):
+            k = np.searchsorted(t, edge)
+            piece[det], self.held[det] = t[:k], t[k:].copy()
+            if self.counted is not None:
+                self.counted[det].append(piece[det])
+        if any(t.size for t in piece.values()):
+            # through its module, the call site perfbench's tracer wraps for event replays
+            tally = coincidence_unit.accumulate(piece, self.ccu)
+            for _, group, key in COUNTERS:
+                self.counts[group][key] += getattr(tally, group)[key]
+
+    def _register(self, det: Detector, clicks: dict, watermark: int) -> None:
+        """Release det's events below watermark through dead time into held."""
+        lo, hi = np.searchsorted(self.dark[det], [self.released_to, watermark])
+        merged = np.concatenate([self.pending[det], clicks.pop(det), self.dark[det][lo:hi]])
+        merged.sort()
+        cut = np.searchsorted(merged, watermark)
+        self.pending[det] = merged[cut:].copy()
+        registered = apply_dead_time(merged[:cut], self.dead_time_ps, self.last[det])
+        if registered.size:
+            self.last[det] = int(registered[-1])
+        registered = registered[: np.searchsorted(registered, self.acq_ps)]
+        held = self.held[det]
+        self.held[det] = np.concatenate([held, registered]) if held.size else registered
+
+    def finish(self, metadata: dict) -> tuple[dict | None, TallyTable]:
+        """(registered streams if kept, else None; the tally) once every chunk is fed."""
+        streams = None
+        if self.counted is not None:
+            # a one-chunk run's stream is its one piece, not a copy of it
+            streams = {det: p[0] if len(p) == 1 else np.concatenate(p) for det, p in self.counted.items()}
+        return streams, TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
+
+
+def simulate_streams(
+    configs, workers: int = 1, progress=None, keep_streams: bool = False
+) -> list[tuple[dict | None, TallyTable]]:
     """Run the full pipeline for configs that differ only in their model.
 
-    Returns [(per-detector sorted streams, metadata)] in the order of configs.
-    Streams are dead-time filtered and cut to the acquisition [0, duration).
-    progress, if given, is called as progress(done_chunks, total_chunks).
+    Returns [(streams, tally)] in the order of configs. streams are the
+    per-detector registered streams, dead-time filtered and cut to the
+    acquisition [0, duration), when keep_streams is set, and None otherwise:
+    the clicks are merged, filtered and counted chunk by chunk, so without
+    it no more than a chunk's clicks are held at a time. progress, if given,
+    is called as progress(done_chunks, total_chunks).
     """
     configs = list(configs)
     if not configs:
@@ -139,14 +285,21 @@ def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dic
     chunks = num_chunks(src)
     models = [c.model for c in configs]
     tasks = [(src, detectors, models, i) for i in range(chunks)]
-    per_model = [{det: [] for det in Detector} for _ in configs]
+    watermarks = _watermarks(src, detectors)
+
+    def click_side():
+        # darks are few; drawing them per model from the same substream keeps one
+        # dark_events call per run, which perfbench's click accounting relies on
+        dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
+        return _ClickSide(detectors.dead_time_ps, base.ccu, dark, keep_streams)
+
+    sides = [click_side() for _ in configs]
     fallback_slots = [0] * len(configs)
 
     def consume(i, results):
         for m, (clicks, fallback) in enumerate(results):
             fallback_slots[m] += fallback
-            for det in Detector:
-                per_model[m][det].append(clicks[det])
+            sides[m].feed(clicks, watermarks[i])
         if progress is not None:
             progress(i + 1, chunks)
 
@@ -158,30 +311,19 @@ def simulate_streams(configs, workers: int = 1, progress=None) -> list[tuple[dic
         for i, task in enumerate(tasks):
             consume(i, _simulate_chunk(task))
 
-    acq_ps = int(round(src.duration * 1e12))
     runs = []
     for m, config in enumerate(configs):
-        # darks are few; drawing them per model from the same substream keeps one
-        # dark_events call per run, which perfbench's click accounting relies on
-        dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
-        streams = {}
-        for det in Detector:
-            merged = np.concatenate(per_model[m].pop(det) + [dark[det]])  # pop: drop merged candidates
-            merged.sort()
-            registered = apply_dead_time(merged, detectors.dead_time_ps)
-            # sorted, so the cut to the acquisition is a prefix view, not a copy
-            streams[det] = registered[: np.searchsorted(registered, acq_ps)]
         metadata = {
             "config": config_metadata(config),
             "slots": slot_count(src),
             "phase_basis_fallback_slots": int(fallback_slots[m]),
             "version": __version__,
         }
-        runs.append((streams, metadata))
+        runs.append(sides[m].finish(metadata))
     return runs
 
 
 def simulate(config: SimConfig, workers: int = 1, progress=None) -> TallyTable:
     """Simulate one acquisition and count every singles/pair/triple channel."""
-    [(streams, metadata)] = simulate_streams([config], workers=workers, progress=progress)
-    return accumulate(streams, config.ccu, metadata=metadata)
+    [(_, tally)] = simulate_streams([config], workers=workers, progress=progress)
+    return tally

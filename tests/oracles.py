@@ -5,8 +5,10 @@ routing, per-slot detection with a scalar dead-time check, grouping of
 interleaved (detector, time) events into streams, event dumps written and
 read one struct record or text line at a time, exact enumeration of each
 model's routing and detector occupancies for one n-photon slot, and the
-click-pattern table as a Poisson sum over those enumerations. traced_peak
-measures the memory the fast paths hold.
+click-pattern table as a Poisson sum over those enumerations, and the
+whole-stream click side that holds every click of an acquisition before it
+merges, filters or counts any. traced_peak measures the memory the fast
+paths hold.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bunchsim.detector_bank import Detector, click_probability
+from bunchsim.coincidence_unit import accumulate
+from bunchsim.detector_bank import Detector, apply_dead_time, click_probability, dark_events
 from bunchsim.photon_source import (
     CHUNK_SLOTS,
+    STREAM_DARK,
     STREAM_SOURCE,
     num_chunks,
     poisson_cdf_table,
@@ -28,6 +32,7 @@ from bunchsim.photon_source import (
     substream,
 )
 from bunchsim.routing_models import RoutingModel, route_counts
+from bunchsim.simulate import _simulate_chunk
 
 ENUM_MAX_N = 12
 
@@ -206,6 +211,39 @@ def enumerated_click_table(model: RoutingModel, mean_photon_number: float, effic
         p_pattern = np.where(fired, click, 1.0 - click).prod(axis=2)  # (occupancy, mask)
         table += weight * (np.array(list(outcomes.values())) @ p_pattern)
     return table.tolist()
+
+
+def whole_stream_click_side(chunk_clicks, dark: dict, dead_time_ps: int, ccu):
+    """(registered streams, tally) of every chunk's candidate clicks at once.
+
+    Per detector, all candidates and the darks are merged and sorted, filtered
+    for dead time in one pass and cut at the acquisition end; the four
+    streams are then counted by one accumulate call.
+    """
+    acq_ps = int(round(ccu.acquisition_s * 1e12))
+    streams = {}
+    for det in Detector:
+        merged = np.sort(np.concatenate([clicks[det] for clicks in chunk_clicks] + [dark[det]]))
+        registered = apply_dead_time(merged, dead_time_ps)
+        streams[det] = registered[: np.searchsorted(registered, acq_ps)]
+    return streams, accumulate(streams, ccu)
+
+
+def whole_stream_runs(configs) -> list[tuple[dict, object]]:
+    """[(streams, tally)] of simulate_streams(configs, keep_streams=True),
+    by the whole-stream click side over the same per-chunk candidates and darks."""
+    src, detectors = configs[0].source, configs[0].detectors
+    models = [config.model for config in configs]
+    chunks = [_simulate_chunk((src, detectors, models, i)) for i in range(num_chunks(src))]
+    return [
+        whole_stream_click_side(
+            [chunk[m][0] for chunk in chunks],
+            dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK)),
+            detectors.dead_time_ps,
+            config.ccu,
+        )
+        for m, config in enumerate(configs)
+    ]
 
 
 def traced_peak(fn, *args) -> int:

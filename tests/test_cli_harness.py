@@ -413,6 +413,24 @@ def test_no_command_imports_scipy(tmp_path):
     assert (tmp_path / "run" / "analysis.csv").exists() and (tmp_path / "compare" / "comparison.csv").exists()
 
 
+def test_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, 10-16 ms inside every timed run
+    src = str(Path(bunchsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["run", "--model", "classical", "--mean-photon-number", "0.02", "--seed", "3", "--slot-rate", "1e6",
+            "--acquisition-s", "0.05", "--quiet", "--output-dir", str(tmp_path)]
+    code = (
+        "import contextlib, io, sys\n"
+        "import bunchsim.cli_harness as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+    assert int((tmp_path / "tally.csv").read_text().splitlines()[1].split(",")[1]) > 0
+
+
 # --- entry point ---------------------------------------------------------------
 
 
