@@ -208,19 +208,19 @@ def analysis_csv(tally: TallyTable, corr: CorrelationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress):
+def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress, keep_streams: bool = False):
     """Simulate cfg under each named model in one shared pass and count each run.
 
-    Returns [(streams, tally)] in the order of models; streams are kept only
-    when cfg asks for an event dump, and are None otherwise. The engine's
-    config checks raise ConfigError, for configs that parse_config did not
-    build.
+    Returns [(streams, tally)] in the order of models; streams are the
+    registered streams when keep_streams is set, and None otherwise. The
+    engine's config checks raise ConfigError, for configs that parse_config
+    did not build.
     """
     try:
         sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
     except ValueError as err:
         raise ConfigError([str(err)]) from err
-    return simulate_streams(sims, workers=workers, progress=progress, keep_streams=cfg.events_format != "none")
+    return simulate_streams(sims, workers=workers, progress=progress, keep_streams=keep_streams)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
@@ -229,7 +229,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
     Returns (TallyTable, CorrelationResult). Outputs are deterministic for a
     fixed config and seed, whatever the worker count.
     """
-    [(streams, tally)] = _simulate_and_count(cfg, [cfg.model], workers, progress)
+    dump = cfg.events_format != "none"
+    [(streams, tally)] = _simulate_and_count(cfg, [cfg.model], workers, progress, keep_streams=dump)
     corr = g2_zero(tally, cfg.slot_rate)
 
     out = Path(cfg.output_dir)
@@ -237,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
     (out / "tally.csv").write_text(tally_to_csv(tally))
     (out / "analysis.csv").write_text(analysis_csv(tally, corr))
     (out / "run.json").write_text(tally_to_json(tally))
-    if cfg.events_format != "none":
+    if dump:
         suffix = "txt" if cfg.events_format == "text" else "bin"
         write_events(out / f"events.{suffix}", streams, fmt=cfg.events_format)
     return tally, corr

@@ -160,6 +160,21 @@ def _clusters(keys: np.ndarray, spread: int) -> _Clusters:
     return _Clusters(keys, cluster, clicks == 1, clicks > 0, only.reshape(4, n))
 
 
+def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
+    """A time c that no coincidence cluster spans, so the events below c can be
+    counted apart from those at or above it.
+
+    streams are sorted per-detector times below watermark, and every event
+    still to come lies at or above it. c follows the last gap > 2 * window,
+    the gap _clusters cuts at, of their merged timeline closed by watermark.
+    With no such gap, c is the first event and nothing lies below it.
+    """
+    times = np.concatenate([*streams, [watermark]])
+    times.sort(kind="stable")  # a merge of sorted runs
+    gaps = np.flatnonzero(times[1:] - times[:-1] > 2 * int(config.window_ps))
+    return int(times[gaps[-1] + 1] if gaps.size else times[0])
+
+
 def _greedy_pairs(x, y, window: int) -> int:
     i = j = c = 0
     nx, ny = len(x), len(y)

@@ -36,6 +36,7 @@ same draws, and the same output, as it would alone.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -159,32 +160,20 @@ _JITTER_REACH_SIGMAS = 12.3
 # one below every event
 _END = int(np.iinfo(np.int64).max)
 _START = int(np.iinfo(np.int64).min)
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _watermarks(src: SourceConfig, detectors: DetectorConfig) -> list[int]:
     """Per chunk, a time that no candidate click of a later chunk lies below.
 
     The slot clock is monotone, so a later chunk's clicks lie at or after the
-    nominal time of the next chunk's first slot, less the jitter's reach.
+    nominal time of the next chunk's first slot, less the jitter's reach. The
+    last chunk's is _END, so a one-chunk run counts (and keeps) its streams
+    in one piece.
     """
     reach = math.ceil(_JITTER_REACH_SIGMAS * detectors.jitter_sigma_ps) + 2
     starts = np.array([chunk_start(i) for i in range(1, num_chunks(src))], dtype=np.int64)
     return [int(t) - reach for t in _slot_times(src, starts)] + [_END]
-
-
-def _closed_edge(held: list, watermark: int, spread: int) -> int:
-    """A time c such that every held event below c lies more than spread
-    before every event at or above c, held or still to come (those all lie at
-    or above watermark): no coincidence cluster spans c.
-
-    Only the last 64 * (spread + 1) ps before the watermark are searched. If
-    they hold no such gap, c is below every event and nothing is counted yet.
-    """
-    lo = watermark - 64 * (spread + 1)
-    times = np.concatenate([t[np.searchsorted(t, lo) :] for t in held] + [[watermark]])
-    times.sort()
-    gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
-    return int(times[gaps[-1] + 1]) if gaps.size else _START
 
 
 class _ClickSide:
@@ -206,13 +195,11 @@ class _ClickSide:
         self.dead_time_ps = dead_time_ps
         self.ccu = ccu
         self.acq_ps = int(round(ccu.acquisition_s * 1e12))
-        self.spread = 2 * int(ccu.window_ps)
         self.dark = dark
         self.released_to = _START
-        empty = np.empty(0, dtype=np.int64)
-        self.pending = dict.fromkeys(Detector, empty)  # candidates at or above the watermark
+        self.pending = dict.fromkeys(Detector, _EMPTY)  # candidates at or above the watermark
         self.last = dict.fromkeys(Detector)  # last registered time, for dead time
-        self.held = dict.fromkeys(Detector, empty)  # registered and not yet counted
+        self.held = dict.fromkeys(Detector, _EMPTY)  # registered and not yet counted
         self.counted = {det: [] for det in Detector} if keep_streams else None
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
@@ -226,13 +213,15 @@ class _ClickSide:
             self._register(det, clicks, watermark)
         self.released_to = watermark
         held = [self.held[det] for det in Detector]
-        edge = _END if watermark == _END else _closed_edge(held, watermark, self.spread)
+        edge = _END if watermark == _END else coincidence_unit.closed_edge(held, watermark, self.ccu)
         piece = {}
         for det, t in zip(Detector, held):
-            k = np.searchsorted(t, edge)
-            piece[det], self.held[det] = t[:k], t[k:].copy()
-            if self.counted is not None:
-                self.counted[det].append(piece[det])
+            k = int(np.searchsorted(t, edge))
+            piece[det] = t[:k]
+            if k:
+                self.held[det] = t[k:].copy()
+                if self.counted is not None:
+                    self.counted[det].append(piece[det])
         if any(t.size for t in piece.values()):
             # through its module, the call site perfbench's tracer wraps for event replays
             tally = coincidence_unit.accumulate(piece, self.ccu)
@@ -254,11 +243,16 @@ class _ClickSide:
         self.held[det] = np.concatenate([held, registered]) if held.size else registered
 
     def finish(self, metadata: dict) -> tuple[dict | None, TallyTable]:
-        """(registered streams if kept, else None; the tally) once every chunk is fed."""
+        """(registered streams if kept, else None; the tally) once every chunk is fed.
+
+        Releases whatever is left at _END first: a run of no chunks still has
+        its darks.
+        """
+        self.feed(dict.fromkeys(Detector, _EMPTY), _END)
         streams = None
         if self.counted is not None:
             # a one-chunk run's stream is its one piece, not a copy of it
-            streams = {det: p[0] if len(p) == 1 else np.concatenate(p) for det, p in self.counted.items()}
+            streams = {det: p[0] if len(p) == 1 else np.concatenate([_EMPTY, *p]) for det, p in self.counted.items()}
         return streams, TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
 
 
@@ -304,8 +298,15 @@ def simulate_streams(
             progress(i + 1, chunks)
 
     if workers > 1 and chunks > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
-            for i, results in enumerate(pool.map(_simulate_chunk, tasks)):
+        workers = min(workers, chunks)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # at most 2 * workers chunks are submitted and not yet consumed, so
+            # results that wait for a slower click side stay bounded too
+            ahead = deque(pool.submit(_simulate_chunk, task) for task in tasks[: 2 * workers])
+            for i in range(chunks):
+                results = ahead.popleft().result()
+                if i + 2 * workers < chunks:
+                    ahead.append(pool.submit(_simulate_chunk, tasks[i + 2 * workers]))
                 consume(i, results)
     else:
         for i, task in enumerate(tasks):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -203,6 +204,23 @@ def test_compare_same_model_twice_gives_identical_columns(tmp_path):
     for row in text.splitlines()[1:15]:
         z = row.split(",")[3]
         assert z in ("", "0.0")
+
+
+def test_only_an_event_dump_keeps_the_streams(tmp_path, monkeypatch):
+    # compare writes no dump, so it keeps no streams whatever events_format says
+    module = importlib.import_module("bunchsim.cli_harness")
+    kept, real = [], module.simulate_streams
+
+    def spy(*args, **kwargs):
+        kept.append(kwargs["keep_streams"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "simulate_streams", spy)
+    cfg = quick_config(tmp_path, events_format="binary", acquisition_s=0.01)
+    compare_models(cfg, ["classical", "bunching"])
+    run_experiment(cfg)
+    run_experiment(dataclasses.replace(cfg, events_format="none"))
+    assert kept == [False, True, False]
 
 
 def test_compare_rejects_bad_model_lists(tmp_path):

@@ -8,6 +8,9 @@ every click of the acquisition at once; memory must follow the chunk, not
 the acquisition.
 """
 
+import importlib
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,9 +44,13 @@ def click_side_cases(draw):
     Chunk i has nominal times [edge_i, edge_i+1); its candidates are spread by
     up to reach, so reach 0 keeps them in their chunk, and a reach of a few
     chunk lengths makes them cross several edges. Its watermark is the next
-    edge less the reach, below which no later candidate lies.
+    edge less the reach, below which no later candidate lies. The last chunk's
+    is _END or, as for any other chunk, its end less the reach, which leaves
+    the rest to _ClickSide.finish; with no chunks only the darks remain. A
+    window up to 30 ps covers most of a chunk, so clusters stay open across
+    edges.
     """
-    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=0, max_size=6))
     edges = np.cumsum([0, *lengths]).tolist()
     reach = draw(st.sampled_from([0, 3, 30, 150]))
     acq_ps = draw(st.integers(1, edges[-1] + reach + 3))  # candidates may lie at or beyond it
@@ -52,9 +59,11 @@ def click_side_cases(draw):
         times = st.integers(max(lo - reach, 0), hi - 1 + reach)
         pieces.append({det: ints(draw(st.lists(times, max_size=10))) for det in Detector})
     dark = {det: np.sort(ints(draw(st.lists(st.integers(0, acq_ps - 1), max_size=4)))) for det in Detector}
-    watermarks = [edge - reach for edge in edges[1:-1]] + [_END]
+    watermarks = [edge - reach for edge in edges[1:]]
+    if watermarks and draw(st.booleans()):
+        watermarks[-1] = _END
     dead = draw(st.sampled_from([0, 1, 6, 25, 500]))  # 500 outlasts every chunk
-    window = draw(st.integers(1, 8))
+    window = draw(st.integers(1, 8) | st.integers(9, 30))
     return pieces, watermarks, dark, dead, CcuConfig(window, acq_ps * 1e-12)
 
 
@@ -84,25 +93,66 @@ def test_streamed_click_side_equals_whole_stream_pass(case):
 
 
 @pytest.mark.parametrize(
-    "jitter_ps, dead_time_ps",
+    "slots, jitter_ps, dead_time_ps, dark_rate, window_ps",
     [
-        (350.0, 22_000),  # the presets: jitter far inside a chunk
-        (600_000.0, 0),  # reach 7.4 us: across one 6.4 us chunk edge, no dead time
-        (3_000_000.0, 10_000_000),  # reach 37 us: across several edges, dead time beyond a chunk
+        (1300, 350.0, 22_000, 1e5, 5_000),  # the presets: jitter far inside a chunk
+        (1300, 600_000.0, 0, 1e5, 5_000),  # reach 7.4 us: across one 6.4 us chunk edge, no dead time
+        (1300, 3_000_000.0, 10_000_000, 1e5, 5_000),  # reach 37 us: across several edges, dead time beyond a chunk
+        (1300, 350.0, 22_000, 1e5, 500_000),  # clusters cut at gaps > 1 us, a few per chunk
+        (1300, 350.0, 22_000, 1e5, 2_500_000),  # gaps > 5 us, most of a chunk: no cluster closes
+        (0, 350.0, 22_000, 2e10, 5_000),  # no slot, so no chunk: ~1000 darks per detector
     ],
 )
-def test_simulate_streams_equals_whole_stream_pass(monkeypatch, jitter_ps, dead_time_ps):
+def test_simulate_streams_equals_whole_stream_pass(monkeypatch, slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
     # 64-slot chunks of 6.4 us; 1300 slots make 20 full chunks and a partial one
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
-    source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=1300e-7, seed=12)
-    detectors = DetectorConfig(0.6, dead_time_ps, jitter_ps, dark_rate=1e5)
-    configs = [SimConfig(source, detectors, model, 5_000) for model in RoutingModel]
+    source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=(slots + 0.5) * 1e-7, seed=12)
+    detectors = DetectorConfig(0.6, dead_time_ps, jitter_ps, dark_rate=dark_rate)
+    configs = [SimConfig(source, detectors, model, window_ps) for model in RoutingModel]
     runs = simulate_streams(configs, keep_streams=True)
     for (streams, tally), (ref_streams, ref_tally) in zip(runs, whole_stream_runs(configs)):
         assert_same_run(streams, tally, ref_streams, ref_tally)
+    assert all(tally.singles[det] for _, tally in runs for det in Detector)
     counted_only = simulate_streams(configs)
     assert [tally for _, tally in counted_only] == [tally for _, tally in runs]
     assert all(streams is None for streams, _ in counted_only)
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor that runs each task as it is submitted and
+    records the chunk index of each submission."""
+
+    submitted: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        self.submitted.append(task[-1])
+        future = Future()
+        future.set_result(fn(task))
+        return future
+
+
+def test_pool_keeps_at_most_two_chunks_per_worker_ahead(monkeypatch):
+    # results a slow click side has not consumed yet would otherwise pile up
+    # for the whole acquisition
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
+    monkeypatch.setattr(importlib.import_module("bunchsim.simulate"), "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=1300.5e-7, seed=12)
+    config = SimConfig(source, DetectorConfig(0.6), RoutingModel.CLASSICAL, 5_000)
+    ahead = []
+    tally = simulate(config, workers=3, progress=lambda done, total: ahead.append(len(_InlinePool.submitted) - done))
+    assert _InlinePool.submitted == list(range(21))
+    assert max(ahead) == 6
+    assert list(counter_values(tally)) == list(counter_values(simulate(config)))
 
 
 def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch):
@@ -114,3 +164,24 @@ def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch):
         return traced_peak(simulate, SimConfig(source, DetectorConfig(0.6), RoutingModel.CLASSICAL, 5_000))
 
     assert peak(40) < 1.3 * peak(4)
+
+
+def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
+    # A1 clicks every 10 ps, so with a 100 ps window the only cluster edges are
+    # the 1 ns gaps at the start of each 100 ns chunk, far below its watermark.
+    # Searching only near the watermark held the whole acquisition back.
+    length, window = 100_000, 100
+    pieces = [
+        {det: ints(np.arange(i * length + 1_000, (i + 1) * length, 10) if det is Detector.A1 else [])
+         for det in Detector}
+        for i in range(20)
+    ]
+    dark = {det: ints([]) for det in Detector}
+    ccu = CcuConfig(window, 20 * length * 1e-12)
+    side = _ClickSide(0, ccu, dark, keep_streams=True)
+    held = []
+    for i, clicks in enumerate(pieces):
+        side.feed(dict(clicks), (i + 1) * length)
+        held.append(sum(t.size for t in side.held.values()))
+    assert max(held) == pieces[0][Detector.A1].size
+    assert_same_run(*side.finish({}), *whole_stream_click_side(pieces, dark, 0, ccu))
