@@ -216,6 +216,8 @@ def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress, k
     engine's config checks raise ConfigError, for configs that parse_config
     did not build.
     """
+    if workers < 1:
+        raise ConfigError(["workers: must be >= 1"])
     try:
         sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
     except ValueError as err:
@@ -244,23 +246,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
     return tally, corr
 
 
-def _unique_labels(names):
-    counts = {}
-    total = {n: names.count(n) for n in names}
-    labels = []
-    for n in names:
-        if total[n] == 1:
-            labels.append(n)
-        else:
-            counts[n] = counts.get(n, 0) + 1
-            labels.append(f"{n}_{counts[n]}")
-    return labels
-
-
 def comparison_csv(results) -> str:
     """Side-by-side counters plus Poisson z-scores for every model pair."""
-    names = [name for name, _, _ in results]
-    labels = _unique_labels(names)
+    labels = [name for name, _, _ in results]
     pairs = [(i, j) for i in range(len(results)) for j in range(i + 1, len(results))]
     header = ["counter_name", *labels]
     header += [f"z_{labels[i]}_vs_{labels[j]}" for i, j in pairs]
@@ -288,14 +276,16 @@ def compare_models(cfg: ExperimentConfig, models, workers: int = 1, progress=Non
     routed, split and detected per model with the same routing, detection
     and dark-count draws a standalone run of that model uses. Each column
     therefore equals that model's `run` tally, and differences between
-    columns are pure model effects.
+    columns are pure model effects. A model named twice would only repeat
+    its column, so it is refused.
     """
     models = list(models)
     if len(models) < 2:
         raise ConfigError(["compare: need at least two models"])
-    bad = [m for m in models if m not in _MODEL_NAMES]
+    bad = [f"compare: unknown model '{m}'" for m in models if m not in _MODEL_NAMES]
+    bad += [f"compare: model '{m}' is named more than once" for m in dict.fromkeys(models) if models.count(m) > 1]
     if bad:
-        raise ConfigError([f"compare: unknown model '{m}'" for m in bad])
+        raise ConfigError(bad)
 
     results = [
         (name, tally, g2_zero(tally, cfg.slot_rate))
@@ -424,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="replay one source stream through several models")
     _add_config_flags(p_cmp)
-    p_cmp.add_argument("--models", required=True, help="comma-separated model names (at least two)")
+    p_cmp.add_argument("--models", required=True, help="comma-separated model names (at least two, each once)")
     p_cmp.add_argument("--workers", type=int, default=1)
     p_cmp.add_argument("--quiet", action="store_true")
     p_cmp.set_defaults(func=_cmd_compare)

@@ -10,11 +10,16 @@ the detector exactly like a photon click does.
 
 split_counts and detect_counts draw in photon_source.draw_blocks: a chunk's
 count rows are int16 (photon numbers above 2^15 - 1 are rejected, not
-wrapped) and its per-slot uniforms, probabilities and jittered times exist
-one block at a time. detect_counts takes the slot clock as a function and
-asks it for the nominal times of the fired slots only. The blocks consume
-the generator as one whole-array call would, in the same stage-major order,
-so the output is the same for any block size.
+wrapped) and its per-slot words and jittered times exist one block at a
+time. split_counts draws photon_source.binomial_half, which equals
+rng.binomial(n, 0.5). detect_counts tabulates the click probability p_k
+once per call, as the integer edge ceil(p_k * 2^53), and fires a slot on
+its raw word w when (w >> 11) < edge: exactly when the uniform
+Generator.random makes of w is below p_k. Its fired-slot indices are
+int32 (below CHUNK_SLOTS). It takes the slot clock as a function and asks
+it for the nominal times of the fired slots only. The blocks consume the
+generator as one whole-array call would, in the same stage-major order, so
+the output is the same for any block size.
 """
 
 from __future__ import annotations
@@ -28,7 +33,16 @@ from typing import ClassVar
 
 import numpy as np
 
-from .photon_source import COUNT_DTYPE, check_rules, draw_blocks, integral, photon_numbers
+from .photon_source import (
+    COUNT_DTYPE,
+    MAX_COUNT,
+    binomial_half,
+    check_rules,
+    draw_blocks,
+    integral,
+    photon_numbers,
+    uniform_edges,
+)
 
 
 class Detector(enum.IntEnum):
@@ -89,7 +103,7 @@ def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator)
     for port in (port1, port2):
         first = np.empty(port.size, dtype=COUNT_DTYPE)
         for block in draw_blocks(port.size):
-            first[block] = rng.binomial(port[block], 0.5)
+            first[block] = binomial_half(port[block], rng)
         rows += [first, np.subtract(port, first, dtype=COUNT_DTYPE)]
     return tuple(rows)
 
@@ -107,22 +121,29 @@ def detect_counts(
 ) -> dict[Detector, np.ndarray]:
     """Vectorised click sampling for a chunk of slots.
 
-    counts holds four length-m rows indexed by Detector, and slot_time maps
-    an int64 array of row indices to the nominal int64 ps times of those
-    slots (an array of times passes as times.__getitem__). Returns
+    counts holds four length-m rows indexed by Detector, photon numbers of
+    at most 2^15 - 1 (or ValueError), and slot_time maps an int32 array of
+    row indices to the nominal int64 ps times of those slots (an array of
+    times passes as times.__getitem__). Returns
     per-detector candidate click times (int64 ps, jittered, clipped at 0),
     before dead-time filtering. Draw order is fixed: per detector in
-    canonical order, one uniform per occupied slot, then one normal per
-    firing click, each drawn in draw_blocks.
+    canonical order, one raw word per occupied slot (the word of one
+    Generator.random uniform), then one normal per firing click, each
+    drawn in draw_blocks.
     """
+    top = max((int(row.max()) for row in counts if row.size), default=0)
+    if top > MAX_COUNT:
+        raise ValueError(f"photon numbers must be in [0, {MAX_COUNT}]")
+    edges = uniform_edges(click_probability(np.arange(top + 1), config.efficiency))
+    bits = rng.bit_generator
     out = {}
     for det in Detector:
         k = counts[det]
-        fired = [np.empty(0, dtype=np.int64)]
+        fired = [np.empty(0, dtype=np.int32)]
         for block in draw_blocks(k.size):
             hit = np.flatnonzero(k[block] > 0)
-            fire = rng.random(hit.size) < click_probability(k[block][hit], config.efficiency)
-            fired.append(hit[fire] + block.start)
+            fire = np.flatnonzero((bits.random_raw(hit.size) >> np.uint64(11)) < edges[k[block][hit]])
+            fired.append(np.add(hit[fire], block.start, dtype=np.int32))
         sel = np.concatenate(fired)
         clicks = np.empty(sel.size, dtype=np.int64)
         for block in draw_blocks(sel.size):

@@ -11,6 +11,11 @@ slots (n_j >= 1) are materialised: at the reference operating points over
 95% of slots are empty. They are held narrow, as int32 offsets into the
 chunk and int16 photon numbers, built block by block and concatenated once.
 
+binomial_half is Generator.binomial(n, 1/2) for both splitter layers, with
+the same values and generator state: numpy's inversion loop is replayed
+on raw words, one per nonzero n, and a block it cannot replay exactly
+(n > 60, or a word numpy would redraw) is handed to rng.binomial.
+
 Reproducibility contract: all randomness is drawn from Philox counter-based
 generators keyed by (seed, purpose, chunk).  Slot streams are generated in
 fixed-size canonical chunks, so any partition of the chunk list across
@@ -113,10 +118,13 @@ def draw_blocks(size: int) -> list[slice]:
 
     Drawing block after block from one generator gives the same values, and
     leaves it in the same state, as one call over the whole range: every
-    sampler drawn this way (raw words, binomial with an array n, integers,
-    random, normal) is a sequential per-entry loop whose state persists
-    across calls. The binomial set-up cache lives in the Generator and
-    Philox's buffered 32-bit half-word in its bit generator.
+    sampler drawn this way (raw words, binomial_half, integers, random,
+    normal) is a sequential per-entry loop whose state persists across
+    calls. Philox's buffered 32-bit half-word lives in its bit generator,
+    and no sampler used here touches it. numpy's binomial keeps a set-up
+    cache (of n and p) in the Generator, but it only saves work: a block
+    that binomial_half hands to rng.binomial draws the same values whatever
+    the cache holds.
     """
     return [slice(lo, min(lo + _SCAN_BLOCK, size)) for lo in range(0, size, _SCAN_BLOCK)]
 
@@ -169,15 +177,109 @@ def poisson_cdf_table(mean: float) -> np.ndarray:
     return np.asarray(cdf)
 
 
+def uniform_edges(c) -> np.ndarray:
+    """ceil(c * 2^53) as uint64: (w >> 11) * 2^-53 < c exactly when (w >> 11) < it.
+
+    (w >> 11) * 2^-53 is the uniform Generator.random makes of the raw word
+    w. Scaling by 2^53 is exact, so for the integer w >> 11, u < c holds
+    exactly when w >> 11 < ceil(c * 2^53), for any c in [0, 1].
+    """
+    return np.ceil(np.asarray(c, dtype=np.float64) * 2.0**53).astype(np.uint64)
+
+
 def _cdf_edges(table: np.ndarray) -> np.ndarray:
     """Words w with (w >> 11) * 2^-53 >= table[k] exactly when w >= edges[k].
 
-    Scaling by 2^53 is exact, so u >= c holds for the integer w >> 11 exactly
-    when it is >= ceil(c * 2^53). Entries that no u < 1 reaches (ceil >= 2^53,
-    which includes c == 1.0) are dropped; they sit at the end of the table.
+    Entries that no u < 1 reaches (uniform edge 2^53, which includes
+    c == 1.0) are dropped; they sit at the end of the table.
     """
-    top = np.ceil(table * 2.0**53)
-    return top[top < 2.0**53].astype(np.uint64) << np.uint64(11)
+    top = uniform_edges(table)
+    return top[top < np.uint64(2**53)] << np.uint64(11)
+
+
+# Generator.binomial(n, p) runs numpy's inversion loop (random_binomial_inversion)
+# while n * p <= 30, so for n <= 60 at p = 1/2; above it runs BTPE.
+_INVERSION_MAX_N = 60
+
+
+def _inversion_table() -> np.ndarray:
+    """px[x, n], the loop's P(X = x) for binomial(n, 1/2), as numpy forms it.
+
+    The loop starts at px = exp(n * log(q)) and steps px = ((n - X + 1) * p *
+    px) / (X * q); Python floats give the same doubles. Entries with x > n
+    are inf, so no uniform passes them.
+    """
+    rows = [[math.inf] * (_INVERSION_MAX_N + 1) for _ in range(_INVERSION_MAX_N + 2)]
+    for n in range(1, _INVERSION_MAX_N + 1):
+        px = math.exp(n * math.log(0.5))
+        rows[0][n] = px
+        for x in range(1, n + 1):
+            px = ((n - x + 1) * 0.5 * px) / (x * 0.5)
+            rows[x][n] = px
+    return np.array(rows)
+
+
+_PX = _inversion_table()
+# w > _HALF exactly when (w >> 11) * 2^-53 > 1/2: the whole loop for n = 1
+_HALF = np.uint64(2**63 + 2**11 - 1)
+
+
+def _inversion_loop(words: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """X of numpy's inversion loop on each word, for photon numbers 1 <= n <= 60.
+
+    While U > px: U -= px, X += 1, on every live entry at once. An entry
+    whose loop runs past its n ends with X = n + 1: numpy would redraw it.
+    """
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    n = n.astype(np.intp)
+    out = np.zeros(u.size, dtype=COUNT_DTYPE)
+    live = np.arange(u.size)
+    for x, row in enumerate(_PX, start=1):
+        px = row[n]
+        go = np.flatnonzero(u > px)
+        if not go.size:
+            break
+        live = live[go]
+        out[live] = x
+        u = (u - px)[go]
+        n = n[go]
+    return out
+
+
+def binomial_half(n, rng: Generator) -> np.ndarray:
+    """rng.binomial(n, 0.5) as an int16 row, leaving rng in the same state.
+
+    numpy inverts one uniform per nonzero n <= 60: n = 0 draws nothing, and
+    U = (w >> 11) * 2^-53 is made of one raw Philox word. So the words are
+    drawn at once and numpy's loop is replayed on them; for n = 1 it is one
+    compare. A row with an n > 60 (numpy's BTPE branch), or with a word
+    whose loop runs past n (numpy draws another; a handful of the 2^53
+    words do for some n), is drawn by rng.binomial from the state saved
+    before it. n is a 1-D integer row of photon numbers.
+    """
+    n = np.asarray(n)
+    lo, hi = (n.min(), n.max()) if n.size else (0, 0)
+    if lo < 0 or hi > _INVERSION_MAX_N:
+        return rng.binomial(n, 0.5).astype(COUNT_DTYPE)  # BTPE, or numpy's error for n < 0
+    bits = rng.bit_generator
+    saved = bits.state
+    nonzero = None if lo else np.flatnonzero(n > 0)  # routed photon numbers are all >= 1
+    live = n if nonzero is None else n[nonzero]
+    words = bits.random_raw(live.size)
+    x = (words > _HALF).astype(COUNT_DTYPE)
+    many = np.flatnonzero(live > 1)
+    if many.size:
+        live = live[many]
+        loop = _inversion_loop(words[many], live)
+        if (loop > live).any():
+            bits.state = saved
+            return rng.binomial(n, 0.5).astype(COUNT_DTYPE)
+        x[many] = loop
+    if nonzero is None:
+        return x
+    out = np.zeros(n.size, dtype=COUNT_DTYPE)
+    out[nonzero] = x
+    return out
 
 
 def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -19,7 +19,9 @@ route_counts draws in photon_source.draw_blocks and writes int16 rows, so a
 chunk's routing holds no full-length int64 temporary; photon numbers above
 2^15 - 1 are rejected, not wrapped. Block-wise drawing is exact: the blocks
 consume the generator as one whole-array call would, and leave it in the
-same state.
+same state. The fair binomial is photon_source.binomial_half, which gives
+rng.binomial(n, 0.5) from raw words; a routed slot holds at least one
+photon, so n = 1, the common case, is one compare of its word.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import enum
 
 import numpy as np
 
-from .photon_source import COUNT_DTYPE, draw_blocks, photon_numbers
+from .photon_source import COUNT_DTYPE, binomial_half, draw_blocks, photon_numbers
 
 
 class RoutingModel(enum.Enum):
@@ -43,7 +45,8 @@ def route_counts(model: RoutingModel, n, rng: np.random.Generator) -> np.ndarray
     n must lie in [0, 2^15 - 1], or ValueError. Every block's binomial (or
     bunching coin) draw comes first, then the phase-basis n = 2 uniforms of
     every block, as in one whole-array call; the draws do not depend on the
-    dtype of n.
+    dtype of n. The binomial draws are binomial_half's, which equal
+    rng.binomial(n, 0.5).
     """
     n = photon_numbers(n)
     port1 = np.empty(n.size, dtype=COUNT_DTYPE)
@@ -51,7 +54,7 @@ def route_counts(model: RoutingModel, n, rng: np.random.Generator) -> np.ndarray
         if model is RoutingModel.BUNCHING:
             port1[block] = n[block] * rng.integers(0, 2, size=n[block].size, dtype=np.int64)
         else:
-            port1[block] = rng.binomial(n[block], 0.5)
+            port1[block] = binomial_half(n[block], rng)
     if model is RoutingModel.PHASE_BASIS:
         for block in draw_blocks(n.size):
             two = np.flatnonzero(n[block] == 2)

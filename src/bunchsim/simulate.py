@@ -268,6 +268,8 @@ def simulate_streams(
     it no more than a chunk's clicks are held at a time. progress, if given,
     is called as progress(done_chunks, total_chunks).
     """
+    if workers < 1:
+        raise ValueError("workers: must be >= 1")
     configs = list(configs)
     if not configs:
         raise ValueError("simulate_streams: need at least one config")

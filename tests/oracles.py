@@ -1,14 +1,15 @@
 """Slow reference implementations the fast library paths are checked against.
 
-A dense source that inverts the Poisson CDF for every slot, one-slot
-routing, per-slot detection with a scalar dead-time check, grouping of
-interleaved (detector, time) events into streams, event dumps written and
-read one struct record or text line at a time, exact enumeration of each
-model's routing and detector occupancies for one n-photon slot, and the
-click-pattern table as a Poisson sum over those enumerations, and the
-whole-stream click side that holds every click of an acquisition before it
-merges, filters or counts any. traced_peak measures the memory the fast
-paths hold.
+A dense source that inverts the Poisson CDF for every slot, a stand-in
+generator that yields given raw words, numpy's binomial inversion loop on
+one raw word, one-slot routing, per-slot detection with a scalar dead-time
+check, grouping of interleaved (detector, time) events into streams, event
+dumps written and read one struct record or text line at a time, exact
+enumeration of each model's routing and detector occupancies for one
+n-photon slot, and the click-pattern table as a Poisson sum over those
+enumerations, and the whole-stream click side that holds every click of an
+acquisition before it merges, filters or counts any. traced_peak measures
+the memory the fast paths hold.
 """
 
 from __future__ import annotations
@@ -56,6 +57,48 @@ def route(model: RoutingModel, n: int, rng: np.random.Generator) -> tuple[int, i
     """Route one slot of n photons; returns (port1, port2) with port1+port2 = n."""
     p1 = int(route_counts(model, np.array([n]), rng)[0])
     return p1, int(n) - p1
+
+
+class Words:
+    """Stands in for a generator whose bit generator yields the given raw words.
+
+    It has no state to save or restore and no sampler of its own, so a fast
+    path that falls back to one fails on it.
+    """
+
+    state = None
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = words
+
+    def random_raw(self, size):
+        out, self._words = self._words[:size], self._words[size:]
+        return out
+
+    @property
+    def left(self) -> int:
+        return len(self._words)
+
+
+def binomial_inversion(n: int, word: int):
+    """numpy's binomial(n, 1/2) inversion loop (random_binomial_inversion) on one raw word.
+
+    For 1 <= n <= 60, where numpy inverts one uniform U = (word >> 11) *
+    2^-53. Returns X, or "redraw" when the loop runs past n, where numpy
+    draws another word and starts again.
+    """
+    q = 0.5
+    px = math.exp(n * math.log(q))
+    u = (word >> 11) * 2.0**-53
+    x = 0
+    while u > px:
+        x += 1
+        if x > n:  # numpy's bound, min(n, np + 10 sqrt(np q + 1)), is n up to n = 103
+            return "redraw"
+        u -= px
+        px = ((n - x + 1) * 0.5 * px) / (x * q)
+    return x
 
 
 class DetectionEvent(NamedTuple):

@@ -192,18 +192,15 @@ def test_run_bunching_without_darks_has_no_cross_pairs(tmp_path):
     assert corr.bunching_fraction == 1.0
 
 
-def test_compare_same_model_twice_gives_identical_columns(tmp_path):
+def test_compare_refuses_a_model_named_twice(tmp_path, capsys):
+    # a repeated model would only repeat its column, with z = 0 against it
     cfg = quick_config(tmp_path)
-    results = compare_models(cfg, ["classical", "classical"])
-    (_, t1, _), (_, t2, _) = results
-    assert t1.singles == t2.singles and t1.pairs == t2.pairs and t1.triples == t2.triples
-    text = (tmp_path / "out" / "comparison.csv").read_text()
-    header = text.splitlines()[0].split(",")
-    assert header[:3] == ["counter_name", "classical_1", "classical_2"]
-    # identical runs: every z-score is exactly 0 (or blank for 0/0)
-    for row in text.splitlines()[1:15]:
-        z = row.split(",")[3]
-        assert z in ("", "0.0")
+    with pytest.raises(ConfigError, match="model 'classical' is named more than once"):
+        compare_models(cfg, ["classical", "bunching", "classical"])
+    flags = ["--seed", "1", "--mean-photon-number", "0.02", "--output-dir", str(tmp_path / "out")]
+    assert main(["compare", "--models", "bunching,bunching", *flags]) == 1
+    assert "compare: model 'bunching' is named more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_only_an_event_dump_keeps_the_streams(tmp_path, monkeypatch):
@@ -256,6 +253,17 @@ def test_simulate_streams_rejects_configs_differing_beyond_model(tmp_path):
             simulate_streams([base, other])
     with pytest.raises(ValueError):
         simulate_streams([])
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_1_are_refused(tmp_path, capsys, workers):
+    # refused before any pool exists, so no process is started
+    with pytest.raises(ValueError, match="workers: must be >= 1"):
+        simulate_streams([quick_config(tmp_path).sim_config()], workers=workers)
+    for command in (run_flags(tmp_path), ["compare", "--models", "classical,bunching", *run_flags(tmp_path)[1:]]):
+        assert main([*command, "--workers", str(workers)]) == 1
+        assert "workers: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sim_config_rejects_durations_of_2_pow_53_ps(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bunchsim.detector_bank import (
     split_counts,
     write_events,
 )
-from bunchsim.photon_source import substream
+from bunchsim.photon_source import MAX_COUNT, substream, uniform_edges
 
 import oracles
 
@@ -47,6 +48,49 @@ def test_click_probability_saturates():
     ks = np.arange(0, 8)
     p = click_probability(ks, 0.37)
     assert np.all(np.diff(p) > 0) and p[-1] < 1.0
+
+
+@pytest.mark.parametrize("efficiency", [0.0, 1e-9, 0.3, 0.583, 0.625, 1 - 1e-12, 1.0])
+def test_tabulated_click_probability_equals_the_elementwise_call(efficiency):
+    # detect_counts tabulates p_k over 0..max k once per chunk and gathers
+    # from the table; each entry must be the double of the per-slot call
+    table = click_probability(np.arange(MAX_COUNT + 1), efficiency)
+    row = np.random.default_rng(3).permutation(MAX_COUNT + 1).astype(np.int16)
+    assert np.array_equal(table[row], click_probability(row, efficiency))
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 0.5, 1 - 2.0**-53, 1.0])
+def test_fire_edge_is_the_uniform_rule(p):
+    # a slot fires when its word's uniform (w >> 11) * 2^-53 is below p; the
+    # words around t = ceil(p * 2^53), with low bits clear and set, through
+    # detect_counts with every p_k patched to p
+    t = int(uniform_edges(p))
+    words = [w for m in (t - 1, t, t + 1) if 0 <= m < 2**53 for w in (m << 11, (m << 11) | 0x7FF)]
+    counts = np.zeros((4, len(words)), dtype=np.int16)
+    counts[Detector.A1] = 1
+    times = np.arange(len(words), dtype=np.int64)
+    stand_in = oracles.Words(np.array(words, dtype=np.uint64))
+    with mock.patch.object(detector_bank, "click_probability", lambda k, eta: np.full(np.shape(k), p)):
+        clicks = detect_counts(counts, times.__getitem__, config(jitter_sigma_ps=0.0), stand_in)
+    assert clicks[Detector.A1].tolist() == [i for i, w in enumerate(words) if (w >> 11) * 2.0**-53 < p]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 3000), efficiency=st.sampled_from([0.0, 0.3, 0.583, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_fired_slots_are_those_of_the_uniform_rule(m, efficiency, seed):
+    # without jitter each detector draws one uniform per occupied slot and
+    # nothing else: the slot fires when it is below click_probability(k)
+    source = np.random.default_rng(seed)
+    counts = source.integers(0, 4, size=(4, m)).astype(np.int16)
+    counts[:, source.random(m) < 0.01] = 300
+    times = np.arange(m, dtype=np.int64) * 1000
+    cfg = config(efficiency=efficiency, jitter_sigma_ps=0.0)
+    clicks = detect_counts(counts, times.__getitem__, cfg, substream(seed, 3))
+    twin = substream(seed, 3)
+    for det in Detector:
+        hit = np.flatnonzero(counts[det] > 0)
+        fire = twin.random(hit.size) < click_probability(counts[det][hit], efficiency)
+        assert np.array_equal(clicks[det], times[hit[fire]])
 
 
 def test_split_conserves_photons():

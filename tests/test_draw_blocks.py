@@ -29,9 +29,10 @@ from oracles import traced_peak
 
 ONE_BLOCK = CHUNK_SLOTS + 1
 BLOCKS = st.sampled_from([1, 3, 1000, 1 << 16, ONE_BLOCK])
-# n >= 61 takes binomial's BTPE branch at p = 1/2; 0 and 2 take the
+# n >= 61 takes binomial's BTPE branch at p = 1/2, which binomial_half hands
+# to numpy; 1..60 its replay of numpy's inversion loop; 0 and 2 take the
 # phase-basis fix-up and the zero-draw case
-PHOTON_NUMBER = st.one_of(st.integers(0, 4), st.integers(61, 500))
+PHOTON_NUMBER = st.one_of(st.integers(0, 4), st.integers(5, 60), st.integers(61, 500))
 PHOTON_NUMBERS = st.lists(PHOTON_NUMBER, max_size=300)
 
 
@@ -125,7 +126,8 @@ def test_bright_chunk_holds_no_full_length_int64_temporaries():
     "models, bound_mib",
     # int32 rows, int64 source lists and a full-length int64 slot-time array
     # peaked at ~105 and ~172 MiB; int16 rows and int32 offsets, with slot
-    # times for fired slots only, take ~60 and ~96 MiB
+    # times for fired slots only, take ~60 and ~96 MiB, and int32 fired-slot
+    # indices ~56 and ~96 MiB
     [([RoutingModel.CLASSICAL], 80), (list(RoutingModel), 128)],
 )
 def test_bright_chunk_peak_with_narrow_rows(models, bound_mib):
@@ -150,6 +152,17 @@ def test_split_counts_rejects_photon_numbers_beyond_int16():
     for port1, port2 in ((over, top), (top, over)):
         with pytest.raises(ValueError, match="photon numbers must be in"):
             split_counts(port1, port2, substream(4))
+
+
+def test_detect_counts_rejects_photon_numbers_beyond_int16():
+    # the click probability is tabulated up to the largest count of the chunk
+    counts = np.zeros((4, 3), dtype=np.int64)
+    counts[Detector.B2, 1] = 2**15 - 1
+    times = np.arange(3, dtype=np.int64)
+    assert detect_counts(counts, times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))[Detector.B2].size == 1
+    counts[Detector.B2, 1] = 2**15
+    with pytest.raises(ValueError, match="photon numbers must be in"):
+        detect_counts(counts, times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))
 
 
 # 2.5e11 slots/s and 2^53 ps: ~2.25e15 slots, ~5.4e8 chunks

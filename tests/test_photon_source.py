@@ -1,4 +1,5 @@
 import math
+import timeit
 from unittest import mock
 
 import numpy as np
@@ -13,13 +14,14 @@ from bunchsim.photon_source import (
     MAX_MEAN_PHOTON_NUMBER,
     SourceConfig,
     _cdf_edges,
+    binomial_half,
     num_chunks,
     occupied_slots,
     poisson_cdf_table,
     slot_count,
     substream,
 )
-from oracles import dense_chunk, dense_stream, traced_peak
+from oracles import Words, binomial_inversion, dense_chunk, dense_stream, traced_peak
 
 
 def small_config(**kw):
@@ -109,18 +111,6 @@ def test_cdf_edges_are_exact_at_the_boundary():
                 assert (w >= t) == ((w >> 11) * 2.0**-53 >= c), (c, w)
 
 
-class _Words:
-    """Stands in for a substream whose bit generator yields the given words."""
-
-    def __init__(self, words):
-        self.bit_generator = self
-        self._words = words
-
-    def random_raw(self, size):
-        out, self._words = self._words[:size], self._words[size:]
-        return out
-
-
 def test_words_on_the_edges_invert_like_uniforms():
     # words one below, on and one above every edge: inversion of the
     # uniform (w >> 11) * 2^-53 through the float table decides each slot
@@ -128,12 +118,107 @@ def test_words_on_the_edges_invert_like_uniforms():
     edges = _cdf_edges(table)
     words = np.concatenate([edges - np.uint64(1), edges, edges + np.uint64(1)])
     cfg = small_config(mean_photon_number=1.0, slot_rate=1.0, duration=float(words.size))
-    with mock.patch.object(photon_source, "substream", lambda *path: _Words(words)):
+    with mock.patch.object(photon_source, "substream", lambda *path: Words(words)):
         _, offsets, n = occupied_slots(cfg, 0)
     u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
     dense = np.searchsorted(table, u, side="right")
     assert np.array_equal(offsets, np.flatnonzero(dense))
     assert np.array_equal(n, dense[offsets])
+
+
+def same_draws(got, rng, path, n):
+    """binomial_half's row and rng against rng.binomial(n, 0.5) on substream(*path) afresh."""
+    twin = substream(*path)
+    want = twin.binomial(n, 0.5)
+    assert got.dtype == np.int16 and np.array_equal(got, want)
+    assert str(rng.bit_generator.state) == str(twin.bit_generator.state)
+    assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    head=st.lists(st.one_of(st.integers(0, 60), st.integers(61, 500)), max_size=40),
+    size=st.integers(0, (1 << 16) + 3),
+    top=st.sampled_from([1, 2, 5, 20, 60, 500]),
+    zeros=st.booleans(),
+    dtype=st.sampled_from([np.int16, np.int64]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_binomial_half_equals_numpy(head, size, top, zeros, dtype, seed):
+    # n from {0..60} (inversion, n = 0 draws nothing) and {61..500} (BTPE),
+    # in rows of any length: values, dtype, generator state and next word
+    bulk = np.random.default_rng(seed).integers(0 if zeros else 1, top + 1, size=size)
+    n = np.concatenate([head, bulk]).astype(dtype)
+    rng = substream(seed, 1)
+    same_draws(binomial_half(n, rng), rng, (seed, 1), n)
+
+
+def inversion_edges(n):
+    """Per x in 1..n + 1, the least 53-bit m whose word m << 11 gives X >= x, redraws included.
+
+    The loop is monotone in U, so each is one edge. The walk starts from
+    the exact binomial CDF and ends where numpy's float loop (the oracle)
+    changes its answer.
+    """
+
+    def reaches(m, x):
+        got = binomial_inversion(n, m << 11)
+        return got == "redraw" or got >= x
+
+    edges, below = [], 0
+    for x in range(1, n + 2):
+        below += math.comb(n, x - 1)
+        m = min(-(-below * 2**53 // 2**n), 2**53 - 1)
+        while m > 0 and reaches(m - 1, x):
+            m -= 1
+        while m < 2**53 and not reaches(m, x):
+            m += 1
+        edges.append(m)
+    return edges
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_words_on_the_inversion_edges_replay_numpy(n):
+    # words one below, on and one above every edge of numpy's loop, fed to
+    # the kernel in one row; the few words that make numpy redraw are left
+    # to the fallback test below
+    words = sorted({w for m in inversion_edges(n) for w in ((m << 11) - 1, m << 11, (m << 11) + 1) if 0 <= w < 2**64})
+    want = [binomial_inversion(n, w) for w in words]
+    kept = [i for i, x in enumerate(want) if x != "redraw"]
+    stand_in = Words(np.array(words, dtype=np.uint64)[kept])
+    got = binomial_half(np.full(len(kept), n, dtype=np.int16), stand_in)
+    assert got.tolist() == [want[i] for i in kept] and stand_in.left == 0
+
+
+class _CountingBinomial:
+    """A generator whose binomial calls are counted."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+    def binomial(self, n, p):
+        self.calls += 1
+        return self.rng.binomial(n, p)
+
+
+def test_a_loop_past_n_falls_back_to_numpy():
+    # with P(X = 2 | n = 2) patched to 0, every U above 3/4 runs past n = 2,
+    # where numpy draws another word: the row is redrawn by numpy from the
+    # state saved before it
+    px = photon_source._PX.copy()
+    px[2, 2] = 0.0
+    n = np.array([1, 0, 3] + [2] * 200, dtype=np.int16)
+    rng = substream(8, 2)
+    counting = _CountingBinomial(rng)
+    with mock.patch.object(photon_source, "_PX", px):
+        got = binomial_half(n, counting)
+    assert counting.calls == 1
+    same_draws(got, rng, (8, 2), n)
+
+
+def test_inversion_table_is_cheap_to_build():
+    # it is built at import, on every process start
+    assert min(timeit.repeat(photon_source._inversion_table, number=1, repeat=5)) < 5e-3
 
 
 def test_low_mean_chunk_scans_in_small_blocks():
