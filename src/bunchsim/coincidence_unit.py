@@ -12,6 +12,12 @@ short of it is the earliest, so it passes the gap before any later match:
 each walk splits into independent walks per cluster. A cluster with one
 click on each detector of a counter holds one coincidence or none; only
 clusters with two clicks on one of its detectors need the greedy walk.
+
+The same gaps bound memory: accumulate cuts the streams into pieces of
+about 4 * _MERGE_STEP events at cluster edges, counts each piece from its
+own merged timeline and adds the counts. closed_edge is the
+one edge finder, for these pieces and for the streamed click side of
+simulate, which counts each chunk's registered events up to the edge.
 """
 
 from __future__ import annotations
@@ -98,44 +104,31 @@ class TallyTable:
 # Merge keys 4 * t + detector are int64, so timestamps must stay below 2**61 ps.
 _MAX_KEY_TIME_PS = 2**61
 
-# Events per stream between merge block edges: a block holds fewer than
-# 4 * _MERGE_STEP keys, which bounds the pre-filter's memory on long runs.
-_MERGE_STEP = 1 << 14
+# Events per stream between the marks that accumulate's cuts are tried at (see
+# _pieces): a piece holds about 4 * _MERGE_STEP events, whose temporaries are
+# the counting's memory. Smaller pieces add the fixed cost of the ten
+# counters per piece. With glibc, a piece's arrays at 2^13 are reused from
+# the heap, where at 2^14 they were mapped and faulted in anew: 43 against
+# 16 810 page faults to count a 1.87e6-event bright dump.
+_MERGE_STEP = 1 << 13
 
 
 def _with_neighbour(streams: dict, spread: int) -> np.ndarray:
     """Sorted merge keys 4 * t + detector of the events that have a neighbour.
 
-    The four streams are merged into one sorted timeline of keys, block by
-    block in time. |dt| <= spread implies a key gap <= 4 * spread + 3, so
-    keeping both ends of every such gap keeps every event with a neighbour
-    within `spread` ps; the dropped ones are alone in their cluster.
+    The four streams are merged into one sorted timeline of keys, and the
+    events within `spread` ps of the next or the previous one are kept; the
+    dropped ones are alone in their cluster. A gap > spread has no kept
+    event on both sides, so the streams cut at such gaps keep the same keys.
     """
-    times = [streams[det] for det in Detector]
-    # sorted and deduplicated by a neighbour comparison: np.unique would
-    # import numpy.ma on its first call
-    edges = np.sort(np.concatenate([t[::_MERGE_STEP] for t in times]))
-    first = np.ones(edges.size, dtype=bool)
-    first[1:] = edges[1:] != edges[:-1]
-    edges = edges[first]
-    bounds = [np.append(np.searchsorted(t, edges), t.size) for t in times]
-    limit = 4 * spread + 3
-    kept, prev, prev_keep = [], None, None
-    for j in range(edges.size):
-        keys = np.concatenate([t[b[j] : b[j + 1]] * 4 + det for det, t, b in zip(Detector, times, bounds)])
-        keys.sort()
-        close = keys[1:] - keys[:-1] <= limit
-        keep = np.zeros(keys.size, dtype=bool)
-        keep[:-1] = close
-        keep[1:] |= close
-        if prev is not None:
-            if keys[0] - prev[-1] <= limit:
-                prev_keep[-1] = keep[0] = True
-            kept.append(prev[prev_keep])
-        prev, prev_keep = keys, keep
-    if prev is not None:
-        kept.append(prev[prev_keep])
-    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    keys = np.concatenate([streams[det] * 4 + det for det in Detector])
+    keys.sort()
+    times = keys >> 2
+    close = times[1:] - times[:-1] <= spread
+    keep = np.zeros(keys.size, dtype=bool)
+    keep[:-1] = close
+    keep[1:] |= close
+    return keys[keep]
 
 
 class _Clusters(NamedTuple):
@@ -168,11 +161,25 @@ def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
     still to come lies at or above it. c follows the last gap > 2 * window,
     the gap _clusters cuts at, of their merged timeline closed by watermark.
     With no such gap, c is the first event and nothing lies below it.
+
+    The search goes back from watermark: it merges only the events at or
+    above watermark - span, the suffix of the timeline, and doubles span
+    until that suffix holds a gap or every event. So it costs the events
+    after the last gap, however far back that gap lies.
     """
-    times = np.concatenate([*streams, [watermark]])
-    times.sort(kind="stable")  # a merge of sorted runs
-    gaps = np.flatnonzero(times[1:] - times[:-1] > 2 * int(config.window_ps))
-    return int(times[gaps[-1] + 1] if gaps.size else times[0])
+    watermark = int(watermark)
+    spread = 2 * int(config.window_ps)
+    first = min((int(t[0]) for t in streams if len(t)), default=watermark)
+    span = 2 * spread + 2
+    while True:
+        whole = watermark - span <= first
+        suffix = [t if whole else t[np.searchsorted(t, watermark - span) :] for t in streams]
+        times = np.concatenate([*suffix, [watermark]])
+        times.sort(kind="stable")  # a merge of sorted runs
+        gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
+        if gaps.size or whole:
+            return int(times[gaps[-1] + 1] if gaps.size else times[0])
+        span *= 2
 
 
 def _greedy_pairs(x, y, window: int) -> int:
@@ -239,13 +246,54 @@ def count_triples(clusters: _Clusters, config: CcuConfig) -> dict:
     return {key: _cluster_count(clusters, key, 2 * int(config.window_ps)) for key in TRIPLE_KEYS}
 
 
+def _pieces(streams: dict, config: CcuConfig):
+    """The sorted streams cut at cluster edges, piece by piece in time order.
+
+    Every _MERGE_STEP-th event of each stream is a mark, and every fourth
+    mark in time order a candidate c: about 4 * _MERGE_STEP events apart,
+    whether the clicks fall on one detector or spread over four. The cut
+    near c is closed_edge of the events below c, with c, an event, as the
+    watermark. The events below the previous candidate hold no gap after
+    the last cut, which that candidate's search would have found, so only
+    the events from it on are searched. Where they hold no gap either, the
+    piece grows to the next candidate.
+    """
+    times = [streams[det] for det in Detector]
+    marks = np.sort(np.concatenate([t[_MERGE_STEP::_MERGE_STEP] for t in times]))
+    start = lo = [0] * len(times)
+    for c in marks[len(times) - 1 :: len(times)].tolist():
+        hi = [int(np.searchsorted(t, c)) for t in times]
+        edge = closed_edge([t[a:b] for t, a, b in zip(times, lo, hi)], c, config)
+        cut = [int(np.searchsorted(t, edge)) for t in times]
+        if cut != lo:  # closed_edge found a gap: edge is past the first event searched
+            yield {det: t[a:b] for det, t, a, b in zip(Detector, times, start, cut)}
+            start = cut
+        lo = hi
+    yield {det: t[a:] for det, t, a in zip(Detector, times, start)}
+
+
+def _count_piece(streams: dict, config: CcuConfig) -> tuple[dict, dict]:
+    """(pair counts, triple counts) of one piece, read from one set of clusters."""
+    spread = 2 * int(config.window_ps)
+    clusters = _clusters(_with_neighbour(streams, spread), spread)
+    return count_pairs(clusters, config), count_triples(clusters, config)
+
+
+def _time_ordered(t: np.ndarray) -> bool:
+    """Whether t never decreases, compared _MERGE_STEP steps at a time."""
+    blocks = (t[lo : lo + _MERGE_STEP + 1] for lo in range(0, t.size - 1, _MERGE_STEP))
+    return not any(np.any(b[1:] < b[:-1]) for b in blocks)
+
+
 def accumulate(streams: dict, config: CcuConfig, metadata: dict | None = None) -> TallyTable:
     """Count all singles, pairs and triples for one acquisition [0, acquisition_s).
 
     The one counting entry point, for simulated runs and event replays
-    alike. The ten coincidence counters read one set of clusters cut at time
-    gaps > 2 * window; such gaps split every greedy walk exactly (module
-    docstring).
+    alike. The streams are cut into pieces at time gaps > 2 * window (see
+    _pieces), and the ten coincidence counters of each piece read one set of
+    clusters. No coincidence bridges such a gap and the gaps split every
+    greedy walk exactly (module docstring), so the counts, summed over the
+    pieces, are those of the whole streams; the temporaries are a piece's.
     """
     acq_ps = int(round(config.acquisition_s * 1e12))
     if acq_ps >= _MAX_KEY_TIME_PS:
@@ -253,18 +301,20 @@ def accumulate(streams: dict, config: CcuConfig, metadata: dict | None = None) -
     clean = {}
     for det in Detector:
         t = np.asarray(streams[det], dtype=np.int64)
-        if t.size > 1 and np.any(np.diff(t) < 0):
+        if not _time_ordered(t):
             raise ValueError(f"accumulate[{det.label}]: stream is not time-ordered")
         if t.size and (t[0] < 0 or t[-1] >= acq_ps):
             raise ValueError(f"accumulate[{det.label}]: timestamps outside [0, acquisition)")
         clean[det] = t
-    singles = {det: int(clean[det].size) for det in Detector}
-    spread = 2 * int(config.window_ps)
-    clusters = _clusters(_with_neighbour(clean, spread), spread)
+    pairs, triples = dict.fromkeys(PAIR_KEYS, 0), dict.fromkeys(TRIPLE_KEYS, 0)
+    for piece in _pieces(clean, config):
+        for total, found in zip((pairs, triples), _count_piece(piece, config)):
+            for key, n in found.items():
+                total[key] += n
     return TallyTable(
-        singles=singles,
-        pairs=count_pairs(clusters, config),
-        triples=count_triples(clusters, config),
+        singles={det: int(clean[det].size) for det in Detector},
+        pairs=pairs,
+        triples=triples,
         acquisition_s=config.acquisition_s,
         metadata=dict(metadata or {}),
     )

@@ -11,15 +11,19 @@ the detector exactly like a photon click does.
 split_counts and detect_counts draw in photon_source.draw_blocks: a chunk's
 count rows are int16 (photon numbers above 2^15 - 1 are rejected, not
 wrapped) and its per-slot words and jittered times exist one block at a
-time. split_counts draws photon_source.binomial_half, which equals
-rng.binomial(n, 0.5). detect_counts tabulates the click probability p_k
-once per call, as the integer edge ceil(p_k * 2^53), and fires a slot on
-its raw word w when (w >> 11) < edge: exactly when the uniform
-Generator.random makes of w is below p_k. Its fired-slot indices are
-int32 (below CHUNK_SLOTS). It takes the slot clock as a function and asks
-it for the nominal times of the fired slots only. The blocks consume the
-generator as one whole-array call would, in the same stage-major order, so
-the output is the same for any block size.
+time. Both work port by port: the engine splits port 1, detects A' and
+A'', then splits port 2 and detects B' and B''. The split draws come from
+one generator, port 1's before port 2's, and the detection draws from
+another, A', A'', B', B'' in turn. split_counts draws
+photon_source.binomial_half, which equals rng.binomial(n, 0.5).
+detect_counts tabulates the click probability p_k once per call, as the
+integer edge ceil(p_k * 2^53), and fires a slot on its raw word w when
+(w >> 11) < edge: exactly when the uniform Generator.random makes of w is
+below p_k. Its fired-slot indices are int32 (below CHUNK_SLOTS). It takes
+the slot clock as a function and asks it for the nominal times of the
+fired slots only. The blocks consume the generator as one whole-array call
+would, in the same stage-major order, so the output is the same for any
+block size.
 """
 
 from __future__ import annotations
@@ -91,21 +95,18 @@ class DetectorConfig:
         check_rules(self, self.rules)
 
 
-def split_counts(port1: np.ndarray, port2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Fair 50/50 split of each port's photons onto its detector pair.
+def split_counts(port: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Fair 50/50 split of one port's photons onto its detector pair.
 
-    Returns four length-m int16 count rows, indexed by Detector; port
-    occupancies must lie in [0, 2^15 - 1], or ValueError. Every block's
-    port-1 draw comes before any port-2 draw.
+    Returns the pair's two length-m int16 count rows, the first detector's
+    (A' or B') first; port occupancies must lie in [0, 2^15 - 1], or
+    ValueError. The port's draws are binomial_half's, block by block.
     """
-    port1, port2 = photon_numbers(port1), photon_numbers(port2)
-    rows = []
-    for port in (port1, port2):
-        first = np.empty(port.size, dtype=COUNT_DTYPE)
-        for block in draw_blocks(port.size):
-            first[block] = binomial_half(port[block], rng)
-        rows += [first, np.subtract(port, first, dtype=COUNT_DTYPE)]
-    return tuple(rows)
+    port = photon_numbers(port)
+    first = np.empty(port.size, dtype=COUNT_DTYPE)
+    for block in draw_blocks(port.size):
+        first[block] = binomial_half(port[block], rng)
+    return first, np.subtract(port, first, dtype=COUNT_DTYPE)
 
 
 def click_probability(k, efficiency: float):
@@ -114,36 +115,38 @@ def click_probability(k, efficiency: float):
 
 
 def detect_counts(
-    counts,
+    counts: dict,
     slot_time,
     config: DetectorConfig,
     rng: np.random.Generator,
 ) -> dict[Detector, np.ndarray]:
     """Vectorised click sampling for a chunk of slots.
 
-    counts holds four length-m rows indexed by Detector, photon numbers of
-    at most 2^15 - 1 (or ValueError), and slot_time maps an int32 array of
-    row indices to the nominal int64 ps times of those slots (an array of
-    times passes as times.__getitem__). Returns
-    per-detector candidate click times (int64 ps, jittered, clipped at 0),
-    before dead-time filtering. Draw order is fixed: per detector in
+    counts maps detectors to length-m rows of photon numbers of at most
+    2^15 - 1 (or ValueError); each row is popped from counts once its slots
+    are drawn, so a caller that holds no other reference frees it there.
+    slot_time maps an int32 array of row indices to the nominal int64 ps
+    times of those slots (an array of times passes as times.__getitem__).
+    Returns per-detector candidate click times (int64 ps, jittered, clipped
+    at 0), before dead-time filtering. Draw order is fixed: per detector in
     canonical order, one raw word per occupied slot (the word of one
     Generator.random uniform), then one normal per firing click, each
     drawn in draw_blocks.
     """
-    top = max((int(row.max()) for row in counts if row.size), default=0)
+    top = max((int(row.max()) for row in counts.values() if row.size), default=0)
     if top > MAX_COUNT:
         raise ValueError(f"photon numbers must be in [0, {MAX_COUNT}]")
     edges = uniform_edges(click_probability(np.arange(top + 1), config.efficiency))
     bits = rng.bit_generator
     out = {}
-    for det in Detector:
-        k = counts[det]
+    for det in sorted(counts):
+        k = counts.pop(det)
         fired = [np.empty(0, dtype=np.int32)]
         for block in draw_blocks(k.size):
             hit = np.flatnonzero(k[block] > 0)
             fire = np.flatnonzero((bits.random_raw(hit.size) >> np.uint64(11)) < edges[k[block][hit]])
             fired.append(np.add(hit[fire], block.start, dtype=np.int32))
+        del k
         sel = np.concatenate(fired)
         clicks = np.empty(sel.size, dtype=np.int64)
         for block in draw_blocks(sel.size):
@@ -278,10 +281,17 @@ def _read_binary(path) -> dict[Detector, np.ndarray]:
         out = {det: np.empty(counts[det], dtype=np.int64) for det in Detector}
         filled = dict.fromkeys(Detector, 0)
         for block in _record_blocks(fh):
+            dets, times = block["det"], block["t"]
+            # write_events groups records by detector; other dumps are grouped
+            # here, keeping file order, with one stable sort per block
+            if np.any(dets[1:] < dets[:-1]):
+                order = np.argsort(dets, kind="stable")
+                dets, times = dets[order], times[order]
+            bounds = np.searchsorted(dets, np.arange(len(Detector) + 1))
             for det in Detector:
-                times = block["t"][block["det"] == det]
-                out[det][filled[det] : filled[det] + times.size] = times
-                filled[det] += times.size
+                part = times[bounds[det] : bounds[det + 1]]
+                out[det][filled[det] : filled[det] + part.size] = part
+                filled[det] += part.size
     return out
 
 

@@ -312,4 +312,5 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndar
             hit = np.flatnonzero(raw >= edges[0])
             offsets.append(np.add(hit, block.start, dtype=np.int32))
             counts.append(np.searchsorted(edges, raw[hit], side="right").astype(COUNT_DTYPE))
-    return start, np.concatenate(offsets), np.concatenate(counts)
+    offsets = np.concatenate(offsets)  # frees the offset blocks before the counts are joined
+    return start, offsets, np.concatenate(counts)

@@ -22,7 +22,9 @@ So the run holds about one chunk's clicks at a time, not the acquisition's;
 the registered streams are kept whole only for an event dump.
 
 Per chunk the engine holds the occupied slots as int32 offsets and int16
-photon numbers, and per model one int16 port row and four int16 count rows.
+photon numbers, dropped once the last model is routed, and per model its
+two int16 port rows. It splits and detects port by port, and each
+detector's int16 count row is freed once its clicks are drawn.
 No full-length slot-time array is built: the slot clock
 rint((start + offset) / slot_rate * 1e12) is evaluated only for the slots
 that fire, with each offset widened to int64 before start is added.
@@ -136,13 +138,22 @@ def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
         return _slot_times(src, start + occupied[idx].astype(np.int64))
 
     results = []
-    for model in models:
+    for i, model in enumerate(models):
         route_rng = substream(src.seed, STREAM_ROUTING, chunk_index)
         port1 = route_counts(model, k, route_rng)
-        counts = split_counts(port1, k - port1, route_rng)
+        fallback = phase_basis_fallback_count(model, k)
+        ports = [port1, k - port1]
         del port1
-        clicks = detect_counts(counts, slot_time, detectors, substream(src.seed, STREAM_DETECT, chunk_index))
-        results.append((clicks, phase_basis_fallback_count(model, k)))
+        if i == len(models) - 1:
+            del k  # the last model's port rows are all that is left of it
+        # port by port, the routing substream draws route, port-1 split and
+        # port-2 split, and the detection substream A', A'', B', B''
+        detect_rng = substream(src.seed, STREAM_DETECT, chunk_index)
+        clicks = {}
+        for pair in ((Detector.A1, Detector.A2), (Detector.B1, Detector.B2)):
+            rows = dict(zip(pair, split_counts(ports.pop(0), route_rng)))
+            clicks |= detect_counts(rows, slot_time, detectors, detect_rng)
+        results.append((clicks, fallback))
     return results
 
 
@@ -168,8 +179,8 @@ def _watermarks(src: SourceConfig, detectors: DetectorConfig) -> list[int]:
 
     The slot clock is monotone, so a later chunk's clicks lie at or after the
     nominal time of the next chunk's first slot, less the jitter's reach. The
-    last chunk's is _END, so a one-chunk run counts (and keeps) its streams
-    in one piece.
+    last chunk's is _END, so a one-chunk run counts its streams in one
+    accumulate call and keeps them in one piece.
     """
     reach = math.ceil(_JITTER_REACH_SIGMAS * detectors.jitter_sigma_ps) + 2
     starts = np.array([chunk_start(i) for i in range(1, num_chunks(src))], dtype=np.int64)

@@ -7,8 +7,9 @@ check, grouping of interleaved (detector, time) events into streams, event
 dumps written and read one struct record or text line at a time, exact
 enumeration of each model's routing and detector occupancies for one
 n-photon slot, and the click-pattern table as a Poisson sum over those
-enumerations, and the whole-stream click side that holds every click of an
-acquisition before it merges, filters or counts any. traced_peak measures
+enumerations, the whole-stream click side that holds every click of an
+acquisition before it merges, filters or counts any, and the cluster edge
+found by one sort of every event. traced_peak measures
 the memory the fast paths hold.
 """
 
@@ -254,6 +255,16 @@ def enumerated_click_table(model: RoutingModel, mean_photon_number: float, effic
         p_pattern = np.where(fired, click, 1.0 - click).prod(axis=2)  # (occupancy, mask)
         table += weight * (np.array(list(outcomes.values())) @ p_pattern)
     return table.tolist()
+
+
+def closed_edge(streams, watermark: int, config) -> int:
+    """coincidence_unit.closed_edge by one sort of every event: the first
+    event after the last gap > 2 * window of the merged timeline closed by
+    watermark, or the first event if there is no such gap."""
+    times = np.concatenate([*streams, [watermark]])
+    times.sort(kind="stable")
+    gaps = np.flatnonzero(times[1:] - times[:-1] > 2 * int(config.window_ps))
+    return int(times[gaps[-1] + 1] if gaps.size else times[0])
 
 
 def whole_stream_click_side(chunk_clicks, dark: dict, dead_time_ps: int, ccu):

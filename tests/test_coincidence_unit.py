@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -24,9 +24,10 @@ from bunchsim.coincidence_unit import (
     tally_to_csv,
     tally_to_json,
 )
-from bunchsim.coincidence_unit import _greedy_pairs, _greedy_triples, _with_neighbour
-from bunchsim.detector_bank import Detector
-from oracles import streams_from_events
+from bunchsim.coincidence_unit import _greedy_pairs, _greedy_triples, _pieces, _with_neighbour, closed_edge
+from bunchsim.detector_bank import MAX_PS, Detector
+from oracles import streams_from_events, traced_peak
+import oracles
 
 
 def optimal_pairs(x, y, window):
@@ -243,14 +244,71 @@ def test_merged_prefilter_keeps_every_partnered_event(case):
 
 @settings(max_examples=150, deadline=None)
 @given(timelines(), st.integers(1, 3))
+@example(
+    # B'' at 593 and B' at 2642 lie 2049 ps = 2 * window + 1 apart, a cluster
+    # edge, though their merge keys lie 4 * 2 * window + 3 apart
+    (1024, {det: np.array(t, dtype=np.int64) for det, t in zip(Detector, ([], [], [0, 2642], [593]))}),
+    1,
+)
 def test_merged_prefilter_independent_of_block_size(case, step):
-    # real runs span many merge blocks; tiny blocks put block edges between
-    # close events of these small streams
+    # real runs count many pieces; tiny pieces cut these small streams at
+    # nearly every cluster edge, and the keys kept piece by piece must be
+    # those of the whole streams
     window, streams = case
     whole = _with_neighbour(streams, 2 * window)
     with mock.patch.object(coincidence_unit, "_MERGE_STEP", step):
-        blocked = _with_neighbour(streams, 2 * window)
-    assert blocked.tolist() == whole.tolist()
+        pieces = list(_pieces(streams, CcuConfig(window_ps=window, acquisition_s=1.0)))
+    assert np.concatenate([_with_neighbour(piece, 2 * window) for piece in pieces]).tolist() == whole.tolist()
+
+
+def test_counting_memory_follows_the_piece_not_the_stream(monkeypatch):
+    # one sort and one set of clusters over the whole streams took ~10x the
+    # 4-piece peak at 40 pieces
+    monkeypatch.setattr(coincidence_unit, "_MERGE_STEP", 1 << 10)
+
+    def peak(pieces):
+        # a candidate cut about every 2^10 events of each stream; clicks ~30 ns
+        # apart on each detector and a 500 ps window leave few coincidences to
+        # walk, so the pieces' arrays set the peak
+        rng = np.random.default_rng(31)
+        streams = {det: np.cumsum(rng.integers(1_000, 60_000, size=pieces << 10)) for det in Detector}
+        config = CcuConfig(window_ps=500, acquisition_s=1.0)
+        assert len(list(_pieces(streams, config))) == pieces
+        return traced_peak(accumulate, streams, config)
+
+    assert peak(40) < 1.3 * peak(4)
+
+
+@st.composite
+def edge_cases(draw):
+    """(streams below watermark, watermark, config) for closed_edge.
+
+    Events lie at gaps below the watermark, each at or within 2 * window of
+    the one above it or beyond, so the last gap > 2 * window lies within
+    closed_edge's first span, further back, or nowhere. An event may click
+    on several detectors at once, and a stream may be empty.
+    """
+    window = draw(st.integers(1, 50) | st.integers(1, MAX_PS - 1))
+    spread = 2 * window
+    watermark = draw(st.integers(0, 2**62))
+    gap = st.integers(0, spread) | st.integers(spread + 1, 2 * spread)
+    below = [draw(st.integers(1, 2 * spread)), *draw(st.lists(gap, max_size=40))]
+    times = watermark - np.cumsum(below[: draw(st.integers(0, len(below)))])
+    streams = [[] for _ in Detector]
+    for t in times[::-1].tolist():
+        for det in draw(st.sets(st.sampled_from(Detector), min_size=1)):
+            streams[det].append(t)
+    return [np.asarray(s, dtype=np.int64) for s in streams], watermark, CcuConfig(window_ps=window, acquisition_s=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cases())
+@example(([np.arange(0, 100, 10)] * 4, 100, CcuConfig(window_ps=10, acquisition_s=1.0)))  # no gap at all
+@example(([np.array([0, *range(100, 200, 10)])] * 4, 200, CcuConfig(window_ps=10, acquisition_s=1.0)))  # gap far back
+@example(([np.empty(0, dtype=np.int64)] * 4, 7, CcuConfig(window_ps=MAX_PS - 1, acquisition_s=1.0)))
+def test_closed_edge_searches_back_to_the_last_gap(case):
+    streams, watermark, config = case
+    assert closed_edge(streams, watermark, config) == oracles.closed_edge(streams, watermark, config)
 
 
 def test_merged_prefilter_drops_isolated_events():

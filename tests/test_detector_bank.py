@@ -29,6 +29,11 @@ def config(**kw):
     return DetectorConfig(**base)
 
 
+def rows(counts):
+    """detect_counts' mapping of four count rows, indexed by Detector."""
+    return dict(zip(Detector, counts))
+
+
 def brute_dead_time(times, dead):
     """Reference implementation: plain sequential scan."""
     kept = []
@@ -71,7 +76,7 @@ def test_fire_edge_is_the_uniform_rule(p):
     times = np.arange(len(words), dtype=np.int64)
     stand_in = oracles.Words(np.array(words, dtype=np.uint64))
     with mock.patch.object(detector_bank, "click_probability", lambda k, eta: np.full(np.shape(k), p)):
-        clicks = detect_counts(counts, times.__getitem__, config(jitter_sigma_ps=0.0), stand_in)
+        clicks = detect_counts(rows(counts), times.__getitem__, config(jitter_sigma_ps=0.0), stand_in)
     assert clicks[Detector.A1].tolist() == [i for i, w in enumerate(words) if (w >> 11) * 2.0**-53 < p]
 
 
@@ -85,7 +90,7 @@ def test_fired_slots_are_those_of_the_uniform_rule(m, efficiency, seed):
     counts[:, source.random(m) < 0.01] = 300
     times = np.arange(m, dtype=np.int64) * 1000
     cfg = config(efficiency=efficiency, jitter_sigma_ps=0.0)
-    clicks = detect_counts(counts, times.__getitem__, cfg, substream(seed, 3))
+    clicks = detect_counts(rows(counts), times.__getitem__, cfg, substream(seed, 3))
     twin = substream(seed, 3)
     for det in Detector:
         hit = np.flatnonzero(counts[det] > 0)
@@ -107,7 +112,7 @@ def test_split_counts_is_binomial_half():
     m = 200_000
     port1 = np.full(m, 2)
     port2 = np.zeros(m, dtype=np.int64)
-    counts = split_counts(port1, port2, rng)
+    counts = split_counts(port1, rng) + split_counts(port2, rng)
     assert np.array_equal(counts[Detector.A1] + counts[Detector.A2], port1)
     assert not counts[Detector.B1].any() and not counts[Detector.B2].any()
     for k in range(3):
@@ -121,7 +126,7 @@ def test_detect_counts_perfect_efficiency_no_jitter():
     cfg = config(efficiency=1.0, jitter_sigma_ps=0.0, dark_rate=0.0)
     counts = np.array([[1, 0, 2], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
     times = np.array([1000, 2000, 3000], dtype=np.int64)
-    clicks = detect_counts(counts, times.__getitem__, cfg, substream(1))
+    clicks = detect_counts(rows(counts), times.__getitem__, cfg, substream(1))
     assert clicks[Detector.A1].tolist() == [1000, 3000]
     assert clicks[Detector.A2].tolist() == [3000]
     assert clicks[Detector.B1].tolist() == [2000]
@@ -132,7 +137,7 @@ def test_detect_counts_zero_efficiency_never_fires():
     cfg = config(efficiency=1e-12, jitter_sigma_ps=0.0)
     counts = np.ones((4, 500), dtype=np.int64)
     times = np.arange(500, dtype=np.int64) * 100_000
-    clicks = detect_counts(counts, times.__getitem__, cfg, substream(2))
+    clicks = detect_counts(rows(counts), times.__getitem__, cfg, substream(2))
     assert sum(c.size for c in clicks.values()) == 0
 
 
@@ -142,7 +147,7 @@ def test_jitter_statistics():
     counts = np.zeros((4, m), dtype=np.int64)
     counts[Detector.B2] = 1
     times = np.full(m, 10_000_000, dtype=np.int64)
-    clicks = detect_counts(counts, times.__getitem__, cfg, substream(3))
+    clicks = detect_counts(rows(counts), times.__getitem__, cfg, substream(3))
     residuals = clicks[Detector.B2].astype(float) - 10_000_000
     assert clicks[Detector.B2].size == m
     assert abs(residuals.mean()) < 4 * 350 / math.sqrt(m)
@@ -156,7 +161,7 @@ def test_efficiency_hit_rate():
     counts = np.zeros((4, m), dtype=np.int64)
     counts[Detector.A1] = 1
     times = np.arange(m, dtype=np.int64) * 50_000
-    clicks = detect_counts(counts, times.__getitem__, cfg, substream(4))
+    clicks = detect_counts(rows(counts), times.__getitem__, cfg, substream(4))
     sigma = math.sqrt(m * 0.582 * 0.418)
     assert abs(clicks[Detector.A1].size - m * 0.582) <= 4 * sigma
 
@@ -311,6 +316,21 @@ def test_binary_dump_is_read_in_record_blocks(tmp_path):
     block = detector_bank._READ_BLOCK * detector_bank._RECORD.itemsize
     assert block < path.stat().st_size // 2  # the file spans several blocks
     assert oracles.traced_peak(read_events, path, "binary") < 2 * sum(t.nbytes for t in streams.values()) + block
+
+
+def test_interleaved_binary_dump_keeps_file_order_per_detector(tmp_path):
+    # a dump from elsewhere may mix detectors within a record block, and its
+    # times need not be sorted; each detector's times come back in file order
+    rng = np.random.default_rng(11)
+    records = np.empty(3 * detector_bank._READ_BLOCK + 5, dtype=detector_bank._RECORD)
+    records["det"] = rng.integers(0, len(Detector), size=records.size)
+    records["det"][: detector_bank._READ_BLOCK + 7] = Detector.B1  # one grouped block, then a mixed one
+    records["t"] = rng.integers(0, 2**63, size=records.size, dtype=np.uint64)
+    path = tmp_path / "e.bin"
+    records.tofile(path)
+    back, ref = read_events(path, fmt="binary"), oracles.read_events(path, fmt="binary")
+    for det in Detector:
+        assert back[det].dtype == np.int64 and np.array_equal(back[det], ref[det]), det
 
 
 def test_binary_dump_rejects_negative_timestamps(tmp_path):

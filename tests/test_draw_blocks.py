@@ -36,6 +36,11 @@ PHOTON_NUMBER = st.one_of(st.integers(0, 4), st.integers(5, 60), st.integers(61,
 PHOTON_NUMBERS = st.lists(PHOTON_NUMBER, max_size=300)
 
 
+def split_ports(port1, port2, rng):
+    """The four count rows, indexed by Detector, of port 1's split and then port 2's."""
+    return split_counts(port1, rng) + split_counts(port2, rng)
+
+
 def with_block(block, draw):
     """(values, generator state, next raw word) of draw(rng) at one block size."""
     rng = substream(11, 5)
@@ -73,8 +78,8 @@ def test_route_counts_independent_of_block_size(block, model, n):
 def test_split_counts_independent_of_block_size(block, port1, data):
     port1 = np.array(port1, dtype=np.int16)
     port2 = np.array(data.draw(st.lists(PHOTON_NUMBER, min_size=port1.size, max_size=port1.size)), dtype=np.int16)
-    assert_block_invariant(block, lambda rng: split_counts(port1, port2, rng), rows_equal)
-    a1, a2, b1, b2 = split_counts(port1, port2, substream(2))
+    assert_block_invariant(block, lambda rng: split_ports(port1, port2, rng), rows_equal)
+    a1, a2, b1, b2 = split_ports(port1, port2, substream(2))
     assert np.array_equal(a1 + a2, port1) and np.array_equal(b1 + b2, port2)
     assert {row.dtype for row in (a1, a2, b1, b2)} == {np.dtype(np.int16)}
 
@@ -93,7 +98,7 @@ def test_detect_counts_independent_of_block_size(block, m, efficiency, jitter, s
     counts[:, source.random(m) < 0.05] = 70
     times = np.cumsum(source.integers(1, 50_000, size=m))
     cfg = DetectorConfig(efficiency=efficiency, jitter_sigma_ps=jitter)
-    assert_block_invariant(block, lambda rng: detect_counts(counts, times.__getitem__, cfg, rng), clicks_equal)
+    assert_block_invariant(block, lambda rng: detect_counts(dict(zip(Detector, counts)), times.__getitem__, cfg, rng), clicks_equal)
 
 
 @settings(max_examples=10, deadline=None)
@@ -126,9 +131,10 @@ def test_bright_chunk_holds_no_full_length_int64_temporaries():
     "models, bound_mib",
     # int32 rows, int64 source lists and a full-length int64 slot-time array
     # peaked at ~105 and ~172 MiB; int16 rows and int32 offsets, with slot
-    # times for fired slots only, take ~60 and ~96 MiB, and int32 fired-slot
-    # indices ~56 and ~96 MiB
-    [([RoutingModel.CLASSICAL], 80), (list(RoutingModel), 128)],
+    # times for fired slots only, took ~60 and ~96 MiB, and int32 fired-slot
+    # indices ~56 and ~96 MiB; splitting and detecting port by port, each
+    # count row freed once detected, takes ~33 and ~62 MiB
+    [([RoutingModel.CLASSICAL], 48), (list(RoutingModel), 88)],
 )
 def test_bright_chunk_peak_with_narrow_rows(models, bound_mib):
     assert traced_peak(_simulate_chunk, bright_chunk(models)) < bound_mib * 2**20
@@ -146,12 +152,12 @@ def test_route_counts_rejects_photon_numbers_beyond_int16(model):
 
 def test_split_counts_rejects_photon_numbers_beyond_int16():
     top = np.array([2**15 - 1], dtype=np.int64)
-    a1, a2, b1, b2 = split_counts(top, top, substream(4))
+    a1, a2, b1, b2 = split_ports(top, top, substream(4))
     assert a1 + a2 == top and b1 + b2 == top
     over = np.array([2**15], dtype=np.int64)
     for port1, port2 in ((over, top), (top, over)):
         with pytest.raises(ValueError, match="photon numbers must be in"):
-            split_counts(port1, port2, substream(4))
+            split_ports(port1, port2, substream(4))
 
 
 def test_detect_counts_rejects_photon_numbers_beyond_int16():
@@ -159,10 +165,10 @@ def test_detect_counts_rejects_photon_numbers_beyond_int16():
     counts = np.zeros((4, 3), dtype=np.int64)
     counts[Detector.B2, 1] = 2**15 - 1
     times = np.arange(3, dtype=np.int64)
-    assert detect_counts(counts, times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))[Detector.B2].size == 1
+    assert detect_counts(dict(zip(Detector, counts)), times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))[Detector.B2].size == 1
     counts[Detector.B2, 1] = 2**15
     with pytest.raises(ValueError, match="photon numbers must be in"):
-        detect_counts(counts, times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))
+        detect_counts(dict(zip(Detector, counts)), times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))
 
 
 # 2.5e11 slots/s and 2^53 ps: ~2.25e15 slots, ~5.4e8 chunks
@@ -180,7 +186,7 @@ def test_slot_clock_is_exact_past_int32_slot_indices(chunk):
     start, offsets, k = occupied_slots(FAST_SOURCE, chunk)
     route_rng = substream(FAST_SOURCE.seed, STREAM_ROUTING, chunk)
     port1 = route_counts(RoutingModel.CLASSICAL, k, route_rng)
-    counts = split_counts(port1, k - port1, route_rng)
+    counts = split_ports(port1, k - port1, route_rng)
     nominal = np.rint((start + offsets.astype(np.int64)) / FAST_SOURCE.slot_rate * 1e12).astype(np.int64)
     assert nominal[-1] < 2**53 and (chunk < 512 or start >= 2**31)
     for det in Detector:
