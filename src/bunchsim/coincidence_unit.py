@@ -17,7 +17,7 @@ The same gaps bound memory: accumulate cuts the streams into pieces of
 about 4 * _MERGE_STEP events at cluster edges, counts each piece from its
 own merged timeline and adds the counts. closed_edge is the
 one edge finder, for these pieces and for the streamed click side of
-simulate, which counts each chunk's registered events up to the edge.
+simulate, which filters and counts each chunk's raw events up to the edge.
 """
 
 from __future__ import annotations
@@ -113,24 +113,6 @@ _MAX_KEY_TIME_PS = 2**61
 _MERGE_STEP = 1 << 13
 
 
-def _with_neighbour(streams: dict, spread: int) -> np.ndarray:
-    """Sorted merge keys 4 * t + detector of the events that have a neighbour.
-
-    The four streams are merged into one sorted timeline of keys, and the
-    events within `spread` ps of the next or the previous one are kept; the
-    dropped ones are alone in their cluster. A gap > spread has no kept
-    event on both sides, so the streams cut at such gaps keep the same keys.
-    """
-    keys = np.concatenate([streams[det] * 4 + det for det in Detector])
-    keys.sort()
-    times = keys >> 2
-    close = times[1:] - times[:-1] <= spread
-    keep = np.zeros(keys.size, dtype=bool)
-    keep[:-1] = close
-    keep[1:] |= close
-    return keys[keep]
-
-
 class _Clusters(NamedTuple):
     keys: np.ndarray  # sorted merge keys 4 * t + detector
     cluster: np.ndarray  # cluster index of each key
@@ -139,14 +121,29 @@ class _Clusters(NamedTuple):
     only: np.ndarray  # (4, clusters): the time of the click where there is exactly one
 
 
-def _clusters(keys: np.ndarray, spread: int) -> _Clusters:
-    """Split sorted merge keys at key gaps > 4 * spread + 3, which are time gaps > spread."""
+def _clusters(streams: dict, spread: int) -> _Clusters:
+    """The events of streams that have a neighbour, split at time gaps > spread.
+
+    The four streams are merged into one sorted timeline of keys, and the
+    events within `spread` ps of the next or the previous one are kept; the
+    dropped ones are alone in their cluster, and the kept ones are split at
+    time gaps > spread. Such a gap has no kept event on both sides, so the
+    streams cut at such gaps keep the same keys.
+    """
+    keys = np.concatenate([streams[det] * 4 + det for det in Detector])
+    keys.sort()
+    times = keys >> 2
+    close = times[1:] - times[:-1] <= spread
+    keep = np.zeros(keys.size, dtype=bool)
+    keep[:-1] = close
+    keep[1:] |= close
+    keys = keys[keep]
+    times = keys >> 2
     start = np.ones(keys.size, dtype=bool)
-    start[1:] = keys[1:] - keys[:-1] > 4 * spread + 3
+    start[1:] = times[1:] - times[:-1] > spread
     cluster = np.cumsum(start) - 1
     n = int(cluster[-1]) + 1 if keys.size else 0
-    times, det = keys >> 2, keys & 3
-    cell = det * n + cluster
+    cell = (keys & 3) * n + cluster
     only = np.zeros(4 * n, dtype=np.int64)
     only[cell] = times
     clicks = np.bincount(cell, minlength=4 * n).reshape(4, n)
@@ -274,8 +271,7 @@ def _pieces(streams: dict, config: CcuConfig):
 
 def _count_piece(streams: dict, config: CcuConfig) -> tuple[dict, dict]:
     """(pair counts, triple counts) of one piece, read from one set of clusters."""
-    spread = 2 * int(config.window_ps)
-    clusters = _clusters(_with_neighbour(streams, spread), spread)
+    clusters = _clusters(streams, 2 * int(config.window_ps))
     return count_pairs(clusters, config), count_triples(clusters, config)
 
 
@@ -285,7 +281,7 @@ def _time_ordered(t: np.ndarray) -> bool:
     return not any(np.any(b[1:] < b[:-1]) for b in blocks)
 
 
-def accumulate(streams: dict, config: CcuConfig, metadata: dict | None = None) -> TallyTable:
+def accumulate(streams: dict, config: CcuConfig) -> TallyTable:
     """Count all singles, pairs and triples for one acquisition [0, acquisition_s).
 
     The one counting entry point, for simulated runs and event replays
@@ -311,13 +307,7 @@ def accumulate(streams: dict, config: CcuConfig, metadata: dict | None = None) -
         for total, found in zip((pairs, triples), _count_piece(piece, config)):
             for key, n in found.items():
                 total[key] += n
-    return TallyTable(
-        singles={det: int(clean[det].size) for det in Detector},
-        pairs=pairs,
-        triples=triples,
-        acquisition_s=config.acquisition_s,
-        metadata=dict(metadata or {}),
-    )
+    return TallyTable({det: int(clean[det].size) for det in Detector}, pairs, triples, config.acquisition_s)
 
 
 # --- serialisation ----------------------------------------------------------
@@ -345,7 +335,7 @@ def tally_to_json(tally: TallyTable) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def tally_from_csv(text: str, metadata: dict | None = None) -> TallyTable:
+def tally_from_csv(text: str) -> TallyTable:
     """Rebuild a TallyTable from its CSV form (counts are authoritative).
 
     The acquisition is count / rate_per_s of the row with the largest count,
@@ -386,4 +376,4 @@ def tally_from_csv(text: str, metadata: dict | None = None) -> TallyTable:
     for name, (count, rate) in rows.items():
         if not abs(rate - count / acquisition_s) <= 1e-12 * (count / acquisition_s):
             raise ValueError(f"tally CSV rows disagree on the acquisition: {name} has rate_per_s {rate!r}")
-    return TallyTable(**groups, acquisition_s=acquisition_s, metadata=dict(metadata or {}))
+    return TallyTable(**groups, acquisition_s=acquisition_s)

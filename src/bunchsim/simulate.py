@@ -8,15 +8,16 @@ Worker processes only compute per-chunk candidate clicks. The click side
 counting) runs in the main process, chunk by chunk in schedule order, with
 carried state:
 
-- a candidate waits until it lies below the chunk's watermark, the nominal
-  time of the next chunk's first slot less the jitter's reach, so that no
-  later candidate can precede it; with a wide jitter it waits across
-  several chunks;
-- the darks are drawn once per model and join in the span they fall in;
-- dead time carries each detector's last registered time across the edge;
-- registered events are counted up to a gap of more than 2 * window in the
-  merged four-detector timeline, where a coincidence cluster is closed, and
-  the tallies of the pieces are added.
+- one buffer per detector holds the raw events not yet counted: the
+  candidates, and the darks (drawn once per model) below the chunk's
+  watermark, the nominal time of the next chunk's first slot less the
+  jitter's reach, below which no later candidate lies;
+- each chunk, the events below the last gap of more than 2 * window in the
+  merged four-detector timeline below the watermark, where a coincidence
+  cluster is closed, go through dead time, the cut at the acquisition end
+  and counting once, and the tallies of the pieces are added; the rest wait
+  raw, with a wide jitter across several chunks;
+- dead time carries each detector's last registered time across the edge.
 
 So the run holds about one chunk's clicks at a time, not the acquisition's;
 the registered streams are kept whole only for an event dump.
@@ -167,10 +168,8 @@ def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
 # t = 0 only moves a click later.
 _JITTER_REACH_SIGMAS = 12.3
 
-# the watermark of the last chunk, which releases every remaining event, and
-# one below every event
+# the watermark of the last chunk, which releases every remaining event
 _END = int(np.iinfo(np.int64).max)
-_START = int(np.iinfo(np.int64).min)
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -191,15 +190,16 @@ class _ClickSide:
     """Merge, dead time, cut and counting of one model's clicks, chunk by chunk.
 
     Fed each chunk's candidate clicks in schedule order with the chunk's
-    watermark, the time no later candidate lies below. An event is released
-    to dead time once it lies below the watermark; before that it waits
-    with the candidates of the next chunks. Darks join the events in the
-    span of the watermark they fall under. Registered events are counted
-    up to a gap of more than 2 * window, where a coincidence cluster is
-    closed (coincidence_unit), and the tallies of the pieces are added.
-    Each event is released, filtered and counted exactly once and in time
-    order, so the result equals the whole-stream pass: merge, sort,
-    apply_dead_time, cut at the acquisition end and accumulate.
+    watermark, the time no later candidate lies below. One buffer per
+    detector holds the raw events not yet counted: candidates, and the darks
+    below the watermark. Each feed finds the last closed cluster edge of the
+    buffered events below the watermark (coincidence_unit), runs dead time,
+    the cut at the acquisition end and counting on the events below it, and
+    keeps the rest raw. Dead time only removes events, so a gap of more than
+    2 * window in the raw timeline is at least as wide in the registered one,
+    and no coincidence spans it. Each event is filtered and counted exactly
+    once and in time order, so the result equals the whole-stream pass:
+    merge, sort, apply_dead_time, cut at the acquisition end and accumulate.
     """
 
     def __init__(self, dead_time_ps: int, ccu: CcuConfig, dark: dict, keep_streams: bool):
@@ -207,10 +207,9 @@ class _ClickSide:
         self.ccu = ccu
         self.acq_ps = int(round(ccu.acquisition_s * 1e12))
         self.dark = dark
-        self.released_to = _START
-        self.pending = dict.fromkeys(Detector, _EMPTY)  # candidates at or above the watermark
+        self.released_to = 0  # the darks below it have joined the buffer; none lies below 0
+        self.raw = dict.fromkeys(Detector, _EMPTY)  # sorted raw events, not yet counted
         self.last = dict.fromkeys(Detector)  # last registered time, for dead time
-        self.held = dict.fromkeys(Detector, _EMPTY)  # registered and not yet counted
         self.counted = {det: [] for det in Detector} if keep_streams else None
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
@@ -221,16 +220,22 @@ class _ClickSide:
     def feed(self, clicks: dict, watermark: int) -> None:
         """Take one chunk's candidate clicks, popping them from clicks once merged."""
         for det in Detector:
-            self._register(det, clicks, watermark)
+            lo, hi = np.searchsorted(self.dark[det], [self.released_to, watermark])
+            self.raw[det] = np.concatenate([self.raw[det], clicks.pop(det), self.dark[det][lo:hi]])
+            self.raw[det].sort()
         self.released_to = watermark
-        held = [self.held[det] for det in Detector]
-        edge = _END if watermark == _END else coincidence_unit.closed_edge(held, watermark, self.ccu)
+        below = [t[: np.searchsorted(t, watermark)] for t in self.raw.values()]
+        edge = _END if watermark == _END else coincidence_unit.closed_edge(below, watermark, self.ccu)
         piece = {}
-        for det, t in zip(Detector, held):
+        for det in Detector:
+            t = self.raw[det]
             k = int(np.searchsorted(t, edge))
-            piece[det] = t[:k]
+            registered = apply_dead_time(t[:k], self.dead_time_ps, self.last[det])
+            if registered.size:
+                self.last[det] = int(registered[-1])
+            piece[det] = registered[: np.searchsorted(registered, self.acq_ps)]
             if k:
-                self.held[det] = t[k:].copy()
+                self.raw[det] = t[k:].copy()
                 if self.counted is not None:
                     self.counted[det].append(piece[det])
         if any(t.size for t in piece.values()):
@@ -238,20 +243,6 @@ class _ClickSide:
             tally = coincidence_unit.accumulate(piece, self.ccu)
             for _, group, key in COUNTERS:
                 self.counts[group][key] += getattr(tally, group)[key]
-
-    def _register(self, det: Detector, clicks: dict, watermark: int) -> None:
-        """Release det's events below watermark through dead time into held."""
-        lo, hi = np.searchsorted(self.dark[det], [self.released_to, watermark])
-        merged = np.concatenate([self.pending[det], clicks.pop(det), self.dark[det][lo:hi]])
-        merged.sort()
-        cut = np.searchsorted(merged, watermark)
-        self.pending[det] = merged[cut:].copy()
-        registered = apply_dead_time(merged[:cut], self.dead_time_ps, self.last[det])
-        if registered.size:
-            self.last[det] = int(registered[-1])
-        registered = registered[: np.searchsorted(registered, self.acq_ps)]
-        held = self.held[det]
-        self.held[det] = np.concatenate([held, registered]) if held.size else registered
 
     def finish(self, metadata: dict) -> tuple[dict | None, TallyTable]:
         """(registered streams if kept, else None; the tally) once every chunk is fed.
@@ -295,8 +286,8 @@ def simulate_streams(
     watermarks = _watermarks(src, detectors)
 
     def click_side():
-        # darks are few; drawing them per model from the same substream keeps one
-        # dark_events call per run, which perfbench's click accounting relies on
+        # darks are few; each model draws the same ones from the same substream,
+        # one dark_events call per model, which perfbench's click accounting relies on
         dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
         return _ClickSide(detectors.dead_time_ps, base.ccu, dark, keep_streams)
 

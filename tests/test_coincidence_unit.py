@@ -24,7 +24,7 @@ from bunchsim.coincidence_unit import (
     tally_to_csv,
     tally_to_json,
 )
-from bunchsim.coincidence_unit import _greedy_pairs, _greedy_triples, _pieces, _with_neighbour, closed_edge
+from bunchsim.coincidence_unit import _clusters, _greedy_pairs, _greedy_triples, _pieces, closed_edge
 from bunchsim.detector_bank import MAX_PS, Detector
 from oracles import streams_from_events, traced_peak
 import oracles
@@ -231,7 +231,7 @@ def decoded(keys):
 @given(timelines())
 def test_merged_prefilter_keeps_every_partnered_event(case):
     window, streams = case
-    keys = _with_neighbour(streams, 2 * window)
+    keys = _clusters(streams, 2 * window).keys
     assert np.all(np.diff(keys) >= 0)
     kept = decoded(keys)
     for det in Detector:
@@ -255,10 +255,10 @@ def test_merged_prefilter_independent_of_block_size(case, step):
     # nearly every cluster edge, and the keys kept piece by piece must be
     # those of the whole streams
     window, streams = case
-    whole = _with_neighbour(streams, 2 * window)
+    whole = _clusters(streams, 2 * window).keys
     with mock.patch.object(coincidence_unit, "_MERGE_STEP", step):
         pieces = list(_pieces(streams, CcuConfig(window_ps=window, acquisition_s=1.0)))
-    assert np.concatenate([_with_neighbour(piece, 2 * window) for piece in pieces]).tolist() == whole.tolist()
+    assert np.concatenate([_clusters(piece, 2 * window).keys for piece in pieces]).tolist() == whole.tolist()
 
 
 def test_counting_memory_follows_the_piece_not_the_stream(monkeypatch):
@@ -315,9 +315,9 @@ def test_merged_prefilter_drops_isolated_events():
     streams = {det: np.empty(0, dtype=np.int64) for det in Detector}
     streams[Detector.A1] = np.array([0, 1_000_000], dtype=np.int64)
     streams[Detector.B2] = np.array([10, 2_000_000], dtype=np.int64)
-    kept = decoded(_with_neighbour(streams, 10))
+    kept = decoded(_clusters(streams, 10).keys)
     assert kept[Detector.A1].tolist() == [0] and kept[Detector.B2].tolist() == [10]
-    assert decoded(_with_neighbour(streams, 9))[Detector.A1].size == 0
+    assert decoded(_clusters(streams, 9).keys)[Detector.A1].size == 0
 
 
 # --- stream plumbing ---------------------------------------------------------
@@ -339,7 +339,7 @@ def build_tally(rng, config=None):
         det: np.sort(rng.integers(0, acq_ps, size=int(rng.integers(50, 200)), dtype=np.int64))
         for det in Detector
     }
-    return accumulate(streams, config, metadata={"note": "synthetic"})
+    return accumulate(streams, config)
 
 
 def test_accumulate_counts_every_channel():
@@ -460,6 +460,7 @@ def test_csv_parser_rejects_garbage():
 
 def test_json_report_lists_published_channels():
     tally = build_tally(np.random.default_rng(30))
+    tally.metadata = {"note": "synthetic"}
     doc = json.loads(tally_to_json(tally))
     assert doc["reference_reported_pairs"] == ["A'A''", "B'B''", "A'B'", "A'B''"]
     assert len(doc["reference_reported_triples"]) == 4

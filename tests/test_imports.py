@@ -1,9 +1,11 @@
-"""Module-level imports that nothing in the module reads.
+"""Module-level imports and private names that nothing in the module reads.
 
 No linter ships with the test dependencies, so this parses each module of
 the library, the tests and the demos with ast: a name that a top-level import
 binds must appear somewhere in the module as a name. `__init__.py` is skipped,
-since it imports to re-export.
+since it imports to re-export. In the library, every private top-level name
+and every private method must also be read somewhere in its module, so a
+helper whose last caller goes does not outlive it.
 """
 
 import ast
@@ -38,6 +40,38 @@ def test_unused_import_check_sees_every_binding():
     assert unused_imports(source) == ["d", "os"]
 
 
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = {}  # what the module reads a private name as -> how it is reported
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((n.id, n.id) for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            methods = (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+            defined.update((f".{name}", f"{node.name}.{name}") for name in methods)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(f".{node.attr}")
+    private = {key: name for key, name in defined.items() if key.lstrip(".")[:1] == "_" and key[-2:] != "__"}
+    return sorted(name for key, name in private.items() if key not in read)
+
+
+def test_private_name_check_sees_every_definition():
+    source = (
+        "_A = 1\n_B: int = _A\n__all__ = []\n"
+        "def _f():\n    return _g\ndef _g():\n    pass\n"
+        "class _C:\n    def __init__(self):\n        self._x = 0\n"
+        "    def _used(self):\n        return self._x\n    def _left(self):\n        return self._used()\n"
+    )
+    assert unread_private_names(source) == ["_B", "_C", "_C._left", "_f"]
+
+
 def module_id(path: Path) -> str:
     return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
@@ -45,3 +79,8 @@ def module_id(path: Path) -> str:
 @pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=module_id)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -10,6 +10,7 @@ the acquisition.
 
 import importlib
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from bunchsim import photon_source
 from bunchsim.coincidence_unit import CcuConfig, counter_values
-from bunchsim.detector_bank import Detector, DetectorConfig
+from bunchsim.detector_bank import Detector, DetectorConfig, apply_dead_time
 from bunchsim.photon_source import SourceConfig
 from bunchsim.routing_models import RoutingModel
 from bunchsim.simulate import _END, SimConfig, _ClickSide, simulate, simulate_streams
@@ -85,11 +86,23 @@ def click_side_cases(draw):
 def test_streamed_click_side_equals_whole_stream_pass(case):
     pieces, watermarks, dark, dead, ccu = case
     ref_streams, ref_tally = whole_stream_click_side(pieces, dark, dead, ccu)
-    side = _ClickSide(dead, ccu, dark, keep_streams=True)
-    for clicks, watermark in zip(pieces, watermarks):
-        side.feed(dict(clicks), watermark)
-    streams, tally = side.finish({})
+    inputs = []
+
+    def recorded(times, *args):
+        inputs.append(np.array(times))
+        return apply_dead_time(times, *args)
+
+    # patched per example, since a function-scoped fixture would span them all
+    with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recorded):
+        side = _ClickSide(dead, ccu, dark, keep_streams=True)
+        for clicks, watermark in zip(pieces, watermarks):
+            side.feed(dict(clicks), watermark)
+        streams, tally = side.finish({})
     assert_same_run(streams, tally, ref_streams, ref_tally)
+    # every candidate and dark enters dead time exactly once, in time order
+    assert all(np.all(t[1:] >= t[:-1]) for t in inputs)
+    every = np.concatenate([*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
+    assert np.sort(np.concatenate([ints([]), *inputs])).tolist() == np.sort(every).tolist()
 
 
 @pytest.mark.parametrize(
@@ -179,9 +192,9 @@ def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
     dark = {det: ints([]) for det in Detector}
     ccu = CcuConfig(window, 20 * length * 1e-12)
     side = _ClickSide(0, ccu, dark, keep_streams=True)
-    held = []
+    buffered = []
     for i, clicks in enumerate(pieces):
         side.feed(dict(clicks), (i + 1) * length)
-        held.append(sum(t.size for t in side.held.values()))
-    assert max(held) == pieces[0][Detector.A1].size
+        buffered.append(sum(t.size for t in side.raw.values()))
+    assert max(buffered) == pieces[0][Detector.A1].size
     assert_same_run(*side.finish({}), *whole_stream_click_side(pieces, dark, 0, ccu))
