@@ -134,7 +134,8 @@ def parse_config(text: str, overrides: dict | None = None, require_seed: bool = 
     """
     file_values, violations = _parse_lines(text)
     overrides = dict(overrides or {})
-    preset = overrides.pop("preset", None) or file_values.pop("preset", None)
+    file_preset = file_values.pop("preset", None)
+    preset = overrides.pop("preset", None) or file_preset
 
     merged: dict = {}
     if preset is not None:

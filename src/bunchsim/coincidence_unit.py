@@ -1,17 +1,20 @@
 """Coincidence counting over per-detector timestamp streams.
 
-Windows use half-width semantics: two clicks coincide when |t1 - t2| <=
-window_ps, a triple coincides when max - min <= 2 * window_ps. Matching is
-greedy earliest-first with single use per channel, the same behaviour as a
-streaming hardware AND gate; on sorted streams this greedy count equals the
-brute-force maximum matching.
+Windows use half-width semantics: k clicks coincide when max - min <= width,
+with width = window_ps for a pair and 2 * window_ps for a triple. Pairs and
+triples share one matching rule, greedy earliest-first with single use per
+channel, the same behaviour as a streaming hardware AND gate: a match takes
+the head of every stream, and otherwise the earliest head is dropped. On
+sorted streams this greedy count equals the brute-force maximum matching.
 
 The merged timeline of all four streams is cut into clusters at gaps
 > 2 * window_ps. No pair or triple bridges such a gap, and a greedy pointer
 short of it is the earliest, so it passes the gap before any later match:
-each walk splits into independent walks per cluster. A cluster with one
-click on each detector of a counter holds one coincidence or none; only
-clusters with two clicks on one of its detectors need the greedy walk.
+each walk splits into independent walks per cluster. Each cluster carries
+two 4-bit detector masks, of the detectors that click once in it and of
+those that click at all. A cluster with one click on each detector of a
+counter holds one coincidence or none; only clusters with two clicks on one
+of its detectors and none missing need the greedy walk.
 
 The same gaps bound memory: accumulate cuts the streams into pieces of
 about 4 * _MERGE_STEP events at cluster edges, counts each piece from its
@@ -116,8 +119,8 @@ _MERGE_STEP = 1 << 13
 class _Clusters(NamedTuple):
     keys: np.ndarray  # sorted merge keys 4 * t + detector
     cluster: np.ndarray  # cluster index of each key
-    one: np.ndarray  # (4, clusters): the detector clicks exactly once in the cluster
-    some: np.ndarray  # (4, clusters): the detector clicks in the cluster
+    one: np.ndarray  # per cluster, bit d set where detector d clicks exactly once
+    some: np.ndarray  # per cluster, bit d set where detector d clicks
     only: np.ndarray  # (4, clusters): the time of the click where there is exactly one
 
 
@@ -147,7 +150,9 @@ def _clusters(streams: dict, spread: int) -> _Clusters:
     only = np.zeros(4 * n, dtype=np.int64)
     only[cell] = times
     clicks = np.bincount(cell, minlength=4 * n).reshape(4, n)
-    return _Clusters(keys, cluster, clicks == 1, clicks > 0, only.reshape(4, n))
+    bit = (1 << np.arange(4, dtype=np.uint8))[:, None]  # detector d's bit in a mask
+    one, some = (np.bitwise_or.reduce(bit * rows) for rows in (clicks == 1, clicks > 0))
+    return _Clusters(keys, cluster, one, some, only.reshape(4, n))
 
 
 def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
@@ -179,40 +184,26 @@ def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
         span *= 2
 
 
-def _greedy_pairs(x, y, window: int) -> int:
-    i = j = c = 0
-    nx, ny = len(x), len(y)
-    while i < nx and j < ny:
-        d = x[i] - y[j]
-        if d < -window:
-            i += 1
-        elif d > window:
-            j += 1
-        else:
-            c += 1
-            i += 1
-            j += 1
-    return c
+def _greedy(streams, width: int) -> int:
+    """Greedy earliest-first count of the coincidences (max - min <= width) of k sorted lists.
 
-
-def _greedy_triples(x, y, z, spread: int) -> int:
-    i = j = k = c = 0
-    nx, ny, nz = len(x), len(y), len(z)
-    while i < nx and j < ny and k < nz:
-        a, b, d = x[i], y[j], z[k]
-        lo = min(a, b, d)
-        if max(a, b, d) - lo <= spread:
-            c += 1
-            i += 1
-            j += 1
-            k += 1
-        elif a == lo:
-            i += 1
-        elif b == lo:
-            j += 1
-        else:
-            k += 1
-    return c
+    A match takes the head of every list. Otherwise the earliest head is
+    dropped, the first list's on a tie. The walk ends when a list runs out.
+    """
+    rest = [iter(s) for s in streams]
+    count = 0
+    try:
+        heads = [next(it) for it in rest]
+        while True:
+            lo = min(heads)
+            if max(heads) - lo <= width:
+                count += 1
+                heads = [next(it) for it in rest]
+            else:
+                i = heads.index(lo)
+                heads[i] = next(rest[i])
+    except StopIteration:
+        return count
 
 
 def _cluster_count(c: _Clusters, key, width: int) -> int:
@@ -223,23 +214,23 @@ def _cluster_count(c: _Clusters, key, width: int) -> int:
     share one greedy walk, which their gaps (> spread >= width) split exactly.
     """
     rows = list(key)
-    single = np.logical_and.reduce(c.one[rows])
+    mask = sum(1 << d for d in key)
+    single = (c.one & mask) == mask
     count = np.count_nonzero(single & (np.ptp(c.only[rows], axis=0) <= width))
-    hard = np.logical_and.reduce(c.some[rows]) & ~single
+    hard = ((c.some & mask) == mask) & ~single
     if hard.any():
-        walk = _greedy_pairs if len(rows) == 2 else _greedy_triples
         keys = c.keys[hard[c.cluster]]
-        count += walk(*((keys[keys & 3 == d] >> 2).tolist() for d in rows), width)
+        count += _greedy([(keys[keys & 3 == d] >> 2).tolist() for d in rows], width)
     return int(count)
 
 
 def count_pairs(clusters: _Clusters, config: CcuConfig) -> dict:
-    """All six pair counters over the clusters of one acquisition."""
+    """All six pair counters over the clusters of one piece of the streams."""
     return {key: _cluster_count(clusters, key, int(config.window_ps)) for key in PAIR_KEYS}
 
 
 def count_triples(clusters: _Clusters, config: CcuConfig) -> dict:
-    """All four triple counters over the clusters of one acquisition."""
+    """All four triple counters over the clusters of one piece of the streams."""
     return {key: _cluster_count(clusters, key, 2 * int(config.window_ps)) for key in TRIPLE_KEYS}
 
 

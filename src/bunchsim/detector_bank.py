@@ -9,8 +9,8 @@ single non-paralyzable dead-time pass, because a registered dark click blinds
 the detector exactly like a photon click does.
 
 split_counts and detect_counts draw in photon_source.draw_blocks: a chunk's
-count rows are int16 (photon numbers above 2^15 - 1 are rejected, not
-wrapped) and its per-slot words and jittered times exist one block at a
+count rows are int16 (photon numbers outside [0, 2^15 - 1] are rejected,
+not wrapped) and its per-slot words and jittered times exist one block at a
 time. Both work port by port: the engine splits port 1, detects A' and
 A'', then splits port 2 and detects B' and B''. The split draws come from
 one generator, port 1's before port 2's, and the detection draws from
@@ -39,7 +39,6 @@ import numpy as np
 
 from .photon_source import (
     COUNT_DTYPE,
-    MAX_COUNT,
     binomial_half,
     check_rules,
     draw_blocks,
@@ -122,9 +121,9 @@ def detect_counts(
 ) -> dict[Detector, np.ndarray]:
     """Vectorised click sampling for a chunk of slots.
 
-    counts maps detectors to length-m rows of photon numbers of at most
-    2^15 - 1 (or ValueError); each row is popped from counts once its slots
-    are drawn, so a caller that holds no other reference frees it there.
+    counts maps detectors to length-m rows of photon numbers in
+    [0, 2^15 - 1] (or ValueError); each row is popped from counts once its
+    slots are drawn, so a caller that holds no other reference frees it there.
     slot_time maps an int32 array of row indices to the nominal int64 ps
     times of those slots (an array of times passes as times.__getitem__).
     Returns per-detector candidate click times (int64 ps, jittered, clipped
@@ -133,9 +132,7 @@ def detect_counts(
     Generator.random uniform), then one normal per firing click, each
     drawn in draw_blocks.
     """
-    top = max((int(row.max()) for row in counts.values() if row.size), default=0)
-    if top > MAX_COUNT:
-        raise ValueError(f"photon numbers must be in [0, {MAX_COUNT}]")
+    top = max((int(photon_numbers(row).max()) for row in counts.values() if row.size), default=0)
     edges = uniform_edges(click_probability(np.arange(top + 1), config.efficiency))
     bits = rng.bit_generator
     out = {}
@@ -281,15 +278,8 @@ def _read_binary(path) -> dict[Detector, np.ndarray]:
         out = {det: np.empty(counts[det], dtype=np.int64) for det in Detector}
         filled = dict.fromkeys(Detector, 0)
         for block in _record_blocks(fh):
-            dets, times = block["det"], block["t"]
-            # write_events groups records by detector; other dumps are grouped
-            # here, keeping file order, with one stable sort per block
-            if np.any(dets[1:] < dets[:-1]):
-                order = np.argsort(dets, kind="stable")
-                dets, times = dets[order], times[order]
-            bounds = np.searchsorted(dets, np.arange(len(Detector) + 1))
             for det in Detector:
-                part = times[bounds[det] : bounds[det + 1]]
+                part = block["t"][block["det"] == det]  # in file order, grouped or interleaved
                 out[det][filled[det] : filled[det] + part.size] = part
                 filled[det] += part.size
     return out

@@ -132,8 +132,9 @@ def draw_blocks(size: int) -> list[slice]:
 def photon_numbers(n) -> np.ndarray:
     """n as an array, or ValueError if an entry does not fit an int16 count row.
 
-    route_counts and split_counts are public and accept any integer input;
-    they reject photon numbers outside [0, MAX_COUNT] instead of wrapping.
+    route_counts, split_counts and detect_counts are public and accept any
+    integer input; they reject photon numbers outside [0, MAX_COUNT] instead
+    of wrapping.
     """
     n = np.asarray(n)
     if n.size and (n.min() < 0 or n.max() > MAX_COUNT):

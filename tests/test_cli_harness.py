@@ -123,10 +123,13 @@ def test_preset_matches_published_calibration():
         preset_values("table0")
 
 
-def test_layering_precedence_flag_file_preset_default():
+def test_layering_precedence_flag_file_preset_default(tmp_path):
     text = "preset = table1-block1\nmodel = phase-basis\nseed = 1\ndark_rate = 5\n"
     cfg = parse_config(text, overrides={"dark_rate": "11"})
     assert cfg.dark_rate == 11.0  # flag beats file
+    assert parse_config(text, {"preset": "table1-block2"}).mean_photon_number == 0.044  # for the preset too
+    (tmp_path / "block1.conf").write_text(text)
+    assert main(["predict", "--config", str(tmp_path / "block1.conf"), "--preset", "table1-block2"]) == 0
     cfg = parse_config(text)
     assert cfg.dark_rate == 5.0  # file beats preset
     assert cfg.mean_photon_number == 0.022  # preset beats (missing) default

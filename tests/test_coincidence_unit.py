@@ -24,7 +24,7 @@ from bunchsim.coincidence_unit import (
     tally_to_csv,
     tally_to_json,
 )
-from bunchsim.coincidence_unit import _clusters, _greedy_pairs, _greedy_triples, _pieces, closed_edge
+from bunchsim.coincidence_unit import _clusters, _greedy, _pieces, closed_edge
 from bunchsim.detector_bank import MAX_PS, Detector
 from oracles import streams_from_events, traced_peak
 import oracles
@@ -127,7 +127,7 @@ def test_greedy_pairs_equal_maximum_matching():
         x = random_stream(rng, int(rng.integers(0, 60)), 800)
         y = random_stream(rng, int(rng.integers(0, 60)), 800)
         w = int(rng.integers(1, 50))
-        assert counted(w, x, y) == optimal_pairs(x, y, w)
+        assert counted(w, x, y) == _greedy([x.tolist(), y.tolist()], w) == optimal_pairs(x, y, w)
 
 
 def test_greedy_triples_equal_exhaustive_maximum():
@@ -136,7 +136,8 @@ def test_greedy_triples_equal_exhaustive_maximum():
         sizes = rng.integers(0, 6, size=3)
         x, y, z = (random_stream(rng, int(s), 60) for s in sizes)
         w = int(rng.integers(1, 15))
-        assert counted(w, x, y, z) == optimal_triples(x, y, z, 2 * w)
+        walked = _greedy([x.tolist(), y.tolist(), z.tolist()], 2 * w)
+        assert counted(w, x, y, z) == walked == optimal_triples(x, y, z, 2 * w)
 
 
 def test_prefilter_preserves_greedy_counts():
@@ -148,8 +149,8 @@ def test_prefilter_preserves_greedy_counts():
         y = random_stream(rng, int(rng.integers(0, 80)), 3_000)
         z = random_stream(rng, int(rng.integers(0, 80)), 3_000)
         w = int(rng.integers(1, 100))
-        assert counted(w, x, y) == _greedy_pairs(list(x), list(y), w)
-        assert counted(w, x, y, z) == _greedy_triples(list(x), list(y), list(z), 2 * w)
+        assert counted(w, x, y) == _greedy([list(x), list(y)], w)
+        assert counted(w, x, y, z) == _greedy([list(x), list(y), list(z)], 2 * w)
 
 
 @st.composite
@@ -180,19 +181,19 @@ def test_merged_prefilter_preserves_every_count(case):
     window, streams = case
     tally = accumulate(streams, CcuConfig(window_ps=window, acquisition_s=1.0))
     for x, y in PAIR_KEYS:
-        raw = _greedy_pairs(streams[x].tolist(), streams[y].tolist(), window)
+        raw = _greedy([streams[x].tolist(), streams[y].tolist()], window)
         assert tally.pairs[(x, y)] == raw == optimal_pairs(streams[x], streams[y], window)
     for x, y, z in TRIPLE_KEYS:
-        raw = _greedy_triples(streams[x].tolist(), streams[y].tolist(), streams[z].tolist(), 2 * window)
+        raw = _greedy([streams[x].tolist(), streams[y].tolist(), streams[z].tolist()], 2 * window)
         assert tally.triples[(x, y, z)] == raw
 
 
 def assert_greedy_counts(tally, window, streams):
     for x, y in PAIR_KEYS:
-        raw = _greedy_pairs(streams[x].tolist(), streams[y].tolist(), window)
+        raw = _greedy([streams[x].tolist(), streams[y].tolist()], window)
         assert tally.pairs[(x, y)] == raw == optimal_pairs(streams[x], streams[y], window)
     for x, y, z in TRIPLE_KEYS:
-        raw = _greedy_triples(streams[x].tolist(), streams[y].tolist(), streams[z].tolist(), 2 * window)
+        raw = _greedy([streams[x].tolist(), streams[y].tolist(), streams[z].tolist()], 2 * window)
         assert tally.triples[(x, y, z)] == raw
 
 

@@ -169,6 +169,11 @@ def test_detect_counts_rejects_photon_numbers_beyond_int16():
     counts[Detector.B2, 1] = 2**15
     with pytest.raises(ValueError, match="photon numbers must be in"):
         detect_counts(dict(zip(Detector, counts)), times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))
+    # a negative count is rejected too, not drawn as a dark slot
+    counts[Detector.B2, 1] = 0
+    counts[Detector.A2] = [-3, 2, -1]
+    with pytest.raises(ValueError, match="photon numbers must be in"):
+        detect_counts(dict(zip(Detector, counts)), times.__getitem__, DetectorConfig(efficiency=1.0), substream(4))
 
 
 # 2.5e11 slots/s and 2^53 ps: ~2.25e15 slots, ~5.4e8 chunks

@@ -50,16 +50,15 @@ def test_run_reports_match_pinned_digests(golden_runs, model):
 def test_adjacent_slot_run_matches_pinned_digests(tmp_path):
     spec = GOLDEN["adjacent_slots"]
     cfg = parse_config("", dict(spec["overrides"], output_dir=str(tmp_path)))
-    with (
-        mock.patch.object(coincidence_unit, "_greedy_pairs", wraps=coincidence_unit._greedy_pairs) as pairs,
-        mock.patch.object(coincidence_unit, "_greedy_triples", wraps=coincidence_unit._greedy_triples) as triples,
-    ):
+    with mock.patch.object(coincidence_unit, "_greedy", wraps=coincidence_unit._greedy) as walk:
         run_experiment(cfg)
     actual = {name: sha256(tmp_path / name) for name in spec["digests"]}
     assert actual == spec["digests"]
-    # clusters with two clicks of one detector do occur here, so the greedy walk is covered
-    for walk in (pairs, triples):
-        assert any(len(call.args[0]) for call in walk.call_args_list)
+    # clusters with two clicks of one detector do occur here, so the greedy
+    # walk is covered, for pairs (2 streams) and for triples (3 streams)
+    walks = [call.args[0] for call in walk.call_args_list]
+    for k in (2, 3):
+        assert any(len(streams) == k and len(streams[0]) for streams in walks)
 
 
 def compare_golden(out: Path, workers: int):
