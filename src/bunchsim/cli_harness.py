@@ -209,13 +209,12 @@ def analysis_csv(tally: TallyTable, corr: CorrelationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress, keep_streams: bool = False):
+def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress, on_piece=None):
     """Simulate cfg under each named model in one shared pass and count each run.
 
-    Returns [(streams, tally)] in the order of models; streams are the
-    registered streams when keep_streams is set, and None otherwise. The
-    engine's config checks raise ConfigError, for configs that parse_config
-    did not build.
+    Returns one tally per model, in the order of models; on_piece is
+    simulate_streams'. The engine's config checks raise ConfigError, for
+    configs that parse_config did not build.
     """
     if workers < 1:
         raise ConfigError(["workers: must be >= 1"])
@@ -223,17 +222,20 @@ def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress, k
         sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
     except ValueError as err:
         raise ConfigError([str(err)]) from err
-    return simulate_streams(sims, workers=workers, progress=progress, keep_streams=keep_streams)
+    return simulate_streams(sims, workers=workers, progress=progress, on_piece=on_piece)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
     """Simulate one acquisition; write tally.csv, analysis.csv and run.json.
 
     Returns (TallyTable, CorrelationResult). Outputs are deterministic for a
-    fixed config and seed, whatever the worker count.
+    fixed config and seed, whatever the worker count. An event dump writes
+    the engine's counted pieces, unjoined, once the run has succeeded.
     """
     dump = cfg.events_format != "none"
-    [(streams, tally)] = _simulate_and_count(cfg, [cfg.model], workers, progress, keep_streams=dump)
+    pieces = []
+    on_piece = (lambda _, piece: pieces.append(piece)) if dump else None
+    [tally] = _simulate_and_count(cfg, [cfg.model], workers, progress, on_piece)
     corr = g2_zero(tally, cfg.slot_rate)
 
     out = Path(cfg.output_dir)
@@ -243,7 +245,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
     (out / "run.json").write_text(tally_to_json(tally))
     if dump:
         suffix = "txt" if cfg.events_format == "text" else "bin"
-        write_events(out / f"events.{suffix}", streams, fmt=cfg.events_format)
+        write_events(out / f"events.{suffix}", pieces, fmt=cfg.events_format)
     return tally, corr
 
 
@@ -290,7 +292,7 @@ def compare_models(cfg: ExperimentConfig, models, workers: int = 1, progress=Non
 
     results = [
         (name, tally, g2_zero(tally, cfg.slot_rate))
-        for name, (_, tally) in zip(models, _simulate_and_count(cfg, models, workers, progress))
+        for name, tally in zip(models, _simulate_and_count(cfg, models, workers, progress))
     ]
 
     out = Path(cfg.output_dir)

@@ -167,12 +167,15 @@ def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
     The search goes back from watermark: it merges only the events at or
     above watermark - span, the suffix of the timeline, and doubles span
     until that suffix holds a gap or every event. So it costs the events
-    after the last gap, however far back that gap lies.
+    after the last gap, however far back that gap lies; c is watermark
+    when the first span holds no event.
     """
     watermark = int(watermark)
     spread = 2 * int(config.window_ps)
-    first = min((int(t[0]) for t in streams if len(t)), default=watermark)
     span = 2 * spread + 2
+    if all(t[-1] < watermark - span for t in streams if len(t)):
+        return watermark
+    first = min(int(t[0]) for t in streams if len(t))
     while True:
         whole = watermark - span <= first
         suffix = [t if whole else t[np.searchsorted(t, watermark - span) :] for t in streams]

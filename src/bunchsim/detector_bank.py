@@ -213,31 +213,32 @@ def apply_dead_time(times, dead_time_ps: int, last: int | None = None) -> np.nda
 _RECORD = np.dtype([("det", "u1"), ("t", "<u8")])
 # labels have at most 3 characters; a longer field is cut to 4 and stays unknown
 _TEXT_ROW = np.dtype([("label", "U4"), ("t", "<i8")])
-# events formatted per write call, which bounds the text writer's memory
-_TEXT_BLOCK = 1 << 16
+# events formatted or packed per write call, which bounds the writer's memory
+_WRITE_BLOCK = 1 << 16
 # binary records read at a time, which bounds the binary reader's memory
 _READ_BLOCK = 1 << 16
 
 
-def write_events(path, events_by_detector: dict, fmt: str = "text") -> None:
+def write_events(path, pieces, fmt: str = "text") -> None:
+    """Dump pieces of per-detector sorted timestamps, each detector's pieces in
+    turn, never joined. A refused binary dump leaves no file."""
     if fmt not in ("text", "binary"):
         raise ValueError(f"unknown event dump format {fmt!r}")
-    streams = [(det, np.asarray(events_by_detector.get(det, ()), dtype=np.int64)) for det in Detector]
-    if fmt == "text":
-        with open(path, "w") as fh:
-            for det, t in streams:
-                first, sep = f"{det.label}\t", f"\n{det.label}\t"
-                for lo in range(0, t.size, _TEXT_BLOCK):
-                    fh.write(first + sep.join(map(str, t[lo : lo + _TEXT_BLOCK].tolist())) + "\n")
-    else:
-        with open(path, "wb") as fh:
-            for det, t in streams:
-                if t.size and t.min() < 0:
-                    raise ValueError(f"{det.label}: negative timestamp in binary event dump")
-                records = np.empty(t.size, dtype=_RECORD)
-                records["det"] = det
-                records["t"] = t
-                records.tofile(fh)
+    pieces = [{det: np.asarray(p.get(det, ()), dtype=np.int64) for det in Detector} for p in pieces]
+    for det in Detector:
+        if fmt == "binary" and any(p[det].size and p[det].min() < 0 for p in pieces):
+            raise ValueError(f"{det.label}: negative timestamp in binary event dump")
+    with open(path, "w" if fmt == "text" else "wb") as fh:
+        for det in Detector:
+            for p in pieces:
+                for lo in range(0, p[det].size, _WRITE_BLOCK):
+                    t = p[det][lo : lo + _WRITE_BLOCK]
+                    if fmt == "text":
+                        fh.write(f"{det.label}\t" + f"\n{det.label}\t".join(map(str, t.tolist())) + "\n")
+                    else:
+                        records = np.empty(t.size, dtype=_RECORD)
+                        records["det"], records["t"] = det, t
+                        records.tofile(fh)
 
 
 def _group_by_label(labels: np.ndarray, times: np.ndarray) -> dict[Detector, np.ndarray]:

@@ -19,8 +19,8 @@ carried state:
   raw, with a wide jitter across several chunks;
 - dead time carries each detector's last registered time across the edge.
 
-So the run holds about one chunk's clicks at a time, not the acquisition's;
-the registered streams are kept whole only for an event dump.
+So the run holds about one chunk's clicks at a time, not the acquisition's,
+and keeps no registered stream: a consumer may take each counted piece.
 
 Per chunk the engine holds the occupied slots as int32 offsets and int16
 photon numbers, dropped once the last model is routed, and per model its
@@ -124,15 +124,12 @@ def _slot_times(src: SourceConfig, slots: np.ndarray) -> np.ndarray:
     return np.rint(slots / src.slot_rate * 1e12).astype(np.int64)
 
 
-def _simulate_chunk(args: tuple) -> list[tuple[dict, int]]:
+def _simulate_chunk(src: SourceConfig, detectors: DetectorConfig, models, chunk_index: int) -> list[tuple[dict, int]]:
     """Candidate clicks and fallback slots of every model for one chunk.
 
     Top-level so process pools can pickle it.
     """
-    src, detectors, models, chunk_index = args
     start, occupied, k = occupied_slots(src, chunk_index)
-    if occupied.size == 0:
-        return [({det: np.empty(0, dtype=np.int64) for det in Detector}, 0) for _ in models]
 
     def slot_time(idx):
         # the int32 offsets are widened before start is added
@@ -178,8 +175,7 @@ def _watermarks(src: SourceConfig, detectors: DetectorConfig) -> list[int]:
 
     The slot clock is monotone, so a later chunk's clicks lie at or after the
     nominal time of the next chunk's first slot, less the jitter's reach. The
-    last chunk's is _END, so a one-chunk run counts its streams in one
-    accumulate call and keeps them in one piece.
+    last chunk's is _END, which releases and counts every remaining event.
     """
     reach = math.ceil(_JITTER_REACH_SIGMAS * detectors.jitter_sigma_ps) + 2
     starts = np.array([chunk_start(i) for i in range(1, num_chunks(src))], dtype=np.int64)
@@ -192,25 +188,26 @@ class _ClickSide:
     Fed each chunk's candidate clicks in schedule order with the chunk's
     watermark, the time no later candidate lies below. One buffer per
     detector holds the raw events not yet counted: candidates, and the darks
-    below the watermark. Each feed finds the last closed cluster edge of the
-    buffered events below the watermark (coincidence_unit), runs dead time,
-    the cut at the acquisition end and counting on the events below it, and
-    keeps the rest raw. Dead time only removes events, so a gap of more than
-    2 * window in the raw timeline is at least as wide in the registered one,
-    and no coincidence spans it. Each event is filtered and counted exactly
-    once and in time order, so the result equals the whole-stream pass:
-    merge, sort, apply_dead_time, cut at the acquisition end and accumulate.
+    below the watermark, taken off the front of the rest. Each feed finds
+    the last closed cluster edge of the buffered events below the watermark
+    (coincidence_unit), runs dead time, the cut at the acquisition end and
+    counting on the events below it, hands that piece to on_piece if given,
+    and keeps the rest raw. Dead time only removes events, so a gap of more
+    than 2 * window in the raw timeline is at least as wide in the
+    registered one, and no coincidence spans it. Each event is filtered and
+    counted exactly once and in time order, so the result equals the
+    whole-stream pass: merge, sort, apply_dead_time, cut at the acquisition
+    end and accumulate.
     """
 
-    def __init__(self, dead_time_ps: int, ccu: CcuConfig, dark: dict, keep_streams: bool):
+    def __init__(self, dead_time_ps: int, ccu: CcuConfig, dark: dict, on_piece=None):
         self.dead_time_ps = dead_time_ps
         self.ccu = ccu
         self.acq_ps = int(round(ccu.acquisition_s * 1e12))
-        self.dark = dark
-        self.released_to = 0  # the darks below it have joined the buffer; none lies below 0
+        self.dark = dict(dark)  # sorted darks not yet buffered
         self.raw = dict.fromkeys(Detector, _EMPTY)  # sorted raw events, not yet counted
         self.last = dict.fromkeys(Detector)  # last registered time, for dead time
-        self.counted = {det: [] for det in Detector} if keep_streams else None
+        self.on_piece = on_piece
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
             "pairs": dict.fromkeys(PAIR_KEYS, 0),
@@ -220,12 +217,12 @@ class _ClickSide:
     def feed(self, clicks: dict, watermark: int) -> None:
         """Take one chunk's candidate clicks, popping them from clicks once merged."""
         for det in Detector:
-            lo, hi = np.searchsorted(self.dark[det], [self.released_to, watermark])
-            self.raw[det] = np.concatenate([self.raw[det], clicks.pop(det), self.dark[det][lo:hi]])
+            k = int(np.searchsorted(self.dark[det], watermark))
+            self.raw[det] = np.concatenate([self.raw[det], clicks.pop(det), self.dark[det][:k]])
             self.raw[det].sort()
-        self.released_to = watermark
+            self.dark[det] = self.dark[det][k:]
         below = [t[: np.searchsorted(t, watermark)] for t in self.raw.values()]
-        edge = _END if watermark == _END else coincidence_unit.closed_edge(below, watermark, self.ccu)
+        edge = coincidence_unit.closed_edge(below, watermark, self.ccu)
         piece = {}
         for det in Detector:
             t = self.raw[det]
@@ -236,39 +233,32 @@ class _ClickSide:
             piece[det] = registered[: np.searchsorted(registered, self.acq_ps)]
             if k:
                 self.raw[det] = t[k:].copy()
-                if self.counted is not None:
-                    self.counted[det].append(piece[det])
         if any(t.size for t in piece.values()):
+            if self.on_piece is not None:
+                self.on_piece(piece)
             # through its module, the call site perfbench's tracer wraps for event replays
             tally = coincidence_unit.accumulate(piece, self.ccu)
             for _, group, key in COUNTERS:
                 self.counts[group][key] += getattr(tally, group)[key]
 
-    def finish(self, metadata: dict) -> tuple[dict | None, TallyTable]:
-        """(registered streams if kept, else None; the tally) once every chunk is fed.
-
-        Releases whatever is left at _END first: a run of no chunks still has
-        its darks.
-        """
+    def finish(self, metadata: dict) -> TallyTable:
+        """The tally once every chunk is fed, counting what is left at _END
+        first: a run of no chunks still has its darks."""
         self.feed(dict.fromkeys(Detector, _EMPTY), _END)
-        streams = None
-        if self.counted is not None:
-            # a one-chunk run's stream is its one piece, not a copy of it
-            streams = {det: p[0] if len(p) == 1 else np.concatenate([_EMPTY, *p]) for det, p in self.counted.items()}
-        return streams, TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
+        return TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
 
 
-def simulate_streams(
-    configs, workers: int = 1, progress=None, keep_streams: bool = False
-) -> list[tuple[dict | None, TallyTable]]:
+def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) -> list[TallyTable]:
     """Run the full pipeline for configs that differ only in their model.
 
-    Returns [(streams, tally)] in the order of configs. streams are the
-    per-detector registered streams, dead-time filtered and cut to the
-    acquisition [0, duration), when keep_streams is set, and None otherwise:
-    the clicks are merged, filtered and counted chunk by chunk, so without
-    it no more than a chunk's clicks are held at a time. progress, if given,
-    is called as progress(done_chunks, total_chunks).
+    Returns one TallyTable per config, in the order of configs. The clicks
+    are merged, filtered and counted chunk by chunk, so no more than a
+    chunk's clicks are held at a time. on_piece, if given, is called as
+    on_piece(index, piece) with the index of a config in configs and each
+    piece its click side counts: per-detector registered events, dead-time
+    filtered and cut to the acquisition [0, duration), in time order, so
+    that one config's pieces in turn make its registered streams. progress,
+    if given, is called as progress(done_chunks, total_chunks).
     """
     if workers < 1:
         raise ValueError("workers: must be >= 1")
@@ -281,17 +271,17 @@ def simulate_streams(
     src, detectors = base.source, base.detectors
 
     chunks = num_chunks(src)
-    models = [c.model for c in configs]
-    tasks = [(src, detectors, models, i) for i in range(chunks)]
+    job = (src, detectors, [c.model for c in configs])
     watermarks = _watermarks(src, detectors)
 
-    def click_side():
+    def click_side(m):
         # darks are few; each model draws the same ones from the same substream,
         # one dark_events call per model, which perfbench's click accounting relies on
         dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
-        return _ClickSide(detectors.dead_time_ps, base.ccu, dark, keep_streams)
+        sink = None if on_piece is None else lambda piece: on_piece(m, piece)
+        return _ClickSide(detectors.dead_time_ps, base.ccu, dark, sink)
 
-    sides = [click_side() for _ in configs]
+    sides = [click_side(m) for m in range(len(configs))]
     fallback_slots = [0] * len(configs)
 
     def consume(i, results):
@@ -306,17 +296,17 @@ def simulate_streams(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # at most 2 * workers chunks are submitted and not yet consumed, so
             # results that wait for a slower click side stay bounded too
-            ahead = deque(pool.submit(_simulate_chunk, task) for task in tasks[: 2 * workers])
+            ahead = deque(pool.submit(_simulate_chunk, *job, i) for i in range(min(2 * workers, chunks)))
             for i in range(chunks):
                 results = ahead.popleft().result()
                 if i + 2 * workers < chunks:
-                    ahead.append(pool.submit(_simulate_chunk, tasks[i + 2 * workers]))
+                    ahead.append(pool.submit(_simulate_chunk, *job, i + 2 * workers))
                 consume(i, results)
     else:
-        for i, task in enumerate(tasks):
-            consume(i, _simulate_chunk(task))
+        for i in range(chunks):
+            consume(i, _simulate_chunk(*job, i))
 
-    runs = []
+    tallies = []
     for m, config in enumerate(configs):
         metadata = {
             "config": config_metadata(config),
@@ -324,11 +314,11 @@ def simulate_streams(
             "phase_basis_fallback_slots": int(fallback_slots[m]),
             "version": __version__,
         }
-        runs.append(sides[m].finish(metadata))
-    return runs
+        tallies.append(sides[m].finish(metadata))
+    return tallies
 
 
 def simulate(config: SimConfig, workers: int = 1, progress=None) -> TallyTable:
     """Simulate one acquisition and count every singles/pair/triple channel."""
-    [(_, tally)] = simulate_streams([config], workers=workers, progress=progress)
+    [tally] = simulate_streams([config], workers=workers, progress=progress)
     return tally

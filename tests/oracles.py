@@ -284,11 +284,12 @@ def whole_stream_click_side(chunk_clicks, dark: dict, dead_time_ps: int, ccu):
 
 
 def whole_stream_runs(configs) -> list[tuple[dict, object]]:
-    """[(streams, tally)] of simulate_streams(configs, keep_streams=True),
-    by the whole-stream click side over the same per-chunk candidates and darks."""
+    """[(streams, tally)] per config: the tallies simulate_streams returns and
+    the registered streams its counted pieces join to, by the whole-stream
+    click side over the same per-chunk candidates and darks."""
     src, detectors = configs[0].source, configs[0].detectors
     models = [config.model for config in configs]
-    chunks = [_simulate_chunk((src, detectors, models, i)) for i in range(num_chunks(src))]
+    chunks = [_simulate_chunk(src, detectors, models, i) for i in range(num_chunks(src))]
     return [
         whole_stream_click_side(
             [chunk[m][0] for chunk in chunks],

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bunchsim
+from bunchsim import photon_source
 from bunchsim.cli_harness import (
     _CONFIG_FIELDS,
     ConfigError,
@@ -46,6 +47,7 @@ from bunchsim.photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
 from bunchsim.routing_models import RoutingModel
 from bunchsim.simulate import SimConfig, simulate, simulate_streams
 from bunchsim.statistics import REFERENCE_BLOCKS, calibrate
+from oracles import traced_peak
 
 MINIMAL = "model = classical\nmean_photon_number = 0.02\nseed = 7\n"
 
@@ -207,12 +209,12 @@ def test_compare_refuses_a_model_named_twice(tmp_path, capsys):
 
 
 def test_only_an_event_dump_keeps_the_streams(tmp_path, monkeypatch):
-    # compare writes no dump, so it keeps no streams whatever events_format says
+    # compare writes no dump, so it takes no pieces whatever events_format says
     module = importlib.import_module("bunchsim.cli_harness")
     kept, real = [], module.simulate_streams
 
     def spy(*args, **kwargs):
-        kept.append(kwargs["keep_streams"])
+        kept.append(kwargs["on_piece"] is not None)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, "simulate_streams", spy)
@@ -221,6 +223,19 @@ def test_only_an_event_dump_keeps_the_streams(tmp_path, monkeypatch):
     run_experiment(cfg)
     run_experiment(dataclasses.replace(cfg, events_format="none"))
     assert kept == [False, True, False]
+
+
+def test_a_dump_holds_each_registered_stream_once(tmp_path, monkeypatch):
+    # 31 chunks of 2^14 slots, each counted piece handed to the dump as it is
+    # counted; joining the pieces into whole streams before writing them
+    # took about twice the streams' bytes above the run without a dump
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 14)
+    cfg = quick_config(tmp_path, mean_photon_number=1.0, events_format="binary")
+    peak = {fmt: traced_peak(run_experiment, dataclasses.replace(cfg, events_format=fmt)) for fmt in ("none", "binary")}
+    streams = read_events(tmp_path / "out" / "events.bin", fmt="binary")
+    stream_bytes = sum(t.nbytes for t in streams.values())
+    assert stream_bytes > 2**21
+    assert peak["binary"] < peak["none"] + 1.3 * stream_bytes
 
 
 def test_compare_rejects_bad_model_lists(tmp_path):

@@ -253,7 +253,7 @@ def test_event_io_roundtrip(tmp_path):
     }
     for fmt, name in (("text", "e.txt"), ("binary", "e.bin")):
         path = tmp_path / name
-        write_events(path, streams, fmt=fmt)
+        write_events(path, [streams], fmt=fmt)
         back = read_events(path, fmt=fmt)
         for det in Detector:
             assert np.array_equal(back[det], streams[det]), (fmt, det)
@@ -266,7 +266,11 @@ def test_event_dump_bytes_match_record_oracle(tmp_path, fmt):
     streams = {det: np.sort(rng.integers(0, 2**62, size=n, dtype=np.int64)) for det, n in sizes.items()}
     streams[Detector.B2][:] = [0, 2**62, 2**63 - 1]
     ours, theirs = tmp_path / "ours", tmp_path / "theirs"
-    write_events(ours, streams, fmt=fmt)
+    # written in three pieces; B''s middle piece spans two write blocks
+    cuts = {Detector.A1: (0, 0), Detector.A2: (0, 1), Detector.B1: (5, 65_600), Detector.B2: (3, 3)}
+    bounds = {det: [0, *cut, None] for det, cut in cuts.items()}
+    pieces = [{det: streams[det][b[i] : b[i + 1]] for det, b in bounds.items()} for i in range(3)]
+    write_events(ours, pieces, fmt=fmt)
     oracles.write_events(theirs, streams, fmt=fmt)
     assert ours.read_bytes() == theirs.read_bytes()
     for reader in (read_events, oracles.read_events):
@@ -312,7 +316,7 @@ def test_binary_dump_is_read_in_record_blocks(tmp_path):
     sizes = {Detector.A1: 100_000, Detector.A2: 50_000, Detector.B1: 70_000, Detector.B2: 30}
     streams = {det: np.sort(rng.integers(0, 10**12, size=n, dtype=np.int64)) for det, n in sizes.items()}
     path = tmp_path / "e.bin"
-    write_events(path, streams, fmt="binary")
+    write_events(path, [streams], fmt="binary")
     block = detector_bank._READ_BLOCK * detector_bank._RECORD.itemsize
     assert block < path.stat().st_size // 2  # the file spans several blocks
     assert oracles.traced_peak(read_events, path, "binary") < 2 * sum(t.nbytes for t in streams.values()) + block
@@ -334,8 +338,16 @@ def test_interleaved_binary_dump_keeps_file_order_per_detector(tmp_path):
 
 
 def test_binary_dump_rejects_negative_timestamps(tmp_path):
-    with pytest.raises(ValueError):
-        write_events(tmp_path / "e.bin", {Detector.A1: np.array([-1], dtype=np.int64)}, fmt="binary")
+    # every timestamp is checked before the file is opened, so a refused
+    # stream leaves no file, whether it comes first or after one written
+    path = tmp_path / "e.bin"
+    for streams in ({Detector.A1: [-1]}, {Detector.A1: [1, 2], Detector.A2: [-1]}):
+        with pytest.raises(ValueError, match="negative timestamp"):
+            write_events(path, [streams], fmt="binary")
+        assert not path.exists()
+    with pytest.raises(ValueError, match="negative timestamp"):
+        write_events(path, [{Detector.B1: [1, 2]}, {Detector.B1: [3, -4]}], fmt="binary")
+    assert not path.exists()
 
 
 def test_config_validation():

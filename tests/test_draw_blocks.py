@@ -110,7 +110,7 @@ def test_simulate_chunk_independent_of_block_size(block, seed, slots):
     results = {}
     for b in (block, ONE_BLOCK):
         with mock.patch.object(photon_source, "_SCAN_BLOCK", b):
-            results[b] = _simulate_chunk(task)
+            results[b] = _simulate_chunk(*task)
     for (clicks, fallback), (ref_clicks, ref_fallback) in zip(results[block], results[ONE_BLOCK]):
         assert clicks_equal(clicks, ref_clicks) and fallback == ref_fallback
 
@@ -124,7 +124,7 @@ def bright_chunk(models):
 def test_bright_chunk_holds_no_full_length_int64_temporaries():
     # with full-length int64 count rows and draws the chunk peaked at
     # ~217 MiB; with block-wise draws into narrow rows it takes ~60 MiB
-    assert traced_peak(_simulate_chunk, bright_chunk([RoutingModel.CLASSICAL])) < 160 * 2**20
+    assert traced_peak(_simulate_chunk, *bright_chunk([RoutingModel.CLASSICAL])) < 160 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ def test_bright_chunk_holds_no_full_length_int64_temporaries():
     [([RoutingModel.CLASSICAL], 48), (list(RoutingModel), 88)],
 )
 def test_bright_chunk_peak_with_narrow_rows(models, bound_mib):
-    assert traced_peak(_simulate_chunk, bright_chunk(models)) < bound_mib * 2**20
+    assert traced_peak(_simulate_chunk, *bright_chunk(models)) < bound_mib * 2**20
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
@@ -187,7 +187,7 @@ def test_slot_clock_is_exact_past_int32_slot_indices(chunk):
     # With efficiency 1 and no jitter every detector that gets a photon
     # clicks at its slot's nominal time
     detectors = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0)
-    [(clicks, _)] = _simulate_chunk((FAST_SOURCE, detectors, [RoutingModel.CLASSICAL], chunk))
+    [(clicks, _)] = _simulate_chunk(FAST_SOURCE, detectors, [RoutingModel.CLASSICAL], chunk)
     start, offsets, k = occupied_slots(FAST_SOURCE, chunk)
     route_rng = substream(FAST_SOURCE.seed, STREAM_ROUTING, chunk)
     port1 = route_counts(RoutingModel.CLASSICAL, k, route_rng)

@@ -30,9 +30,16 @@ def ints(values):
     return np.asarray(values, dtype=np.int64)
 
 
-def assert_same_run(streams, tally, ref_streams, ref_tally):
+def joined(pieces):
+    """Per detector, the registered events of the counted pieces in turn."""
+    return {det: np.concatenate([ints([]), *(piece[det] for piece in pieces)]) for det in Detector}
+
+
+def assert_same_run(pieces, tally, ref_streams, ref_tally):
+    for piece in pieces:
+        assert all(piece[det].dtype == np.int64 for det in Detector)
+    streams = joined(pieces)
     for det in Detector:
-        assert streams[det].dtype == np.int64
         assert streams[det].tobytes() == ref_streams[det].tobytes(), det.label
     assert list(counter_values(tally)) == list(counter_values(ref_tally))
 
@@ -94,11 +101,12 @@ def test_streamed_click_side_equals_whole_stream_pass(case):
 
     # patched per example, since a function-scoped fixture would span them all
     with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recorded):
-        side = _ClickSide(dead, ccu, dark, keep_streams=True)
+        counted = []
+        side = _ClickSide(dead, ccu, dark, counted.append)
         for clicks, watermark in zip(pieces, watermarks):
             side.feed(dict(clicks), watermark)
-        streams, tally = side.finish({})
-    assert_same_run(streams, tally, ref_streams, ref_tally)
+        tally = side.finish({})
+    assert_same_run(counted, tally, ref_streams, ref_tally)
     # every candidate and dark enters dead time exactly once, in time order
     assert all(np.all(t[1:] >= t[:-1]) for t in inputs)
     every = np.concatenate([*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
@@ -122,13 +130,12 @@ def test_simulate_streams_equals_whole_stream_pass(monkeypatch, slots, jitter_ps
     source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=(slots + 0.5) * 1e-7, seed=12)
     detectors = DetectorConfig(0.6, dead_time_ps, jitter_ps, dark_rate=dark_rate)
     configs = [SimConfig(source, detectors, model, window_ps) for model in RoutingModel]
-    runs = simulate_streams(configs, keep_streams=True)
-    for (streams, tally), (ref_streams, ref_tally) in zip(runs, whole_stream_runs(configs)):
-        assert_same_run(streams, tally, ref_streams, ref_tally)
-    assert all(tally.singles[det] for _, tally in runs for det in Detector)
-    counted_only = simulate_streams(configs)
-    assert [tally for _, tally in counted_only] == [tally for _, tally in runs]
-    assert all(streams is None for streams, _ in counted_only)
+    counted = [[] for _ in configs]
+    tallies = simulate_streams(configs, on_piece=lambda m, piece: counted[m].append(piece))
+    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(configs)):
+        assert_same_run(pieces, tally, ref_streams, ref_tally)
+    assert all(tally.singles[det] for tally in tallies for det in Detector)
+    assert simulate_streams(configs) == tallies
 
 
 class _InlinePool:
@@ -146,10 +153,10 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, task):
-        self.submitted.append(task[-1])
+    def submit(self, fn, *args):
+        self.submitted.append(args[-1])
         future = Future()
-        future.set_result(fn(task))
+        future.set_result(fn(*args))
         return future
 
 
@@ -191,10 +198,11 @@ def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
     ]
     dark = {det: ints([]) for det in Detector}
     ccu = CcuConfig(window, 20 * length * 1e-12)
-    side = _ClickSide(0, ccu, dark, keep_streams=True)
+    counted = []
+    side = _ClickSide(0, ccu, dark, counted.append)
     buffered = []
     for i, clicks in enumerate(pieces):
         side.feed(dict(clicks), (i + 1) * length)
         buffered.append(sum(t.size for t in side.raw.values()))
     assert max(buffered) == pieces[0][Detector.A1].size
-    assert_same_run(*side.finish({}), *whole_stream_click_side(pieces, dark, 0, ccu))
+    assert_same_run(counted, side.finish({}), *whole_stream_click_side(pieces, dark, 0, ccu))

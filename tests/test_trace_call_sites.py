@@ -15,11 +15,15 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 STALE = {"bunchsim.cli_harness.accumulate", "bunchsim.simulate.chunk_arrays"}
 
 
-def call_sites():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(module, attr) for module, attr, _, _ in tracer.CALL_SITES]
+    return tracer
+
+
+def call_sites():
+    return [(module, attr) for module, attr, _, _ in load_tracer().CALL_SITES]
 
 
 def test_every_traced_call_site_resolves_to_a_callable():
@@ -31,3 +35,31 @@ def test_every_traced_call_site_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert [site for site in lost if site not in STALE] == []
+
+
+def test_traced_run_and_replay_record_every_counter(tmp_path, monkeypatch):
+    # a counter that raises, say on a call signature that drifted, is only
+    # recorded as absent, and its per-layer metrics read 0 in the benchmark
+    perf = load_tracer()
+    modules = {name: importlib.import_module(name) for name, _, _, _ in perf.CALL_SITES}
+    for name, attr, _, _ in perf.CALL_SITES:
+        if hasattr(modules[name], attr):
+            # the tracer wraps it in place; monkeypatch puts the original back
+            monkeypatch.setattr(modules[name], attr, getattr(modules[name], attr))
+    tracer = perf.Tracer(0)
+    perf.install(tracer)
+    cli = modules["bunchsim.cli_harness"]
+    bank = modules["bunchsim.detector_bank"]
+    unit = modules["bunchsim.coincidence_unit"]
+    flags = ["--model", "classical", "--mean-photon-number", "1.0", "--acquisition-s", "0.002", "--seed", "3"]
+    assert cli.main(["run", *flags, "--events-format", "binary", "--quiet", "--output-dir", str(tmp_path)]) == 0
+    streams = bank.read_events(tmp_path / "events.bin", "binary")
+    tally = unit.accumulate(streams, unit.CcuConfig(5_000, 0.002))
+    assert unit.tally_to_csv(tally) == (tmp_path / "tally.csv").read_text()
+
+    assert [entry for entry in tracer.absent if entry.startswith("count:")] == []
+    assert set(tracer.absent) <= STALE
+    counts = tracer.counts
+    # one dark_events call per model: every candidate and dark enters dead time once
+    assert counts["candidate_clicks"] + counts["dark_clicks"] == counts["merged_events"] > 0
+    assert counts["event_bytes"] == (tmp_path / "events.bin").stat().st_size
