@@ -15,15 +15,17 @@ time. Both work port by port: the engine splits port 1, detects A' and
 A'', then splits port 2 and detects B' and B''. The split draws come from
 one generator, port 1's before port 2's, and the detection draws from
 another, A', A'', B', B'' in turn. split_counts draws
-photon_source.binomial_half, which equals rng.binomial(n, 0.5).
-detect_counts tabulates the click probability p_k once per call, as the
-integer edge ceil(p_k * 2^53), and fires a slot on its raw word w when
-(w >> 11) < edge: exactly when the uniform Generator.random makes of w is
-below p_k. Its fired-slot indices are int32 (below CHUNK_SLOTS). It takes
-the slot clock as a function and asks it for the nominal times of the
-fired slots only. The blocks consume the generator as one whole-array call
-would, in the same stage-major order, so the output is the same for any
-block size.
+photon_source.binomial_half, which equals rng.binomial(n, 0.5), and
+writes the second detector's row over the port row it is given, so a
+split holds two rows, not three. detect_counts tabulates the click
+probability p_k once per call, as the integer edge ceil(p_k * 2^53), and
+fires a slot on its raw word w when (w >> 11) < edge: exactly when the
+uniform Generator.random makes of w is below p_k. Its fired-slot indices
+are int32 (below CHUNK_SLOTS), one piece per block. It takes the slot
+clock as a function and asks it for the nominal times of each piece of
+fired slots, which it times into one click array without joining them.
+The blocks consume the generator as one whole-array call would, in the
+same stage-major order, so the output is the same for any block size.
 """
 
 from __future__ import annotations
@@ -99,13 +101,17 @@ def split_counts(port: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray
 
     Returns the pair's two length-m int16 count rows, the first detector's
     (A' or B') first; port occupancies must lie in [0, 2^15 - 1], or
-    ValueError. The port's draws are binomial_half's, block by block.
+    ValueError. The port's draws are binomial_half's, block by block. The
+    port row is taken over: a writeable int16 port is overwritten with the
+    second detector's row and returned as it, so a split holds two rows,
+    not three; a caller that splits a row it still needs passes a copy. Any
+    other port is copied to an int16 row first.
     """
-    port = photon_numbers(port)
+    port = np.require(photon_numbers(port), COUNT_DTYPE, "W")
     first = np.empty(port.size, dtype=COUNT_DTYPE)
     for block in draw_blocks(port.size):
         first[block] = binomial_half(port[block], rng)
-    return first, np.subtract(port, first, dtype=COUNT_DTYPE)
+    return first, np.subtract(port, first, out=port)
 
 
 def click_probability(k, efficiency: float):
@@ -129,8 +135,10 @@ def detect_counts(
     Returns per-detector candidate click times (int64 ps, jittered, clipped
     at 0), before dead-time filtering. Draw order is fixed: per detector in
     canonical order, one raw word per occupied slot (the word of one
-    Generator.random uniform), then one normal per firing click, each
-    drawn in draw_blocks.
+    Generator.random uniform) in draw_blocks, then one normal per firing
+    click. The fired slots of each block are timed as they stand, piece by
+    piece, into the detector's one click array: normal draws give the same
+    values in any partition, so the pieces are never joined.
     """
     top = max((int(photon_numbers(row).max()) for row in counts.values() if row.size), default=0)
     edges = uniform_edges(click_probability(np.arange(top + 1), config.efficiency))
@@ -138,19 +146,20 @@ def detect_counts(
     out = {}
     for det in sorted(counts):
         k = counts.pop(det)
-        fired = [np.empty(0, dtype=np.int32)]
+        fired = []
         for block in draw_blocks(k.size):
             hit = np.flatnonzero(k[block] > 0)
             fire = np.flatnonzero((bits.random_raw(hit.size) >> np.uint64(11)) < edges[k[block][hit]])
             fired.append(np.add(hit[fire], block.start, dtype=np.int32))
         del k
-        sel = np.concatenate(fired)
-        clicks = np.empty(sel.size, dtype=np.int64)
-        for block in draw_blocks(sel.size):
-            t = slot_time(sel[block]).astype(np.float64)
+        clicks = np.empty(sum(piece.size for piece in fired), dtype=np.int64)
+        lo = 0
+        for piece in fired:
+            t = slot_time(piece).astype(np.float64)
             if config.jitter_sigma_ps > 0:
                 t = t + rng.normal(0.0, config.jitter_sigma_ps, size=t.size)
-            clicks[block] = np.maximum(np.rint(t), 0)
+            clicks[lo : lo + t.size] = np.maximum(np.rint(t), 0)
+            lo += t.size
         out[det] = clicks
     return out
 

@@ -8,8 +8,11 @@ Poisson CDF as the uniform u = (w >> 11) * 2^-53 that ``Generator.random``
 would make of it. The CDF is turned into an integer table once, so the word
 is compared as an integer and no per-slot float is built. Only the occupied
 slots (n_j >= 1) are materialised: at the reference operating points over
-95% of slots are empty. They are held narrow, as int32 offsets into the
-chunk and int16 photon numbers, built block by block and concatenated once.
+95% of slots are empty. They are held in two bytes each: a uint16 offset
+within the chunk's 2^16-slot segment, placed by the cumulative count of
+each segment (SegmentedSlots), and an int16 photon number. Both rows are
+allocated once, for the expected occupancy plus ten standard deviations,
+and filled block by block.
 
 binomial_half is Generator.binomial(n, 1/2) for both splitter layers, with
 the same values and generator state: numpy's inversion loop is replayed
@@ -28,7 +31,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -63,6 +66,14 @@ MAX_COUNT = int(np.iinfo(COUNT_DTYPE).max)
 # block to block, where one array per 2^22-slot chunk would be mapped and
 # faulted in anew for every chunk.
 _SCAN_BLOCK = 1 << 16
+
+# An occupied slot is held as its uint16 offset within a segment of 2^16
+# slots of its chunk. The segments are fixed, whatever _SCAN_BLOCK is.
+_SEGMENT_BITS = 16
+
+# occupied_slots allocates its rows for the mean number of occupied slots
+# plus this many standard deviations, and grows them only beyond that.
+_OCCUPANCY_SIGMAS = 10.0
 
 
 def substream(seed: int, *path: int) -> Generator:
@@ -283,35 +294,73 @@ def binomial_half(n, rng: Generator) -> np.ndarray:
     return out
 
 
-def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(start_index, offsets, photon_numbers) of the occupied slots of one chunk.
+class SegmentedSlots(NamedTuple):
+    """The occupied slots of one chunk, as uint16 offsets within 2^16-slot segments.
 
-    Slot start + offsets[i] carries photon_numbers[i] >= 1 photons; every
-    other slot of the chunk is empty. offsets are int32 (they are below
-    CHUNK_SLOTS) and photon_numbers int16 (COUNT_DTYPE). Widen offsets to
-    int64 before adding start: from chunk 512 on, start is 2^31 or more and
-    does not fit int32. One 64-bit word w per slot is drawn from the
-    chunk's substream and n = searchsorted(edges, w, side='right'),
-    which is the inversion of u = (w >> 11) * 2^-53 through the CDF table.
-    A slot is empty exactly when w < edges[0], and only the others are
-    inverted; words are scanned in draw_blocks. This is the primitive
-    every stream consumer builds on; the per-chunk substream makes the
-    result independent of how chunks are distributed over workers.
+    Entry i lies in the segment s with segment_ends[s - 1] <= i < segment_ends[s]
+    (segment_ends counts the occupied slots up to the end of each segment, 64
+    entries for a full chunk) and is slot start + s * 2^16 + offsets[i].
+    """
+
+    start: int
+    offsets: np.ndarray  # uint16
+    segment_ends: np.ndarray  # int64
+
+    def indices(self, rows=None) -> np.ndarray:
+        """The int64 slot indices of the entries rows, an ascending index array, or of every entry."""
+        rows = np.arange(self.offsets.size) if rows is None else np.asarray(rows)
+        per_segment = np.diff(np.searchsorted(rows, self.segment_ends), prepend=0)
+        first = self.start + (np.arange(self.segment_ends.size, dtype=np.int64) << _SEGMENT_BITS)
+        return np.repeat(first, per_segment) + self.offsets[rows]
+
+
+def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[SegmentedSlots, np.ndarray]:
+    """(slots, photon_numbers) of the occupied slots of one chunk.
+
+    Entry i is slot slots.indices()[i] and carries photon_numbers[i] >= 1
+    photons (int16, COUNT_DTYPE); every other slot of the chunk is empty.
+    slots holds the chunk's start and uint16 offsets within 2^16-slot
+    segments, which slots.indices widens to int64 slot indices. One 64-bit
+    word w per slot is drawn from the chunk's substream and n =
+    searchsorted(edges, w, side='right'), which is the inversion of u =
+    (w >> 11) * 2^-53 through the CDF table. A slot is empty exactly when
+    w < edges[0], and only the others are inverted; words are scanned in
+    draw_blocks. The two rows are allocated once for the expected occupancy
+    m * (1 - cdf[0]) plus _OCCUPANCY_SIGMAS standard deviations, grown only
+    past it, and cut to size at the end. This is the primitive every stream
+    consumer builds on; the per-chunk substream makes the result independent
+    of how chunks are distributed over workers.
     """
     total = slot_count(config)
     start = chunk_start(chunk_index)
     if not 0 <= start < max(total, 1):
         raise IndexError(f"chunk {chunk_index} out of range")
     m = min(CHUNK_SLOTS, total - start)
-    edges = _cdf_edges(poisson_cdf_table(config.mean_photon_number))
-    offsets = [np.empty(0, np.int32)]
-    counts = [np.empty(0, COUNT_DTYPE)]
+    table = poisson_cdf_table(config.mean_photon_number)
+    edges = _cdf_edges(table)
+    p = 1.0 - table[0]
+    capacity = min(m, math.ceil(m * p + _OCCUPANCY_SIGMAS * math.sqrt(m * p * (1.0 - p))))
+    offsets = np.empty(capacity, dtype=np.uint16)
+    counts = np.empty(capacity, dtype=COUNT_DTYPE)
+    # the first slot after each segment, and per segment the occupied slots before it
+    stops = np.arange(1, -(-m >> _SEGMENT_BITS) + 1, dtype=np.int64) << _SEGMENT_BITS
+    segment_ends = np.zeros(stops.size, dtype=np.int64)
+    size = 0
     if edges.size:
         bits = substream(config.seed, STREAM_SOURCE, chunk_index).bit_generator
         for block in draw_blocks(m):
             raw = bits.random_raw(block.stop - block.start)
             hit = np.flatnonzero(raw >= edges[0])
-            offsets.append(np.add(hit, block.start, dtype=np.int32))
-            counts.append(np.searchsorted(edges, raw[hit], side="right").astype(COUNT_DTYPE))
-    offsets = np.concatenate(offsets)  # frees the offset blocks before the counts are joined
-    return start, offsets, np.concatenate(counts)
+            end = size + hit.size
+            if end > capacity:
+                capacity = min(m, 2 * end)
+                # no view of either row is alive here
+                offsets.resize(capacity, refcheck=False)
+                counts.resize(capacity, refcheck=False)
+            offsets[size:end] = (hit + block.start) & ((1 << _SEGMENT_BITS) - 1)
+            counts[size:end] = np.searchsorted(edges, raw[hit], side="right")
+            segment_ends += np.searchsorted(hit, stops - block.start)
+            size = end
+    offsets.resize(size, refcheck=False)
+    counts.resize(size, refcheck=False)
+    return SegmentedSlots(start, offsets, segment_ends), counts

@@ -22,13 +22,15 @@ carried state:
 So the run holds about one chunk's clicks at a time, not the acquisition's,
 and keeps no registered stream: a consumer may take each counted piece.
 
-Per chunk the engine holds the occupied slots as int32 offsets and int16
-photon numbers, dropped once the last model is routed, and per model its
-two int16 port rows. It splits and detects port by port, and each
-detector's int16 count row is freed once its clicks are drawn.
-No full-length slot-time array is built: the slot clock
-rint((start + offset) / slot_rate * 1e12) is evaluated only for the slots
-that fire, with each offset widened to int64 before start is added.
+Per chunk the engine holds the occupied slots as uint16 segment offsets
+(photon_source.SegmentedSlots) and int16 photon numbers, the latter
+dropped once the last model is routed, and per model its two int16 port
+rows. It splits and detects port by port: a split writes its second row
+over its port row, and each detector's int16 count row is freed once its
+clicks are drawn. No full-length slot-time array is built: the slot clock
+rint(slot / slot_rate * 1e12) is evaluated only for the slots that fire,
+on int64 slot indices widened from their offsets. The click side lets go
+of each detector's pre-feed buffer once its remainder replaces it.
 
 Several routing models run in one pass: each chunk's occupied slots are drawn
 once, then routed, split and detected once per model. The routing
@@ -38,9 +40,9 @@ same draws, and the same output, as it would alone.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,11 +131,10 @@ def _simulate_chunk(src: SourceConfig, detectors: DetectorConfig, models, chunk_
 
     Top-level so process pools can pickle it.
     """
-    start, occupied, k = occupied_slots(src, chunk_index)
+    slots, k = occupied_slots(src, chunk_index)
 
-    def slot_time(idx):
-        # the int32 offsets are widened before start is added
-        return _slot_times(src, start + occupied[idx].astype(np.int64))
+    def slot_time(rows):
+        return _slot_times(src, slots.indices(rows))
 
     results = []
     for i, model in enumerate(models):
@@ -221,18 +222,20 @@ class _ClickSide:
             self.raw[det] = np.concatenate([self.raw[det], clicks.pop(det), self.dark[det][:k]])
             self.raw[det].sort()
             self.dark[det] = self.dark[det][k:]
-        below = [t[: np.searchsorted(t, watermark)] for t in self.raw.values()]
-        edge = coincidence_unit.closed_edge(below, watermark, self.ccu)
+        # no view of a buffer outlives the edge search or its detector's turn
+        # below, so each pre-feed buffer goes once its remainder replaces it
+        edge = coincidence_unit.closed_edge(
+            [t[: np.searchsorted(t, watermark)] for t in self.raw.values()], watermark, self.ccu
+        )
         piece = {}
         for det in Detector:
-            t = self.raw[det]
-            k = int(np.searchsorted(t, edge))
-            registered = apply_dead_time(t[:k], self.dead_time_ps, self.last[det])
+            k = int(np.searchsorted(self.raw[det], edge))
+            registered = apply_dead_time(self.raw[det][:k], self.dead_time_ps, self.last[det])
             if registered.size:
                 self.last[det] = int(registered[-1])
             piece[det] = registered[: np.searchsorted(registered, self.acq_ps)]
             if k:
-                self.raw[det] = t[k:].copy()
+                self.raw[det] = self.raw[det][k:].copy()
         if any(t.size for t in piece.values()):
             if self.on_piece is not None:
                 self.on_piece(piece)
@@ -293,7 +296,9 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
 
     if workers > 1 and chunks > 1:
         workers = min(workers, chunks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up here, so that concurrent.futures loads its process pool,
+        # and multiprocessing with it, only when a pool starts
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             # at most 2 * workers chunks are submitted and not yet consumed, so
             # results that wait for a slower click side stay bounded too
             ahead = deque(pool.submit(_simulate_chunk, *job, i) for i in range(min(2 * workers, chunks)))

@@ -6,6 +6,7 @@ the input is one whole-array call. Count rows are int16, and a chunk's
 memory stays bounded; the slot clock stays exact past 2^31 slots.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,10 +22,11 @@ from bunchsim.photon_source import (
     SourceConfig,
     num_chunks,
     occupied_slots,
+    slot_count,
     substream,
 )
 from bunchsim.routing_models import RoutingModel, route_counts
-from bunchsim.simulate import _simulate_chunk
+from bunchsim.simulate import SimConfig, _simulate_chunk, simulate
 from oracles import traced_peak
 
 ONE_BLOCK = CHUNK_SLOTS + 1
@@ -78,8 +80,9 @@ def test_route_counts_independent_of_block_size(block, model, n):
 def test_split_counts_independent_of_block_size(block, port1, data):
     port1 = np.array(port1, dtype=np.int16)
     port2 = np.array(data.draw(st.lists(PHOTON_NUMBER, min_size=port1.size, max_size=port1.size)), dtype=np.int16)
-    assert_block_invariant(block, lambda rng: split_ports(port1, port2, rng), rows_equal)
-    a1, a2, b1, b2 = split_ports(port1, port2, substream(2))
+    # split_counts takes its port row over, so each split gets its own copy
+    assert_block_invariant(block, lambda rng: split_ports(port1.copy(), port2.copy(), rng), rows_equal)
+    a1, a2, b1, b2 = split_ports(port1.copy(), port2.copy(), substream(2))
     assert np.array_equal(a1 + a2, port1) and np.array_equal(b1 + b2, port2)
     assert {row.dtype for row in (a1, a2, b1, b2)} == {np.dtype(np.int16)}
 
@@ -133,11 +136,25 @@ def test_bright_chunk_holds_no_full_length_int64_temporaries():
     # peaked at ~105 and ~172 MiB; int16 rows and int32 offsets, with slot
     # times for fired slots only, took ~60 and ~96 MiB, and int32 fired-slot
     # indices ~56 and ~96 MiB; splitting and detecting port by port, each
-    # count row freed once detected, takes ~33 and ~62 MiB
-    [([RoutingModel.CLASSICAL], 48), (list(RoutingModel), 88)],
+    # count row freed once detected, ~33 and ~62 MiB. Source rows allocated
+    # once with uint16 segment offsets, splits that take their port row
+    # over and fired pieces timed unjoined take ~25.2 and ~54.7 MiB; the
+    # bounds leave ~10% over that
+    [([RoutingModel.CLASSICAL], 28), (list(RoutingModel), 60)],
 )
 def test_bright_chunk_peak_with_narrow_rows(models, bound_mib):
     assert traced_peak(_simulate_chunk, *bright_chunk(models)) < bound_mib * 2**20
+
+
+def test_bright_one_chunk_simulate_peak():
+    # a whole acquisition of one full chunk at mean 1.0, click side included:
+    # ~32.8 MiB traced with int32 source offsets joined from block pieces,
+    # three-row splits and joined fired pieces, ~25.2 MiB without; the bound
+    # leaves ~10% over that
+    src, detectors, [model], _ = bright_chunk([RoutingModel.CLASSICAL])
+    config = SimConfig(replace(src, slot_rate=CHUNK_SLOTS / 0.05, duration=0.05), detectors, model, 5_000)
+    assert slot_count(config.source) == CHUNK_SLOTS
+    assert traced_peak(simulate, config) < 28 * 2**20
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
@@ -183,17 +200,17 @@ FAST_SOURCE = SourceConfig(mean_photon_number=0.3, slot_rate=2.5e11, duration=2*
 @pytest.mark.parametrize("chunk", [510, 511, 512, num_chunks(FAST_SOURCE) - 1])
 def test_slot_clock_is_exact_past_int32_slot_indices(chunk):
     # chunk 511 ends at slot 2^31 - 1; from chunk 512 on start itself is
-    # beyond int32, so the int32 offsets must be widened before it is added.
-    # With efficiency 1 and no jitter every detector that gets a photon
-    # clicks at its slot's nominal time
+    # beyond int32, so the uint16 segment offsets must be widened to int64
+    # slot indices. With efficiency 1 and no jitter every detector that gets
+    # a photon clicks at its slot's nominal time
     detectors = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0)
     [(clicks, _)] = _simulate_chunk(FAST_SOURCE, detectors, [RoutingModel.CLASSICAL], chunk)
-    start, offsets, k = occupied_slots(FAST_SOURCE, chunk)
+    slots, k = occupied_slots(FAST_SOURCE, chunk)
     route_rng = substream(FAST_SOURCE.seed, STREAM_ROUTING, chunk)
     port1 = route_counts(RoutingModel.CLASSICAL, k, route_rng)
     counts = split_ports(port1, k - port1, route_rng)
-    nominal = np.rint((start + offsets.astype(np.int64)) / FAST_SOURCE.slot_rate * 1e12).astype(np.int64)
-    assert nominal[-1] < 2**53 and (chunk < 512 or start >= 2**31)
+    nominal = np.rint(slots.indices() / FAST_SOURCE.slot_rate * 1e12).astype(np.int64)
+    assert nominal[-1] < 2**53 and (chunk < 512 or slots.start >= 2**31)
     for det in Detector:
         assert np.array_equal(clicks[det], nominal[counts[det] > 0])
-    assert sum(c.size for c in clicks.values()) >= offsets.size
+    assert sum(c.size for c in clicks.values()) >= k.size

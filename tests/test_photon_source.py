@@ -49,8 +49,8 @@ def test_poisson_table_matches_scipy():
 
 def test_zero_mean_yields_empty_slots():
     cfg = small_config(mean_photon_number=0.0)
-    _, offsets, n = occupied_slots(cfg, 0)
-    assert offsets.size == 0 and n.size == 0
+    slots, n = occupied_slots(cfg, 0)
+    assert slots.offsets.size == 0 and n.size == 0
     _, dense = dense_chunk(cfg, 0)
     assert dense.size == slot_count(cfg)
     assert not dense.any()
@@ -61,9 +61,10 @@ def test_zero_mean_yields_empty_slots():
 def test_occupied_slots_equal_dense_inversion(mean, duration):
     cfg = small_config(mean_photon_number=mean, duration=duration)
     for chunk in range(num_chunks(cfg)):
-        start, offsets, n = occupied_slots(cfg, chunk)
+        slots, n = occupied_slots(cfg, chunk)
         dense_start, dense = dense_chunk(cfg, chunk)
-        assert start == dense_start
+        assert slots.start == dense_start
+        offsets = slots.indices() - dense_start
         assert np.array_equal(offsets, np.flatnonzero(dense))
         assert np.array_equal(n, dense[offsets])
         assert n.dtype == np.int16
@@ -85,12 +86,14 @@ def test_occupied_slots_match_dense_oracle(block, mean, seed, tail, full):
     cfg = SourceConfig(mean_photon_number=mean, slot_rate=1.0, duration=float(total), seed=seed)
     with mock.patch.object(photon_source, "_SCAN_BLOCK", block):
         parts = [occupied_slots(cfg, chunk) for chunk in range(num_chunks(cfg))]
-    for chunk, (start, offsets, n) in enumerate(parts):
+    for chunk, (slots, n) in enumerate(parts):
         dense_start, dense = dense_chunk(cfg, chunk)
-        assert start == dense_start
-        assert offsets.dtype == np.int32 and n.dtype == np.int16
-        assert np.array_equal(offsets, np.flatnonzero(dense))
-        assert np.array_equal(n, dense[offsets])
+        assert slots.start == dense_start
+        assert slots.offsets.dtype == np.uint16 and n.dtype == np.int16
+        index = slots.indices()
+        assert index.dtype == np.int64
+        assert np.array_equal(index, dense_start + np.flatnonzero(dense))
+        assert np.array_equal(n, dense[index - dense_start])
 
 
 def test_cdf_edges_are_exact_at_the_boundary():
@@ -119,11 +122,45 @@ def test_words_on_the_edges_invert_like_uniforms():
     words = np.concatenate([edges - np.uint64(1), edges, edges + np.uint64(1)])
     cfg = small_config(mean_photon_number=1.0, slot_rate=1.0, duration=float(words.size))
     with mock.patch.object(photon_source, "substream", lambda *path: Words(words)):
-        _, offsets, n = occupied_slots(cfg, 0)
+        slots, n = occupied_slots(cfg, 0)
     u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
     dense = np.searchsorted(table, u, side="right")
-    assert np.array_equal(offsets, np.flatnonzero(dense))
-    assert np.array_equal(n, dense[offsets])
+    assert np.array_equal(slots.indices(), np.flatnonzero(dense))
+    assert np.array_equal(n, dense[slots.indices()])
+
+
+@pytest.mark.parametrize("block", [1000, 1 << 16, CHUNK_SLOTS + 1])
+def test_offsets_place_slots_across_segment_boundaries(block):
+    # occupied slots at the last offset of segment 0, the first of segment 1
+    # and the last of segment 1, in the second chunk, whatever the scan block
+    table = poisson_cdf_table(1.0)
+    m = 3 << 16
+    words = np.zeros(m, dtype=np.uint64)  # 0 is below every edge: an empty slot
+    words[[65535, 65536, 131071]] = _cdf_edges(table)[[0, 1, 5]]
+    cfg = small_config(mean_photon_number=1.0, slot_rate=1.0, duration=float(CHUNK_SLOTS + m))
+    with mock.patch.object(photon_source, "substream", lambda *path: Words(words)):
+        with mock.patch.object(photon_source, "_SCAN_BLOCK", block):
+            slots, n = occupied_slots(cfg, 1)
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    dense = np.searchsorted(table, u, side="right")
+    assert slots.offsets.tolist() == [65535, 0, 65535]
+    assert slots.segment_ends.tolist() == [1, 3, 3]
+    assert np.array_equal(slots.indices(), CHUNK_SLOTS + np.flatnonzero(dense))
+    assert np.array_equal(slots.indices(np.array([0, 2])), CHUNK_SLOTS + np.array([65535, 131071]))
+    assert n.tolist() == [1, 2, 6] and np.array_equal(n, dense[dense > 0])
+
+
+def test_rows_grow_past_the_expected_occupancy(monkeypatch):
+    # allocated 10 standard deviations below the mean occupancy, the rows
+    # must grow, and still equal the dense inversion, cut to size
+    monkeypatch.setattr(photon_source, "_OCCUPANCY_SIGMAS", -10.0)
+    monkeypatch.setattr(photon_source, "_SCAN_BLOCK", 1000)
+    cfg = small_config(mean_photon_number=1.0, slot_rate=1.0, duration=200_000.0)
+    slots, n = occupied_slots(cfg, 0)
+    _, dense = dense_chunk(cfg, 0)
+    assert np.array_equal(slots.indices(), np.flatnonzero(dense))
+    assert np.array_equal(n, dense[dense > 0])
+    assert slots.offsets.base is None and n.base is None
 
 
 def same_draws(got, rng, path, n):
@@ -229,11 +266,13 @@ def test_low_mean_chunk_scans_in_small_blocks():
 
 
 def test_bright_chunk_source_holds_narrow_rows():
-    # one full chunk at mean 1.0, 2.65e6 occupied slots: int32 offsets and
-    # int16 photon numbers, per block and concatenated, take ~31 MiB; the
-    # int64 lists and their concatenations took ~82 MiB
+    # one full chunk at mean 1.0, 2.65e6 occupied slots: uint16 segment
+    # offsets and int16 photon numbers, each row allocated once for the
+    # expected occupancy, take ~11.6 MiB, and the bound leaves ~10% over
+    # that; int32 offsets per block and concatenated took ~26 MiB, the int64
+    # lists and their concatenations ~82 MiB
     cfg = small_config(mean_photon_number=1.0, slot_rate=1.0, duration=float(CHUNK_SLOTS), seed=7)
-    assert traced_peak(occupied_slots, cfg, 0) < 40 * 2**20
+    assert traced_peak(occupied_slots, cfg, 0) < 13 * 2**20
 
 
 def test_photon_numbers_fit_int16_count_rows():
@@ -243,11 +282,11 @@ def test_photon_numbers_fit_int16_count_rows():
 
 def test_sampled_counts_match_poisson_pmf():
     cfg = small_config(mean_photon_number=0.1, duration=0.2)  # 200k slots
-    _, offsets, n = occupied_slots(cfg, 0)
+    _, n = occupied_slots(cfg, 0)
     total = slot_count(cfg)
     for k in range(4):
         p = stats.poisson.pmf(k, 0.1)
-        observed = total - offsets.size if k == 0 else int(np.count_nonzero(n == k))
+        observed = total - n.size if k == 0 else int(np.count_nonzero(n == k))
         sigma = math.sqrt(total * p * (1 - p))
         assert abs(observed - total * p) <= 4 * sigma
 
@@ -256,15 +295,15 @@ def test_chunks_concatenate_to_stream():
     cfg = small_config(duration=6.0, slot_rate=1e6)  # > 1 chunk
     assert num_chunks(cfg) == 2
     parts = [occupied_slots(cfg, i) for i in range(2)]
-    assert parts[0][0] == 0 and parts[1][0] == CHUNK_SLOTS
-    assert parts[0][1].max() < CHUNK_SLOTS
-    assert parts[1][1].max() < slot_count(cfg) - CHUNK_SLOTS
+    assert parts[0][0].start == 0 and parts[1][0].start == CHUNK_SLOTS
+    assert parts[0][0].indices().max() < CHUNK_SLOTS
+    assert CHUNK_SLOTS <= parts[1][0].indices().min() and parts[1][0].indices().max() < slot_count(cfg)
     # global slot indices and counts agree with the dense stream of the run
     dense = dense_stream(cfg)
     assert dense.size == slot_count(cfg)
-    index = np.concatenate([start + offsets for start, offsets, _ in parts])
+    index = np.concatenate([slots.indices() for slots, _ in parts])
     assert np.array_equal(index, np.flatnonzero(dense))
-    assert np.array_equal(np.concatenate([n for _, _, n in parts]), dense[index])
+    assert np.array_equal(np.concatenate([n for _, n in parts]), dense[index])
 
 
 def test_chunk_content_independent_of_other_chunks():
@@ -272,7 +311,7 @@ def test_chunk_content_independent_of_other_chunks():
     fresh = occupied_slots(cfg, 1)  # computed without ever touching chunk 0
     occupied_slots(cfg, 0)
     again = occupied_slots(cfg, 1)
-    assert np.array_equal(fresh[1], again[1]) and np.array_equal(fresh[2], again[2])
+    assert np.array_equal(fresh[0].indices(), again[0].indices()) and np.array_equal(fresh[1], again[1])
 
 
 def test_slot_count_and_chunk_bounds():

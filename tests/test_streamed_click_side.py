@@ -8,8 +8,13 @@ every click of the acquisition at once; memory must follow the chunk, not
 the acquisition.
 """
 
+import concurrent.futures
 import importlib
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,10 +24,10 @@ from hypothesis import strategies as st
 
 from bunchsim import photon_source
 from bunchsim.coincidence_unit import CcuConfig, counter_values
-from bunchsim.detector_bank import Detector, DetectorConfig, apply_dead_time
-from bunchsim.photon_source import SourceConfig
+from bunchsim.detector_bank import Detector, DetectorConfig, apply_dead_time, dark_events
+from bunchsim.photon_source import CHUNK_SLOTS, STREAM_DARK, SourceConfig, substream
 from bunchsim.routing_models import RoutingModel
-from bunchsim.simulate import _END, SimConfig, _ClickSide, simulate, simulate_streams
+from bunchsim.simulate import _END, SimConfig, _ClickSide, _simulate_chunk, simulate, simulate_streams
 from oracles import traced_peak, whole_stream_click_side, whole_stream_runs
 
 
@@ -164,7 +169,7 @@ def test_pool_keeps_at_most_two_chunks_per_worker_ahead(monkeypatch):
     # results a slow click side has not consumed yet would otherwise pile up
     # for the whole acquisition
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
-    monkeypatch.setattr(importlib.import_module("bunchsim.simulate"), "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "submitted", [])
     source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=1300.5e-7, seed=12)
     config = SimConfig(source, DetectorConfig(0.6), RoutingModel.CLASSICAL, 5_000)
@@ -206,3 +211,35 @@ def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
         buffered.append(sum(t.size for t in side.raw.values()))
     assert max(buffered) == pieces[0][Detector.A1].size
     assert_same_run(counted, side.finish({}), *whole_stream_click_side(pieces, dark, 0, ccu))
+
+
+def test_a_run_on_one_worker_loads_no_process_pool(tmp_path):
+    # concurrent.futures loads its process pool, and multiprocessing with
+    # it, at the first lookup of ProcessPoolExecutor, which only a pool makes
+    script = (
+        "import sys\n"
+        "from bunchsim import cli_harness\n"
+        "flags = ['--model', 'classical', '--mean-photon-number', '0.05', '--acquisition-s', '0.001', '--seed', '3']\n"
+        f"assert cli_harness.main(['run', *flags, '--workers', '1', '--quiet', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "[]"  # after the tally the run prints
+    assert (tmp_path / "tally.csv").exists()
+
+
+def test_feed_lets_go_of_what_it_has_counted():
+    # one full chunk of bright candidates, fed and counted at once: each
+    # detector's pre-feed buffer goes once its remainder replaces it. Pinned
+    # by the views handed to the edge search, the new allocations peaked at
+    # ~1.97x the candidates' bytes; they take ~1.31x
+    src = SourceConfig(mean_photon_number=1.0, slot_rate=CHUNK_SLOTS / 0.05, duration=0.05, seed=7)
+    detectors = DetectorConfig(0.5)
+    [(clicks, _)] = _simulate_chunk(src, detectors, [RoutingModel.CLASSICAL], 0)
+    candidates = sum(t.nbytes for t in clicks.values())
+    side = _ClickSide(detectors.dead_time_ps, CcuConfig(5_000, src.duration), dark_events(detectors, src.duration, substream(7, STREAM_DARK)))
+    assert traced_peak(side.feed, clicks, _END) < 1.5 * candidates
+    assert not clicks and sum(side.counts["singles"].values()) > 0
