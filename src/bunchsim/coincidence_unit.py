@@ -18,9 +18,10 @@ of its detectors and none missing need the greedy walk.
 
 The same gaps bound memory: accumulate cuts the streams into pieces of
 about 4 * _MERGE_STEP events at cluster edges, counts each piece from its
-own merged timeline and adds the counts. closed_edge is the
-one edge finder, for these pieces and for the streamed click side of
-simulate, which filters and counts each chunk's raw events up to the edge.
+own merged timeline and adds the counts. closed_edge finds the last gap
+wider than a spread, for these pieces and for the streamed click side of
+simulate, which filters and counts raw events up to the edge; opened_edge,
+its mirror, finds the first, where simulate's chunk job starts counting.
 """
 
 from __future__ import annotations
@@ -155,14 +156,15 @@ def _clusters(streams: dict, spread: int) -> _Clusters:
     return _Clusters(keys, cluster, one, some, only.reshape(4, n))
 
 
-def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
-    """A time c that no coincidence cluster spans, so the events below c can be
-    counted apart from those at or above it.
+def closed_edge(streams, watermark: int, spread: int) -> int:
+    """A time c that no cluster cut at gaps > spread spans, so the events below
+    c can be counted apart from those at or above it.
 
     streams are sorted per-detector times below watermark, and every event
-    still to come lies at or above it. c follows the last gap > 2 * window,
-    the gap _clusters cuts at, of their merged timeline closed by watermark.
-    With no such gap, c is the first event and nothing lies below it.
+    still to come lies at or above it. c follows the last gap > spread of
+    their merged timeline closed by watermark; _clusters cuts at spread =
+    2 * window. With no such gap, c is the first event and nothing lies
+    below it.
 
     The search goes back from watermark: it merges only the events at or
     above watermark - span, the suffix of the timeline, and doubles span
@@ -170,8 +172,7 @@ def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
     after the last gap, however far back that gap lies; c is watermark
     when the first span holds no event.
     """
-    watermark = int(watermark)
-    spread = 2 * int(config.window_ps)
+    watermark, spread = int(watermark), int(spread)
     span = 2 * spread + 2
     if all(t[-1] < watermark - span for t in streams if len(t)):
         return watermark
@@ -184,6 +185,29 @@ def closed_edge(streams, watermark: int, config: CcuConfig) -> int:
         gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
         if gaps.size or whole:
             return int(times[gaps[-1] + 1] if gaps.size else times[0])
+        span *= 2
+
+
+def opened_edge(streams, floor: int, spread: int) -> int | None:
+    """The first event after the first gap > spread, or None: closed_edge's mirror.
+
+    streams are sorted per-detector times above floor, and every earlier
+    event lies at or below it, so floor opens their merged timeline. The
+    search goes forward from floor through the prefix of events at or below
+    floor + span, and doubles span until that prefix holds a gap or every
+    event.
+    """
+    floor, spread = int(floor), int(spread)
+    last = max((int(t[-1]) for t in streams if len(t)), default=floor)
+    span = 2 * spread + 2
+    while True:
+        whole = floor + span >= last
+        prefix = [t if whole else t[: np.searchsorted(t, floor + span, "right")] for t in streams]
+        times = np.concatenate([[floor], *prefix])
+        times.sort(kind="stable")
+        gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
+        if gaps.size or whole:
+            return int(times[gaps[0] + 1]) if gaps.size else None
         span *= 2
 
 
@@ -254,7 +278,7 @@ def _pieces(streams: dict, config: CcuConfig):
     start = lo = [0] * len(times)
     for c in marks[len(times) - 1 :: len(times)].tolist():
         hi = [int(np.searchsorted(t, c)) for t in times]
-        edge = closed_edge([t[a:b] for t, a, b in zip(times, lo, hi)], c, config)
+        edge = closed_edge([t[a:b] for t, a, b in zip(times, lo, hi)], c, 2 * int(config.window_ps))
         cut = [int(np.searchsorted(t, edge)) for t in times]
         if cut != lo:  # closed_edge found a gap: edge is past the first event searched
             yield {det: t[a:b] for det, t, a, b in zip(Detector, times, start, cut)}
@@ -264,8 +288,14 @@ def _pieces(streams: dict, config: CcuConfig):
 
 
 def _count_piece(streams: dict, config: CcuConfig) -> tuple[dict, dict]:
-    """(pair counts, triple counts) of one piece, read from one set of clusters."""
+    """(pair counts, triple counts) of one piece, read from one set of clusters.
+
+    A piece whose events all lie alone keeps no event in its clusters, and
+    every counter of it is 0.
+    """
     clusters = _clusters(streams, 2 * int(config.window_ps))
+    if not clusters.keys.size:
+        return dict.fromkeys(PAIR_KEYS, 0), dict.fromkeys(TRIPLE_KEYS, 0)
     return count_pairs(clusters, config), count_triples(clusters, config)
 
 

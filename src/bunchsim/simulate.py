@@ -3,24 +3,35 @@
 The stream is processed in fixed canonical chunks (photon_source.CHUNK_SLOTS)
 and every random draw comes from a substream keyed by (seed, purpose, chunk),
 so the result is byte-identical for any worker count and any chunk schedule.
-Worker processes only compute per-chunk candidate clicks. The click side
-(merge with the darks, dead time, the cut at the acquisition end and
-counting) runs in the main process, chunk by chunk in schedule order, with
-carried state:
+The click side (merge with the darks, dead time, the cut at the acquisition
+end and counting) runs where each chunk is drawn, in one chunk job, in
+process at one worker and in a process pool otherwise:
 
-- one buffer per detector holds the raw events not yet counted: the
-  candidates, and the darks (drawn once per model) below the chunk's
-  watermark, the nominal time of the next chunk's first slot less the
-  jitter's reach, below which no later candidate lies;
-- each chunk, the events below the last gap of more than 2 * window in the
-  merged four-detector timeline below the watermark, where a coincidence
-  cluster is closed, go through dead time, the cut at the acquisition end
-  and counting once, and the tallies of the pieces are added; the rest wait
-  raw, with a wide jitter across several chunks;
-- dead time carries each detector's last registered time across the edge.
+- each chunk has a span, the times that no other chunk's candidate reaches
+  (_spans); the main process draws the darks once per model and hands each
+  job those of its span, so the job holds every event of the span;
+- the job finds the first and the last reset gap of the span's merged raw
+  timeline, at least max(dead time, 2 * window + 1) ps wide. The event
+  after one is registered whatever came before it, and no coincidence
+  cluster spans one, so the job runs dead time, the cut and counting on
+  the interior between them alone, and returns its tally, each detector's
+  last registered time and the raw candidates outside it;
+- the main process gathers the few events between two interiors, chunk
+  by chunk in schedule order: one buffer per detector holds the raw events
+  not yet counted, and the events below the last gap of more than
+  2 * window below a watermark, where a coincidence cluster is closed, go
+  through dead time, the cut and counting once, in a job of their own
+  (_count) that carries each detector's last registered time across the
+  edge. The events between two interiors make one such job. A chunk with
+  no interior, where the jitter's reach or the dead time outlasts the span
+  or no gap is wide enough, goes that way whole; a one-chunk run is
+  counted wholly in its chunk job.
 
-So the run holds about one chunk's clicks at a time, not the acquisition's,
-and keeps no registered stream: a consumer may take each counted piece.
+Every job runs where the chunk jobs run, so with a pool the main process
+filters and counts nothing itself. The run holds about one chunk's clicks at
+a time, not the acquisition's, only a chunk's edges and tallies travel
+between processes, and no registered stream is kept: a consumer may take
+each counted piece.
 
 Per chunk the engine holds the occupied slots as uint16 segment offsets
 (photon_source.SegmentedSlots) and int16 photon numbers, the latter
@@ -41,9 +52,11 @@ same draws, and the same output, as it would alone.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,102 +179,261 @@ def _simulate_chunk(src: SourceConfig, detectors: DetectorConfig, models, chunk_
 # t = 0 only moves a click later.
 _JITTER_REACH_SIGMAS = 12.3
 
-# the watermark of the last chunk, which releases every remaining event
+# the end of the last chunk's span, which releases every remaining event,
+# and the start of the first chunk's
 _END = int(np.iinfo(np.int64).max)
+_START = -_END
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _watermarks(src: SourceConfig, detectors: DetectorConfig) -> list[int]:
-    """Per chunk, a time that no candidate click of a later chunk lies below.
+def _spans(src: SourceConfig, detectors: DetectorConfig) -> list[tuple[int, int]]:
+    """Per chunk, the span [start, end) of times that no other chunk's
+    candidate click reaches.
 
     The slot clock is monotone, so a later chunk's clicks lie at or after the
-    nominal time of the next chunk's first slot, less the jitter's reach. The
-    last chunk's is _END, which releases and counts every remaining event.
+    nominal time of the next chunk's first slot less the jitter's reach: end,
+    the chunk's watermark. An earlier chunk's clicks lie at or before the
+    nominal time of this chunk's slot before its first plus the reach, and
+    below the earlier chunk's watermark, whose darks the click side takes
+    with that chunk: start is past both. The first chunk's start is _START
+    and the last chunk's end is _END, which releases and counts every
+    remaining event. A jitter that reaches across chunks leaves a span
+    empty.
     """
     reach = math.ceil(_JITTER_REACH_SIGMAS * detectors.jitter_sigma_ps) + 2
-    starts = np.array([chunk_start(i) for i in range(1, num_chunks(src))], dtype=np.int64)
-    return [int(t) - reach for t in _slot_times(src, starts)] + [_END]
+    firsts = np.array([chunk_start(i) for i in range(1, num_chunks(src))], dtype=np.int64)
+    ends = [int(t) - reach for t in _slot_times(src, firsts)] + [_END]
+    reached = [int(t) + reach + 1 for t in _slot_times(src, firsts - 1)]
+    starts = [_START] + [max(t, end) for t, end in zip(reached, ends)]
+    return list(zip(starts, ends))
+
+
+class _Counted(NamedTuple):
+    """What counting a run of events gives: its tally, None if nothing of it
+    lies in the acquisition, each detector's last registered time, None if
+    none, and its registered piece if the run has a consumer."""
+
+    tally: TallyTable | None
+    last: dict
+    pieces: list
+
+
+def _count(events: dict, last: dict, dead_time_ps: int, ccu: CcuConfig, keep_piece: bool) -> _Counted:
+    """Dead time from each detector's last registered time, the cut at the
+    acquisition end and counting of sorted raw events that no coincidence
+    cluster joins to a later event. A job like the chunk's; the events are
+    popped, so each detector's goes once filtered."""
+    acq_ps = int(round(ccu.acquisition_s * 1e12))
+    last, piece = dict(last), {}
+    for det in Detector:
+        registered = apply_dead_time(events.pop(det), dead_time_ps, last[det])
+        if registered.size:
+            last[det] = int(registered[-1])
+        piece[det] = registered[: np.searchsorted(registered, acq_ps)]
+    if not any(t.size for t in piece.values()):
+        return _Counted(None, last, [])
+    # through its module, the call site perfbench's tracer wraps for event replays
+    return _Counted(coincidence_unit.accumulate(piece, ccu), last, [piece] if keep_piece else [])
+
+
+def _done(result) -> concurrent.futures.Future:
+    future = concurrent.futures.Future()
+    future.set_result(result)
+    return future
+
+
+def _in_process(fn, *args) -> concurrent.futures.Future:
+    """pool.submit's stand-in for a run without a pool."""
+    return _done(fn(*args))
 
 
 class _ClickSide:
     """Merge, dead time, cut and counting of one model's clicks, chunk by chunk.
 
-    Fed each chunk's candidate clicks in schedule order with the chunk's
-    watermark, the time no later candidate lies below. One buffer per
-    detector holds the raw events not yet counted: candidates, and the darks
-    below the watermark, taken off the front of the rest. Each feed finds
-    the last closed cluster edge of the buffered events below the watermark
-    (coincidence_unit), runs dead time, the cut at the acquisition end and
-    counting on the events below it, hands that piece to on_piece if given,
-    and keeps the rest raw. Dead time only removes events, so a gap of more
-    than 2 * window in the raw timeline is at least as wide in the
-    registered one, and no coincidence spans it. Each event is filtered and
-    counted exactly once and in time order, so the result equals the
-    whole-stream pass: merge, sort, apply_dead_time, cut at the acquisition
-    end and accumulate.
+    The main process takes each chunk job's result in schedule order
+    (take). Each feed takes candidate clicks and a watermark, the time no
+    later event lies below. One buffer per detector holds the raw events
+    not yet counted: candidates, and the darks below the watermark, taken
+    off the front of the rest. Each feed finds the last closed cluster edge
+    of the buffered events below the watermark (coincidence_unit), submits
+    dead time, the cut at the acquisition end and counting of the events
+    below it as a job (_count), and keeps the rest raw. Dead time only removes events, so a gap of more than
+    2 * window in the raw timeline is at least as wide in the registered
+    one, and no coincidence spans it. Each event is filtered and counted
+    exactly once and in time order, so the result equals the whole-stream
+    pass: merge, sort, apply_dead_time, cut at the acquisition end and
+    accumulate.
+
+    submit runs a job: in process by default, or pool.submit, so that with
+    a pool the main process counts nothing itself. Tallies are added and
+    pieces handed to on_piece in time order as their jobs finish; a job
+    waits for the one before it only for the last registered times it
+    carries, which after a chunk's interior are the interior's.
     """
 
-    def __init__(self, dead_time_ps: int, ccu: CcuConfig, dark: dict, on_piece=None):
+    def __init__(self, dead_time_ps: int, ccu: CcuConfig, dark: dict, on_piece=None, submit=_in_process):
         self.dead_time_ps = dead_time_ps
         self.ccu = ccu
-        self.acq_ps = int(round(ccu.acquisition_s * 1e12))
         self.dark = dict(dark)  # sorted darks not yet buffered
         self.raw = dict.fromkeys(Detector, _EMPTY)  # sorted raw events, not yet counted
-        self.last = dict.fromkeys(Detector)  # last registered time, for dead time
         self.on_piece = on_piece
+        self.submit = submit
+        # the counted runs whose tally and pieces are not yet taken, in time
+        # order, and the last one, whose last registered times dead time carries
+        self.pending = deque()
+        self.latest = _done(_Counted(None, dict.fromkeys(Detector), []))
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
             "pairs": dict.fromkeys(PAIR_KEYS, 0),
             "triples": dict.fromkeys(TRIPLE_KEYS, 0),
         }
 
-    def feed(self, clicks: dict, watermark: int) -> None:
-        """Take one chunk's candidate clicks, popping them from clicks once merged."""
+    def _merge(self, clicks: dict, watermark: int) -> None:
+        """Buffer candidate clicks, popped once merged, and the darks below watermark."""
         for det in Detector:
             k = int(np.searchsorted(self.dark[det], watermark))
             self.raw[det] = np.concatenate([self.raw[det], clicks.pop(det), self.dark[det][:k]])
-            self.raw[det].sort()
+            self.raw[det].sort(kind="stable")  # a merge of sorted runs, or of nearly sorted clicks
             self.dark[det] = self.dark[det][k:]
-        # no view of a buffer outlives the edge search or its detector's turn
-        # below, so each pre-feed buffer goes once its remainder replaces it
+
+    def feed(self, clicks: dict, watermark: int) -> None:
+        """Take one chunk's candidate clicks, popping them from clicks once merged."""
+        self._merge(clicks, watermark)
+        # no view of a buffer outlives the edge search or its detector's
+        # count, so each pre-feed buffer goes once its remainder replaces it
         edge = coincidence_unit.closed_edge(
-            [t[: np.searchsorted(t, watermark)] for t in self.raw.values()], watermark, self.ccu
+            [t[: np.searchsorted(t, watermark)] for t in self.raw.values()], watermark, 2 * int(self.ccu.window_ps)
         )
-        piece = {}
+        closed = {}
         for det in Detector:
             k = int(np.searchsorted(self.raw[det], edge))
-            registered = apply_dead_time(self.raw[det][:k], self.dead_time_ps, self.last[det])
-            if registered.size:
-                self.last[det] = int(registered[-1])
-            piece[det] = registered[: np.searchsorted(registered, self.acq_ps)]
+            closed[det] = self.raw[det][:k]
             if k:
                 self.raw[det] = self.raw[det][k:].copy()
-        if any(t.size for t in piece.values()):
-            if self.on_piece is not None:
+        if any(t.size for t in closed.values()):
+            last = self.latest.result().last
+            self._then(self.submit(_count, closed, last, self.dead_time_ps, self.ccu, self.on_piece is not None))
+        del closed
+        self._take_done()
+
+    def take(self, raw: dict, interior, watermark: int) -> None:
+        """Take one chunk job's result for this model: the raw candidates
+        outside its interior and the interior, None if it has none.
+
+        The events below the interior are all here, and a reset gap closes
+        them, so they are counted up to it; the interior's darks are
+        dropped, and its count follows. The candidates above it wait raw,
+        with the darks below the chunk's watermark, for the next chunk's,
+        so that the events between two interiors make one job, which
+        carries the first interior's last registered times.
+        """
+        if interior is None:
+            self.feed(raw, watermark)
+            return
+        self.feed({det: t[: np.searchsorted(t, interior.lo)] for det, t in raw.items()}, interior.lo)
+        for det in Detector:
+            self.dark[det] = self.dark[det][np.searchsorted(self.dark[det], interior.hi) :]
+        self._then(_done(interior.counted))
+        self._merge({det: t[np.searchsorted(t, interior.hi) :] for det, t in raw.items()}, watermark)
+        self._take_done()
+
+    def _then(self, future: concurrent.futures.Future) -> None:
+        self.pending.append(future)
+        self.latest = future
+
+    def _take_done(self, wait: bool = False) -> None:
+        """Add the tallies and hand on the pieces of the finished runs, in turn."""
+        while self.pending and (wait or self.pending[0].done()):
+            counted = self.pending.popleft().result()
+            if counted.tally is not None:
+                for _, group, key in COUNTERS:
+                    self.counts[group][key] += getattr(counted.tally, group)[key]
+            for piece in counted.pieces:
                 self.on_piece(piece)
-            # through its module, the call site perfbench's tracer wraps for event replays
-            tally = coincidence_unit.accumulate(piece, self.ccu)
-            for _, group, key in COUNTERS:
-                self.counts[group][key] += getattr(tally, group)[key]
 
     def finish(self, metadata: dict) -> TallyTable:
         """The tally once every chunk is fed, counting what is left at _END
         first: a run of no chunks still has its darks."""
         self.feed(dict.fromkeys(Detector, _EMPTY), _END)
+        self._take_done(wait=True)
         return TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
+
+
+class _Interior(NamedTuple):
+    """The part of one model's chunk that its job counts: the events in [lo, hi)."""
+
+    lo: int
+    hi: int
+    counted: _Counted
+
+
+def _count_interior(clicks: dict, dark: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_piece: bool):
+    """(raw, interior) of one model's chunk: the click side of its interior.
+
+    clicks are the chunk's candidates, popped once split; dark are the darks
+    in span, the chunk's [start, end) (_spans), which holds every event that
+    lies in it. In the merged raw timeline of the span, the first and the
+    last reset gap, at least max(dead time, 2 * window + 1) ps wide, bound
+    the interior: the event after a reset gap is registered whatever came
+    before it, and no coincidence cluster spans the gap. So dead time with
+    no carried time, the cut at the acquisition end and counting on the
+    interior's events give the whole-stream pass's counts of them. The
+    span's start less 1 and its end close the timeline, as no event lies
+    between them and the span; the first chunk's interior starts at _START
+    and the last one's ends at _END. raw holds the sorted candidates outside
+    the interior, every candidate when no interior lies between two gaps.
+    """
+    start, end = span
+    for t in clicks.values():
+        t.sort(kind="stable")  # jittered clicks in slot order are nearly sorted
+    spread = max(dead_time_ps, 2 * int(ccu.window_ps) + 1) - 1  # a reset gap is wider than spread
+    inside = [t[np.searchsorted(t, start) : np.searchsorted(t, end)] for t in (*clicks.values(), *dark.values())]
+    lo = start if start == _START else coincidence_unit.opened_edge(inside, start - 1, spread)
+    hi = coincidence_unit.closed_edge(inside, end, spread)
+    del inside  # its views would pin the candidates past their merge
+    if lo is None or lo >= hi:
+        return clicks, None
+    interior, raw = {}, {}
+    for det in Detector:
+        t = clicks.pop(det)  # each detector's candidates go once merged
+        a, b = np.searchsorted(t, (lo, hi))
+        c, d = np.searchsorted(dark[det], (lo, hi))
+        interior[det] = np.concatenate([t[a:b], dark[det][c:d]])
+        interior[det].sort(kind="stable")  # a merge of two sorted runs
+        raw[det] = np.concatenate([t[:a], t[b:]])
+    del t
+    return raw, _Interior(lo, hi, _count(interior, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece))
+
+
+def _chunk_job(src: SourceConfig, detectors: DetectorConfig, models, ccu: CcuConfig, keep_piece: bool,
+               span, darks, chunk_index: int) -> list[tuple[dict, _Interior | None, int]]:
+    """(raw, interior, fallback slots) of every model for one chunk: its draw,
+    and the click side of its interior with the darks of its span, one dict
+    per model.
+
+    The same function runs in process and in a pool, so only the few
+    candidates near the chunk's edges and its interior's tally travel back.
+    Top-level so process pools can pickle it.
+    """
+    drawn = _simulate_chunk(src, detectors, models, chunk_index)
+    return [
+        (*_count_interior(clicks, dark, span, detectors.dead_time_ps, ccu, keep_piece), fallback)
+        for (clicks, fallback), dark in zip(drawn, darks)
+    ]
 
 
 def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) -> list[TallyTable]:
     """Run the full pipeline for configs that differ only in their model.
 
-    Returns one TallyTable per config, in the order of configs. The clicks
-    are merged, filtered and counted chunk by chunk, so no more than a
-    chunk's clicks are held at a time. on_piece, if given, is called as
-    on_piece(index, piece) with the index of a config in configs and each
-    piece its click side counts: per-detector registered events, dead-time
-    filtered and cut to the acquisition [0, duration), in time order, so
-    that one config's pieces in turn make its registered streams. progress,
-    if given, is called as progress(done_chunks, total_chunks).
+    Returns one TallyTable per config, in the order of configs. Each chunk
+    job counts its chunk's interior, and a job of its own the events
+    between two interiors, both in the pool if there is one, so no more
+    than a chunk's clicks are held at a time. on_piece, if given, is called
+    as on_piece(index, piece) with the index of a config in configs and
+    each counted piece: per-detector registered events, dead-time filtered
+    and cut to the acquisition [0, duration), in time order, so that one
+    config's pieces in turn make its registered streams. progress, if
+    given, is called as progress(done_chunks, total_chunks).
     """
     if workers < 1:
         raise ValueError("workers: must be >= 1")
@@ -274,53 +446,57 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
     src, detectors = base.source, base.detectors
 
     chunks = num_chunks(src)
-    job = (src, detectors, [c.model for c in configs])
-    watermarks = _watermarks(src, detectors)
+    spans = _spans(src, detectors)
+    # darks are few; each model draws the same ones from the same substream,
+    # one dark_events call per model, which perfbench's click accounting relies on
+    darks = [dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK)) for _ in configs]
 
-    def click_side(m):
-        # darks are few; each model draws the same ones from the same substream,
-        # one dark_events call per model, which perfbench's click accounting relies on
-        dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
-        sink = None if on_piece is None else lambda piece: on_piece(m, piece)
-        return _ClickSide(detectors.dead_time_ps, base.ccu, dark, sink)
+    def job(i):
+        start, end = spans[i]
+        span_darks = [{det: t[np.searchsorted(t, start) : np.searchsorted(t, end)] for det, t in dark.items()}
+                      for dark in darks]
+        return (src, detectors, [c.model for c in configs], base.ccu, on_piece is not None, spans[i], span_darks, i)
 
-    sides = [click_side(m) for m in range(len(configs))]
-    fallback_slots = [0] * len(configs)
-
-    def consume(i, results):
-        for m, (clicks, fallback) in enumerate(results):
-            fallback_slots[m] += fallback
-            sides[m].feed(clicks, watermarks[i])
-        if progress is not None:
-            progress(i + 1, chunks)
+    def count(submit, results):
+        """The tallies of the chunk jobs' results, in schedule order, with
+        every other count submitted as a job too."""
+        sinks = [None if on_piece is None else functools.partial(on_piece, m) for m in range(len(configs))]
+        sides = [_ClickSide(detectors.dead_time_ps, base.ccu, dark, sink, submit) for dark, sink in zip(darks, sinks)]
+        fallback_slots = [0] * len(configs)
+        for i, chunk in enumerate(results):
+            for m, (raw, interior, fallback) in enumerate(chunk):
+                fallback_slots[m] += fallback
+                sides[m].take(raw, interior, spans[i][1])
+            if progress is not None:
+                progress(i + 1, chunks)
+        return [
+            side.finish({
+                "config": config_metadata(config),
+                "slots": slot_count(src),
+                "phase_basis_fallback_slots": int(fallback),
+                "version": __version__,
+            })
+            for side, config, fallback in zip(sides, configs, fallback_slots)
+        ]
 
     if workers > 1 and chunks > 1:
         workers = min(workers, chunks)
         # looked up here, so that concurrent.futures loads its process pool,
         # and multiprocessing with it, only when a pool starts
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # at most 2 * workers chunks are submitted and not yet consumed, so
-            # results that wait for a slower click side stay bounded too
-            ahead = deque(pool.submit(_simulate_chunk, *job, i) for i in range(min(2 * workers, chunks)))
-            for i in range(chunks):
-                results = ahead.popleft().result()
-                if i + 2 * workers < chunks:
-                    ahead.append(pool.submit(_simulate_chunk, *job, i + 2 * workers))
-                consume(i, results)
-    else:
-        for i in range(chunks):
-            consume(i, _simulate_chunk(*job, i))
 
-    tallies = []
-    for m, config in enumerate(configs):
-        metadata = {
-            "config": config_metadata(config),
-            "slots": slot_count(src),
-            "phase_basis_fallback_slots": int(fallback_slots[m]),
-            "version": __version__,
-        }
-        tallies.append(sides[m].finish(metadata))
-    return tallies
+            def results():
+                # at most 2 * workers chunks are submitted and not yet consumed,
+                # so results that wait for a slower click side stay bounded too
+                ahead = deque(pool.submit(_chunk_job, *job(i)) for i in range(min(2 * workers, chunks)))
+                for i in range(chunks):
+                    result = ahead.popleft().result()
+                    if i + 2 * workers < chunks:
+                        ahead.append(pool.submit(_chunk_job, *job(i + 2 * workers)))
+                    yield result
+
+            return count(pool.submit, results())
+    return count(_in_process, (_chunk_job(*job(i)) for i in range(chunks)))
 
 
 def simulate(config: SimConfig, workers: int = 1, progress=None) -> TallyTable:

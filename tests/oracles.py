@@ -8,8 +8,8 @@ dumps written and read one struct record or text line at a time, exact
 enumeration of each model's routing and detector occupancies for one
 n-photon slot, and the click-pattern table as a Poisson sum over those
 enumerations, the whole-stream click side that holds every click of an
-acquisition before it merges, filters or counts any, and the cluster edge
-found by one sort of every event. traced_peak measures
+acquisition before it merges, filters or counts any, and the first and
+last gaps found by one sort of every event. traced_peak measures
 the memory the fast paths hold.
 """
 
@@ -265,6 +265,16 @@ def closed_edge(streams, watermark: int, config) -> int:
     times.sort(kind="stable")
     gaps = np.flatnonzero(times[1:] - times[:-1] > 2 * int(config.window_ps))
     return int(times[gaps[-1] + 1] if gaps.size else times[0])
+
+
+def opened_edge(streams, floor: int, spread: int):
+    """coincidence_unit.opened_edge by one sort of every event: the first event
+    after the first gap > spread of the merged timeline opened by floor, or
+    None if there is no such gap."""
+    times = np.concatenate([[floor], *streams])
+    times.sort(kind="stable")
+    gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
+    return int(times[gaps[0] + 1]) if gaps.size else None
 
 
 def whole_stream_click_side(chunk_clicks, dark: dict, dead_time_ps: int, ccu):

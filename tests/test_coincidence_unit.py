@@ -24,7 +24,7 @@ from bunchsim.coincidence_unit import (
     tally_to_csv,
     tally_to_json,
 )
-from bunchsim.coincidence_unit import _clusters, _greedy, _pieces, closed_edge
+from bunchsim.coincidence_unit import _clusters, _greedy, _pieces, closed_edge, opened_edge
 from bunchsim.detector_bank import MAX_PS, Detector
 from oracles import streams_from_events, traced_peak
 import oracles
@@ -309,7 +309,37 @@ def edge_cases(draw):
 @example(([np.empty(0, dtype=np.int64)] * 4, 7, CcuConfig(window_ps=MAX_PS - 1, acquisition_s=1.0)))
 def test_closed_edge_searches_back_to_the_last_gap(case):
     streams, watermark, config = case
-    assert closed_edge(streams, watermark, config) == oracles.closed_edge(streams, watermark, config)
+    assert closed_edge(streams, watermark, 2 * config.window_ps) == oracles.closed_edge(streams, watermark, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cases())
+@example(([np.arange(0, 100, 10)] * 4, 100, CcuConfig(window_ps=10, acquisition_s=1.0)))  # no gap at all
+@example(([np.empty(0, dtype=np.int64)] * 4, 7, CcuConfig(window_ps=MAX_PS - 1, acquisition_s=1.0)))
+def test_opened_edge_searches_forward_to_the_first_gap(case):
+    # closed_edge's cases mirrored in time: the watermark becomes the floor
+    streams, watermark, config = case
+    mirrored = [-t[::-1] for t in streams]
+    spread = 2 * config.window_ps
+    assert opened_edge(mirrored, -watermark, spread) == oracles.opened_edge(mirrored, -watermark, spread)
+
+
+def test_a_piece_with_no_partnered_event_skips_the_counters(monkeypatch):
+    # the ten counters cost ~30 us each per piece, and count 0 where every
+    # event lies alone
+    calls = []
+    real = coincidence_unit._cluster_count
+    monkeypatch.setattr(coincidence_unit, "_cluster_count", lambda *args: calls.append(args[1]) or real(*args))
+    config = CcuConfig(window_ps=100, acquisition_s=1e-6)
+    alone = {det: np.arange(5, dtype=np.int64) * 10_000 + 1_000 * det for det in Detector}
+    tally = accumulate(alone, config)
+    assert not calls
+    assert set(tally.pairs.values()) == set(tally.triples.values()) == {0}
+    assert set(tally.singles.values()) == {5}
+    partnered = {**alone, Detector.A2: alone[Detector.A1] + 50}
+    tally = accumulate(partnered, config)
+    assert sorted(calls) == sorted([*PAIR_KEYS, *TRIPLE_KEYS])
+    assert tally.pairs[(Detector.A1, Detector.A2)] == 5
 
 
 def test_merged_prefilter_drops_isolated_events():

@@ -9,8 +9,10 @@ the acquisition.
 """
 
 import concurrent.futures
+import dataclasses
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -23,11 +25,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bunchsim import photon_source
+from bunchsim.cli_harness import parse_config
 from bunchsim.coincidence_unit import CcuConfig, counter_values
 from bunchsim.detector_bank import Detector, DetectorConfig, apply_dead_time, dark_events
-from bunchsim.photon_source import CHUNK_SLOTS, STREAM_DARK, SourceConfig, substream
+from bunchsim.photon_source import CHUNK_SLOTS, STREAM_DARK, SourceConfig, num_chunks, substream
 from bunchsim.routing_models import RoutingModel
-from bunchsim.simulate import _END, SimConfig, _ClickSide, _simulate_chunk, simulate, simulate_streams
+from bunchsim.simulate import (
+    _END,
+    _START,
+    SimConfig,
+    _chunk_job,
+    _ClickSide,
+    _count_interior,
+    _simulate_chunk,
+    _spans,
+    simulate,
+    simulate_streams,
+)
 from oracles import traced_peak, whole_stream_click_side, whole_stream_runs
 
 
@@ -47,6 +61,22 @@ def assert_same_run(pieces, tally, ref_streams, ref_tally):
     for det in Detector:
         assert streams[det].tobytes() == ref_streams[det].tobytes(), det.label
     assert list(counter_values(tally)) == list(counter_values(ref_tally))
+
+
+def recording(inputs):
+    """apply_dead_time, appending a copy of the times of each call to inputs."""
+
+    def recorded(times, *args):
+        inputs.append(np.array(times))
+        return apply_dead_time(times, *args)
+
+    return recorded
+
+
+def assert_filtered_once(inputs, events):
+    """Every event entered dead time exactly once, in time order per call."""
+    assert all(np.all(t[1:] >= t[:-1]) for t in inputs)
+    assert np.sort(np.concatenate([ints([]), *inputs])).tolist() == np.sort(np.concatenate([ints([]), *events])).tolist()
 
 
 @st.composite
@@ -99,26 +129,43 @@ def test_streamed_click_side_equals_whole_stream_pass(case):
     pieces, watermarks, dark, dead, ccu = case
     ref_streams, ref_tally = whole_stream_click_side(pieces, dark, dead, ccu)
     inputs = []
-
-    def recorded(times, *args):
-        inputs.append(np.array(times))
-        return apply_dead_time(times, *args)
-
     # patched per example, since a function-scoped fixture would span them all
-    with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recorded):
+    with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs)):
         counted = []
         side = _ClickSide(dead, ccu, dark, counted.append)
         for clicks, watermark in zip(pieces, watermarks):
             side.feed(dict(clicks), watermark)
         tally = side.finish({})
     assert_same_run(counted, tally, ref_streams, ref_tally)
-    # every candidate and dark enters dead time exactly once, in time order
-    assert all(np.all(t[1:] >= t[:-1]) for t in inputs)
-    every = np.concatenate([*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
-    assert np.sort(np.concatenate([ints([]), *inputs])).tolist() == np.sort(every).tolist()
+    assert_filtered_once(inputs, [*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
 
 
-@pytest.mark.parametrize(
+@settings(max_examples=200, deadline=None)
+@given(click_side_cases())
+def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
+    # each chunk job counts its interior, and the main click side takes the
+    # rest; a span starts past every earlier candidate and the earlier
+    # watermark, and ends at the chunk's watermark
+    pieces, watermarks, dark, dead, ccu = case
+    ref_streams, ref_tally = whole_stream_click_side(pieces, dark, dead, ccu)
+    spans, start = [], _START
+    for clicks, end in zip(pieces, watermarks):
+        spans.append((start, end))
+        start = max(start, end, *(int(t.max()) + 1 for t in clicks.values() if t.size))
+    inputs = []
+    with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs)):
+        counted = []
+        side = _ClickSide(dead, ccu, dark, counted.append)
+        for clicks, (start, end) in zip(pieces, spans):
+            span_dark = {det: t[(t >= start) & (t < end)] for det, t in dark.items()}
+            copies = {det: t.copy() for det, t in clicks.items()}
+            side.take(*_count_interior(copies, span_dark, (start, end), dead, ccu, True), end)
+        tally = side.finish({})
+    assert_same_run(counted, tally, ref_streams, ref_tally)
+    assert_filtered_once(inputs, [*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
+
+
+STREAM_CASES = (
     "slots, jitter_ps, dead_time_ps, dark_rate, window_ps",
     [
         (1300, 350.0, 22_000, 1e5, 5_000),  # the presets: jitter far inside a chunk
@@ -127,14 +174,28 @@ def test_streamed_click_side_equals_whole_stream_pass(case):
         (1300, 350.0, 22_000, 1e5, 500_000),  # clusters cut at gaps > 1 us, a few per chunk
         (1300, 350.0, 22_000, 1e5, 2_500_000),  # gaps > 5 us, most of a chunk: no cluster closes
         (0, 350.0, 22_000, 2e10, 5_000),  # no slot, so no chunk: ~1000 darks per detector
+        # a dead time of 10 slots: a reset gap is a dead time wide, far more
+        # than a cluster edge
+        (1300, 350.0, 1_000_000, 1e5, 5_000),
+        # darks every ~10 ns and reset gaps of 201 ps: many darks lie past an
+        # earlier chunk's reach but below its watermark
+        (1300, 350.0, 0, 1e8, 100),
     ],
 )
-def test_simulate_streams_equals_whole_stream_pass(monkeypatch, slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
-    # 64-slot chunks of 6.4 us; 1300 slots make 20 full chunks and a partial one
-    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
+
+
+def stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
+    """One config per model, for 64-slot chunks of 6.4 us: 1300 slots make 20
+    full chunks and a partial one."""
     source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=(slots + 0.5) * 1e-7, seed=12)
     detectors = DetectorConfig(0.6, dead_time_ps, jitter_ps, dark_rate=dark_rate)
-    configs = [SimConfig(source, detectors, model, window_ps) for model in RoutingModel]
+    return [SimConfig(source, detectors, model, window_ps) for model in RoutingModel]
+
+
+@pytest.mark.parametrize(*STREAM_CASES)
+def test_simulate_streams_equals_whole_stream_pass(monkeypatch, slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
+    configs = stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
     counted = [[] for _ in configs]
     tallies = simulate_streams(configs, on_piece=lambda m, piece: counted[m].append(piece))
     for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(configs)):
@@ -145,7 +206,7 @@ def test_simulate_streams_equals_whole_stream_pass(monkeypatch, slots, jitter_ps
 
 class _InlinePool:
     """A ProcessPoolExecutor that runs each task as it is submitted and
-    records the chunk index of each submission."""
+    records the chunk index of each chunk job it is given."""
 
     submitted: list = []
 
@@ -159,7 +220,8 @@ class _InlinePool:
         return False
 
     def submit(self, fn, *args):
-        self.submitted.append(args[-1])
+        if fn is _chunk_job:
+            self.submitted.append(args[-1])
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -178,6 +240,69 @@ def test_pool_keeps_at_most_two_chunks_per_worker_ahead(monkeypatch):
     assert _InlinePool.submitted == list(range(21))
     assert max(ahead) == 6
     assert list(counter_values(tally)) == list(counter_values(simulate(config)))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(*STREAM_CASES)
+def test_pooled_chunk_jobs_equal_whole_stream_pass(monkeypatch, slots, jitter_ps, dead_time_ps, dark_rate, window_ps, workers):
+    # each chunk job counts its interior and the main process the events
+    # between two interiors; together they filter each event once
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    configs = stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
+    inputs = []
+    monkeypatch.setattr(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs))
+    counted = [[] for _ in configs]
+    tallies = simulate_streams(configs, workers=workers, on_piece=lambda m, piece: counted[m].append(piece))
+    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(configs)):
+        assert_same_run(pieces, tally, ref_streams, ref_tally)
+    src, detectors = configs[0].source, configs[0].detectors
+    models = [config.model for config in configs]
+    candidates = [t for i in range(num_chunks(src)) for clicks, _ in _simulate_chunk(src, detectors, models, i)
+                  for t in clicks.values()]
+    dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
+    assert_filtered_once(inputs, [*candidates, *(t for _ in configs for t in dark.values())])
+
+
+def test_a_pooled_run_counts_nothing_in_the_main_process(monkeypatch):
+    # dead time and counting run in the pool's jobs, chunk interiors and the
+    # events between them alike, so wrappers installed in the main process,
+    # as perfbench's tracer installs them, see either every call (one
+    # worker) or none (a pool), never a share that depends on the schedule
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    simulate_module = importlib.import_module("bunchsim.simulate")
+    coincidence_module = importlib.import_module("bunchsim.coincidence_unit")
+    monkeypatch.setattr(simulate_module, "apply_dead_time", recorded("dead time", apply_dead_time))
+    monkeypatch.setattr(coincidence_module, "accumulate", recorded("accumulate", coincidence_module.accumulate))
+    source = SourceConfig(mean_photon_number=0.05, slot_rate=1e9, duration=2.5 * CHUNK_SLOTS / 1e9, seed=5)
+    config = SimConfig(source, DetectorConfig(0.6, dark_rate=1e5), RoutingModel.CLASSICAL, 5_000)
+    pooled = simulate(config, workers=2)
+    assert calls == []
+    assert list(counter_values(simulate(config))) == list(counter_values(pooled))
+    assert {"dead time", "accumulate"} <= set(calls)
+
+
+def test_only_a_chunks_edges_and_tally_travel_back():
+    # block 2, three models, seed 11: the candidates of chunk 3, which the
+    # main process counted, pickled to 2 587 498 bytes
+    cfg = parse_config("", {"preset": "table1-block2", "model": "classical", "seed": 11})
+    configs = [dataclasses.replace(cfg, model=model.value).sim_config() for model in RoutingModel]
+    src, detectors, ccu = configs[0].source, configs[0].detectors, configs[0].ccu
+    span = _spans(src, detectors)[3]
+    dark = dark_events(detectors, src.duration, substream(11, STREAM_DARK))
+    span_dark = {det: t[(t >= span[0]) & (t < span[1])] for det, t in dark.items()}
+    result = _chunk_job(src, detectors, [c.model for c in configs], ccu, False, span, [span_dark] * len(configs), 3)
+    assert all(interior is not None and interior.counted.tally.singles[Detector.A1] for _, interior, _ in result)
+    assert len(pickle.dumps(result)) < 64 * 2**10
 
 
 def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch):
@@ -243,3 +368,22 @@ def test_feed_lets_go_of_what_it_has_counted():
     side = _ClickSide(detectors.dead_time_ps, CcuConfig(5_000, src.duration), dark_events(detectors, src.duration, substream(7, STREAM_DARK)))
     assert traced_peak(side.feed, clicks, _END) < 1.5 * candidates
     assert not clicks and sum(side.counts["singles"].values()) > 0
+
+
+def test_chunk_job_lets_go_of_what_it_has_counted():
+    # one full chunk of bright candidates, the whole of a one-chunk run,
+    # counted in the job: the bound feed keeps above
+    src = SourceConfig(mean_photon_number=1.0, slot_rate=CHUNK_SLOTS / 0.05, duration=0.05, seed=7)
+    detectors = DetectorConfig(0.5)
+    [(clicks, _)] = _simulate_chunk(src, detectors, [RoutingModel.CLASSICAL], 0)
+    candidates = sum(t.nbytes for t in clicks.values())
+    dark = dark_events(detectors, src.duration, substream(7, STREAM_DARK))
+    counted = []
+
+    def job():
+        counted.append(_count_interior(clicks, dark, (_START, _END), detectors.dead_time_ps, CcuConfig(5_000, src.duration), False))
+
+    assert traced_peak(job) < 1.5 * candidates
+    [(raw, interior)] = counted
+    assert not clicks and not any(t.size for t in raw.values())
+    assert sum(interior.counted.tally.singles.values()) > 0 and interior.counted.pieces == []
