@@ -3,29 +3,29 @@
 The stream is processed in fixed canonical chunks (photon_source.CHUNK_SLOTS)
 and every random draw comes from a substream keyed by (seed, purpose, chunk),
 so the result is byte-identical for any worker count and any chunk schedule.
-The click side (merge with the darks, dead time, the cut at the acquisition
-end and counting) runs where each chunk is drawn, in one chunk job, in
-process at one worker and in a process pool otherwise:
+The click side (dead time, the cut at the acquisition end and counting) runs
+where each chunk is drawn, in one chunk job, in process at one worker and in
+a process pool otherwise:
 
-- each chunk has a span, the times that no other chunk's candidate reaches
-  (_spans); the main process draws the darks once per model and hands each
-  job those of its span, so the job holds every event of the span;
-- the job finds the first and the last reset gap of the span's merged raw
-  timeline, at least max(dead time, 2 * window + 1) ps wide. The event
+- the main process draws the darks once per model and hands each chunk job
+  those from the previous chunk's watermark to its own (_spans), so the
+  darks tile the jobs. The job merges them into its candidates once, and
+  every later stage sees one kind of sorted raw event;
+- the job counts the interior of its span, the times no other chunk's
+  candidate reaches, between the first and the last reset gap of its
+  events there, at least max(dead time, 2 * window + 1) ps wide: the event
   after one is registered whatever came before it, and no coincidence
-  cluster spans one, so the job runs dead time, the cut and counting on
-  the interior between them alone, and returns its tally, each detector's
-  last registered time and the raw candidates outside it;
-- the main process gathers the few events between two interiors, chunk
-  by chunk in schedule order: one buffer per detector holds the raw events
-  not yet counted, and the events below the last gap of more than
-  2 * window below a watermark, where a coincidence cluster is closed, go
-  through dead time, the cut and counting once, in a job of their own
-  (_count) that carries each detector's last registered time across the
-  edge. The events between two interiors make one such job. A chunk with
-  no interior, where the jitter's reach or the dead time outlasts the span
-  or no gap is wide enough, goes that way whole; a one-chunk run is
-  counted wholly in its chunk job.
+  cluster spans one. It returns the interior's tally, each detector's last
+  registered time and the raw events below (head) and above (tail) it;
+- the main process feeds each head in schedule order to one buffer per
+  detector of raw events not yet counted. The events below the last gap of
+  more than 2 * window, where a coincidence cluster is closed, go through
+  dead time, the cut and counting once, in a job of their own (_count)
+  that carries each detector's last registered time across the edge. A
+  tail waits raw for the next head, so the events between two interiors
+  make one such job. A chunk with no interior, where the jitter's reach or
+  the dead time outlasts the span or no gap is wide enough, is fed whole
+  up to its watermark; a one-chunk run is counted wholly in its chunk job.
 
 Every job runs where the chunk jobs run, so with a pool the main process
 filters and counts nothing itself. The run holds about one chunk's clicks at
@@ -140,10 +140,7 @@ def _slot_times(src: SourceConfig, slots: np.ndarray) -> np.ndarray:
 
 
 def _simulate_chunk(src: SourceConfig, detectors: DetectorConfig, models, chunk_index: int) -> list[tuple[dict, int]]:
-    """Candidate clicks and fallback slots of every model for one chunk.
-
-    Top-level so process pools can pickle it.
-    """
+    """Candidate clicks and fallback slots of every model for one chunk."""
     slots, k = occupied_slots(src, chunk_index)
 
     def slot_time(rows):
@@ -194,11 +191,10 @@ def _spans(src: SourceConfig, detectors: DetectorConfig) -> list[tuple[int, int]
     nominal time of the next chunk's first slot less the jitter's reach: end,
     the chunk's watermark. An earlier chunk's clicks lie at or before the
     nominal time of this chunk's slot before its first plus the reach, and
-    below the earlier chunk's watermark, whose darks the click side takes
-    with that chunk: start is past both. The first chunk's start is _START
-    and the last chunk's end is _END, which releases and counts every
-    remaining event. A jitter that reaches across chunks leaves a span
-    empty.
+    the darks below the earlier chunk's watermark go to that chunk's job:
+    start is past both. The first chunk's start is _START and the last
+    chunk's end is _END, which releases and counts every remaining event. A
+    jitter that reaches across chunks leaves a span empty.
     """
     reach = math.ceil(_JITTER_REACH_SIGMAS * detectors.jitter_sigma_ps) + 2
     firsts = np.array([chunk_start(i) for i in range(1, num_chunks(src))], dtype=np.int64)
@@ -211,11 +207,11 @@ def _spans(src: SourceConfig, detectors: DetectorConfig) -> list[tuple[int, int]
 class _Counted(NamedTuple):
     """What counting a run of events gives: its tally, None if nothing of it
     lies in the acquisition, each detector's last registered time, None if
-    none, and its registered piece if the run has a consumer."""
+    none, and its registered piece if the run has a consumer, else None."""
 
     tally: TallyTable | None
     last: dict
-    pieces: list
+    piece: dict | None
 
 
 def _count(events: dict, last: dict, dead_time_ps: int, ccu: CcuConfig, keep_piece: bool) -> _Counted:
@@ -231,9 +227,9 @@ def _count(events: dict, last: dict, dead_time_ps: int, ccu: CcuConfig, keep_pie
             last[det] = int(registered[-1])
         piece[det] = registered[: np.searchsorted(registered, acq_ps)]
     if not any(t.size for t in piece.values()):
-        return _Counted(None, last, [])
+        return _Counted(None, last, None)
     # through its module, the call site perfbench's tracer wraps for event replays
-    return _Counted(coincidence_unit.accumulate(piece, ccu), last, [piece] if keep_piece else [])
+    return _Counted(coincidence_unit.accumulate(piece, ccu), last, piece if keep_piece else None)
 
 
 def _done(result) -> concurrent.futures.Future:
@@ -248,16 +244,16 @@ def _in_process(fn, *args) -> concurrent.futures.Future:
 
 
 class _ClickSide:
-    """Merge, dead time, cut and counting of one model's clicks, chunk by chunk.
+    """Dead time, cut and counting of one model's events, chunk by chunk.
 
     The main process takes each chunk job's result in schedule order
-    (take). Each feed takes candidate clicks and a watermark, the time no
-    later event lies below. One buffer per detector holds the raw events
-    not yet counted: candidates, and the darks below the watermark, taken
-    off the front of the rest. Each feed finds the last closed cluster edge
-    of the buffered events below the watermark (coincidence_unit), submits
-    dead time, the cut at the acquisition end and counting of the events
-    below it as a job (_count), and keeps the rest raw. Dead time only removes events, so a gap of more than
+    (take). Each feed takes sorted raw events, candidates merged with their
+    darks, and a watermark, the time no later event lies below. One buffer
+    per detector holds the raw events not yet counted. Each feed finds the
+    last closed cluster edge of the buffered events below the watermark
+    (coincidence_unit), submits dead time, the cut at the acquisition end
+    and counting of the events below it as a job (_count), and keeps the
+    rest raw. Dead time only removes events, so a gap of more than
     2 * window in the raw timeline is at least as wide in the registered
     one, and no coincidence spans it. Each event is filtered and counted
     exactly once and in time order, so the result equals the whole-stream
@@ -271,34 +267,32 @@ class _ClickSide:
     carries, which after a chunk's interior are the interior's.
     """
 
-    def __init__(self, dead_time_ps: int, ccu: CcuConfig, dark: dict, on_piece=None, submit=_in_process):
+    def __init__(self, dead_time_ps: int, ccu: CcuConfig, on_piece=None, submit=_in_process):
         self.dead_time_ps = dead_time_ps
         self.ccu = ccu
-        self.dark = dict(dark)  # sorted darks not yet buffered
         self.raw = dict.fromkeys(Detector, _EMPTY)  # sorted raw events, not yet counted
         self.on_piece = on_piece
         self.submit = submit
-        # the counted runs whose tally and pieces are not yet taken, in time
+        # the counted runs whose tally and piece are not yet taken, in time
         # order, and the last one, whose last registered times dead time carries
         self.pending = deque()
-        self.latest = _done(_Counted(None, dict.fromkeys(Detector), []))
+        self.latest = _done(_Counted(None, dict.fromkeys(Detector), None))
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
             "pairs": dict.fromkeys(PAIR_KEYS, 0),
             "triples": dict.fromkeys(TRIPLE_KEYS, 0),
         }
 
-    def _merge(self, clicks: dict, watermark: int) -> None:
-        """Buffer candidate clicks, popped once merged, and the darks below watermark."""
+    def _merge(self, events: dict) -> None:
+        """Buffer sorted raw events, popped once merged."""
         for det in Detector:
-            k = int(np.searchsorted(self.dark[det], watermark))
-            self.raw[det] = np.concatenate([self.raw[det], clicks.pop(det), self.dark[det][:k]])
-            self.raw[det].sort(kind="stable")  # a merge of sorted runs, or of nearly sorted clicks
-            self.dark[det] = self.dark[det][k:]
+            self.raw[det] = np.concatenate([self.raw[det], events.pop(det)])
+            self.raw[det].sort(kind="stable")  # a merge of sorted runs
 
-    def feed(self, clicks: dict, watermark: int) -> None:
-        """Take one chunk's candidate clicks, popping them from clicks once merged."""
-        self._merge(clicks, watermark)
+    def feed(self, events: dict, watermark: int) -> None:
+        """Take sorted raw events, popping them once merged, and count up to
+        the last closed cluster edge below watermark."""
+        self._merge(events)
         # no view of a buffer outlives the edge search or its detector's
         # count, so each pre-feed buffer goes once its remainder replaces it
         edge = coincidence_unit.closed_edge(
@@ -316,25 +310,24 @@ class _ClickSide:
         del closed
         self._take_done()
 
-    def take(self, raw: dict, interior, watermark: int) -> None:
-        """Take one chunk job's result for this model: the raw candidates
-        outside its interior and the interior, None if it has none.
+    def take(self, head: dict, interior, tail: dict, watermark: int) -> None:
+        """Take one chunk job's result for this model: the raw events below
+        its interior, the interior, None if it has none, and the raw events
+        above it.
 
         The events below the interior are all here, and a reset gap closes
-        them, so they are counted up to it; the interior's darks are
-        dropped, and its count follows. The candidates above it wait raw,
-        with the darks below the chunk's watermark, for the next chunk's,
-        so that the events between two interiors make one job, which
-        carries the first interior's last registered times.
+        them, so the head is fed up to the interior and the interior's count
+        follows. The tail waits raw for the next chunk's head, so that the
+        events between two interiors make one job, which carries the first
+        interior's last registered times. With no interior, the head holds
+        every event and is fed up to the watermark.
         """
         if interior is None:
-            self.feed(raw, watermark)
+            self.feed(head, watermark)
             return
-        self.feed({det: t[: np.searchsorted(t, interior.lo)] for det, t in raw.items()}, interior.lo)
-        for det in Detector:
-            self.dark[det] = self.dark[det][np.searchsorted(self.dark[det], interior.hi) :]
+        self.feed(head, interior.lo)
         self._then(_done(interior.counted))
-        self._merge({det: t[np.searchsorted(t, interior.hi) :] for det, t in raw.items()}, watermark)
+        self._merge(tail)
         self._take_done()
 
     def _then(self, future: concurrent.futures.Future) -> None:
@@ -348,78 +341,75 @@ class _ClickSide:
             if counted.tally is not None:
                 for _, group, key in COUNTERS:
                     self.counts[group][key] += getattr(counted.tally, group)[key]
-            for piece in counted.pieces:
-                self.on_piece(piece)
+            if counted.piece is not None:
+                self.on_piece(counted.piece)
 
     def finish(self, metadata: dict) -> TallyTable:
-        """The tally once every chunk is fed, counting what is left at _END
-        first: a run of no chunks still has its darks."""
+        """The tally once every chunk is taken, counting the last tail at _END first."""
         self.feed(dict.fromkeys(Detector, _EMPTY), _END)
         self._take_done(wait=True)
         return TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
 
 
 class _Interior(NamedTuple):
-    """The part of one model's chunk that its job counts: the events in [lo, hi)."""
+    """The part of one model's chunk that its job counts: its first event and its count."""
 
     lo: int
-    hi: int
     counted: _Counted
 
 
-def _count_interior(clicks: dict, dark: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_piece: bool):
-    """(raw, interior) of one model's chunk: the click side of its interior.
+def _count_interior(events: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_piece: bool):
+    """(head, interior, tail) of one model's chunk: the click side of its interior.
 
-    clicks are the chunk's candidates, popped once split; dark are the darks
-    in span, the chunk's [start, end) (_spans), which holds every event that
-    lies in it. In the merged raw timeline of the span, the first and the
-    last reset gap, at least max(dead time, 2 * window + 1) ps wide, bound
-    the interior: the event after a reset gap is registered whatever came
-    before it, and no coincidence cluster spans the gap. So dead time with
-    no carried time, the cut at the acquisition end and counting on the
-    interior's events give the whole-stream pass's counts of them. The
-    span's start less 1 and its end close the timeline, as no event lies
-    between them and the span; the first chunk's interior starts at _START
-    and the last one's ends at _END. raw holds the sorted candidates outside
-    the interior, every candidate when no interior lies between two gaps.
+    events are the chunk's sorted raw events, its candidates merged with its
+    darks, popped once split; they hold every event that lies in span, the
+    chunk's [start, end) (_spans). In the timeline of the span's events, the
+    first and the last reset gap, at least max(dead time, 2 * window + 1) ps
+    wide, bound the interior [lo, hi): the event after a reset gap is
+    registered whatever came before it, and no coincidence cluster spans the
+    gap. So dead time with no carried time, the cut at the acquisition end
+    and counting on the interior's events give the whole-stream pass's
+    counts of them. The span's start less 1 and its end close the timeline,
+    as no event lies between them and the span; the first chunk's interior
+    starts at _START and the last one's ends at _END. head holds the events
+    below lo, every event when no interior lies between two gaps, and tail
+    those at or above hi.
     """
     start, end = span
-    for t in clicks.values():
-        t.sort(kind="stable")  # jittered clicks in slot order are nearly sorted
     spread = max(dead_time_ps, 2 * int(ccu.window_ps) + 1) - 1  # a reset gap is wider than spread
-    inside = [t[np.searchsorted(t, start) : np.searchsorted(t, end)] for t in (*clicks.values(), *dark.values())]
+    inside = [t[np.searchsorted(t, start) : np.searchsorted(t, end)] for t in events.values()]
     lo = start if start == _START else coincidence_unit.opened_edge(inside, start - 1, spread)
     hi = coincidence_unit.closed_edge(inside, end, spread)
-    del inside  # its views would pin the candidates past their merge
+    del inside  # its views would pin each row past its dead time
     if lo is None or lo >= hi:
-        return clicks, None
-    interior, raw = {}, {}
+        return events, None, dict.fromkeys(Detector, _EMPTY)
+    head, interior, tail = {}, {}, {}
     for det in Detector:
-        t = clicks.pop(det)  # each detector's candidates go once merged
+        t = events.pop(det)  # each detector's row goes once filtered
         a, b = np.searchsorted(t, (lo, hi))
-        c, d = np.searchsorted(dark[det], (lo, hi))
-        interior[det] = np.concatenate([t[a:b], dark[det][c:d]])
-        interior[det].sort(kind="stable")  # a merge of two sorted runs
-        raw[det] = np.concatenate([t[:a], t[b:]])
+        head[det], interior[det], tail[det] = t[:a].copy(), t[a:b], t[b:].copy()
     del t
-    return raw, _Interior(lo, hi, _count(interior, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece))
+    return head, _Interior(lo, _count(interior, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece)), tail
 
 
 def _chunk_job(src: SourceConfig, detectors: DetectorConfig, models, ccu: CcuConfig, keep_piece: bool,
-               span, darks, chunk_index: int) -> list[tuple[dict, _Interior | None, int]]:
-    """(raw, interior, fallback slots) of every model for one chunk: its draw,
-    and the click side of its interior with the darks of its span, one dict
-    per model.
+               span, darks, chunk_index: int) -> list[tuple[dict, _Interior | None, dict, int]]:
+    """(head, interior, tail, fallback slots) of every model for one chunk.
 
-    The same function runs in process and in a pool, so only the few
-    candidates near the chunk's edges and its interior's tally travel back.
-    Top-level so process pools can pickle it.
+    Each model's draw is merged with its darks, one dict per model of those
+    from the previous chunk's watermark to this one's, and the click side of
+    its interior runs here (_count_interior). The same function runs in
+    process and in a pool, so only the few events near the chunk's edges and
+    its interior's tally travel back. Top-level so process pools can pickle it.
     """
-    drawn = _simulate_chunk(src, detectors, models, chunk_index)
-    return [
-        (*_count_interior(clicks, dark, span, detectors.dead_time_ps, ccu, keep_piece), fallback)
-        for (clicks, fallback), dark in zip(drawn, darks)
-    ]
+    results = []
+    for (events, fallback), dark in zip(_simulate_chunk(src, detectors, models, chunk_index), darks):
+        for det in Detector:
+            events[det].sort(kind="stable")  # jittered clicks in slot order are nearly sorted
+            events[det] = np.concatenate([events[det], dark[det]])
+            events[det].sort(kind="stable")  # a merge of two sorted runs
+        results.append((*_count_interior(events, span, detectors.dead_time_ps, ccu, keep_piece), fallback))
+    return results
 
 
 def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) -> list[TallyTable]:
@@ -447,28 +437,31 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
 
     chunks = num_chunks(src)
     spans = _spans(src, detectors)
+    watermarks = [_START] + [end for _, end in spans]
     # darks are few; each model draws the same ones from the same substream,
     # one dark_events call per model, which perfbench's click accounting relies on
     darks = [dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK)) for _ in configs]
 
     def job(i):
-        start, end = spans[i]
-        span_darks = [{det: t[np.searchsorted(t, start) : np.searchsorted(t, end)] for det, t in dark.items()}
-                      for dark in darks]
-        return (src, detectors, [c.model for c in configs], base.ccu, on_piece is not None, spans[i], span_darks, i)
+        lo, hi = watermarks[i], watermarks[i + 1]
+        tiles = [{det: t[np.searchsorted(t, lo) : np.searchsorted(t, hi)] for det, t in dark.items()} for dark in darks]
+        return (src, detectors, [c.model for c in configs], base.ccu, on_piece is not None, spans[i], tiles, i)
 
     def count(submit, results):
         """The tallies of the chunk jobs' results, in schedule order, with
         every other count submitted as a job too."""
         sinks = [None if on_piece is None else functools.partial(on_piece, m) for m in range(len(configs))]
-        sides = [_ClickSide(detectors.dead_time_ps, base.ccu, dark, sink, submit) for dark, sink in zip(darks, sinks)]
+        sides = [_ClickSide(detectors.dead_time_ps, base.ccu, sink, submit) for sink in sinks]
         fallback_slots = [0] * len(configs)
         for i, chunk in enumerate(results):
-            for m, (raw, interior, fallback) in enumerate(chunk):
+            for m, (head, interior, tail, fallback) in enumerate(chunk):
                 fallback_slots[m] += fallback
-                sides[m].take(raw, interior, spans[i][1])
+                sides[m].take(head, interior, tail, spans[i][1])
             if progress is not None:
                 progress(i + 1, chunks)
+        if not chunks:  # a run of no chunks still has its darks
+            for side, dark in zip(sides, darks):
+                side.feed(dark, _END)
         return [
             side.finish({
                 "config": config_metadata(config),

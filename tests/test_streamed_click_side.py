@@ -36,6 +36,7 @@ from bunchsim.simulate import (
     SimConfig,
     _chunk_job,
     _ClickSide,
+    _count,
     _count_interior,
     _simulate_chunk,
     _spans,
@@ -73,6 +74,18 @@ def recording(inputs):
     return recorded
 
 
+def merged_chunks(pieces, dark, watermarks):
+    """Each chunk's candidates merged with its darks, those from the previous
+    chunk's watermark to its own, the last chunk's to _END, as the chunk job
+    merges them: sorted copies."""
+    bounds = [_START, *watermarks[:-1], _END]
+    return [
+        {det: np.sort(np.concatenate([clicks[det], dark[det][(dark[det] >= lo) & (dark[det] < hi)]]), kind="stable")
+         for det in Detector}
+        for clicks, lo, hi in zip(pieces, bounds, bounds[1:])
+    ]
+
+
 def assert_filtered_once(inputs, events):
     """Every event entered dead time exactly once, in time order per call."""
     assert all(np.all(t[1:] >= t[:-1]) for t in inputs)
@@ -89,9 +102,9 @@ def click_side_cases(draw):
     chunk lengths makes them cross several edges. Its watermark is the next
     edge less the reach, below which no later candidate lies. The last chunk's
     is _END or, as for any other chunk, its end less the reach, which leaves
-    the rest to _ClickSide.finish; with no chunks only the darks remain. A
-    window up to 30 ps covers most of a chunk, so clusters stay open across
-    edges.
+    the rest to _ClickSide.finish; with no chunks only the darks remain, fed
+    at _END. A window up to 30 ps covers most of a chunk, so clusters stay
+    open across edges.
     """
     lengths = draw(st.lists(st.integers(1, 40), min_size=0, max_size=6))
     edges = np.cumsum([0, *lengths]).tolist()
@@ -132,9 +145,11 @@ def test_streamed_click_side_equals_whole_stream_pass(case):
     # patched per example, since a function-scoped fixture would span them all
     with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs)):
         counted = []
-        side = _ClickSide(dead, ccu, dark, counted.append)
-        for clicks, watermark in zip(pieces, watermarks):
-            side.feed(dict(clicks), watermark)
+        side = _ClickSide(dead, ccu, counted.append)
+        for events, watermark in zip(merged_chunks(pieces, dark, watermarks), watermarks):
+            side.feed(events, watermark)
+        if not pieces:
+            side.feed(dict(dark), _END)
         tally = side.finish({})
     assert_same_run(counted, tally, ref_streams, ref_tally)
     assert_filtered_once(inputs, [*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
@@ -145,7 +160,8 @@ def test_streamed_click_side_equals_whole_stream_pass(case):
 def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
     # each chunk job counts its interior, and the main click side takes the
     # rest; a span starts past every earlier candidate and the earlier
-    # watermark, and ends at the chunk's watermark
+    # watermark, and ends at the chunk's watermark, and the darks from the
+    # earlier watermark to the chunk's are merged into its candidates
     pieces, watermarks, dark, dead, ccu = case
     ref_streams, ref_tally = whole_stream_click_side(pieces, dark, dead, ccu)
     spans, start = [], _START
@@ -155,11 +171,11 @@ def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
     inputs = []
     with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs)):
         counted = []
-        side = _ClickSide(dead, ccu, dark, counted.append)
-        for clicks, (start, end) in zip(pieces, spans):
-            span_dark = {det: t[(t >= start) & (t < end)] for det, t in dark.items()}
-            copies = {det: t.copy() for det, t in clicks.items()}
-            side.take(*_count_interior(copies, span_dark, (start, end), dead, ccu, True), end)
+        side = _ClickSide(dead, ccu, counted.append)
+        for events, span in zip(merged_chunks(pieces, dark, watermarks), spans):
+            side.take(*_count_interior(events, span, dead, ccu, True), span[1])
+        if not pieces:
+            side.feed(dict(dark), _END)
         tally = side.finish({})
     assert_same_run(counted, tally, ref_streams, ref_tally)
     assert_filtered_once(inputs, [*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
@@ -206,9 +222,10 @@ def test_simulate_streams_equals_whole_stream_pass(monkeypatch, slots, jitter_ps
 
 class _InlinePool:
     """A ProcessPoolExecutor that runs each task as it is submitted and
-    records the chunk index of each chunk job it is given."""
+    records the chunk index of each chunk job it is given, and each task."""
 
     submitted: list = []
+    calls: list = []
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -220,6 +237,7 @@ class _InlinePool:
         return False
 
     def submit(self, fn, *args):
+        self.calls.append((fn, args))
         if fn is _chunk_job:
             self.submitted.append(args[-1])
         future = Future()
@@ -265,6 +283,50 @@ def test_pooled_chunk_jobs_equal_whole_stream_pass(monkeypatch, slots, jitter_ps
     assert_filtered_once(inputs, [*candidates, *(t for _ in configs for t in dark.values())])
 
 
+@pytest.mark.parametrize(*STREAM_CASES)
+def test_the_darks_tile_the_chunk_jobs(monkeypatch, slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
+    # each job takes the darks from the previous chunk's watermark to its
+    # own, so the jobs' darks, joined in schedule order, are the run's draw,
+    # each dark once, whatever the spans between the watermarks leave out
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    monkeypatch.setattr(_InlinePool, "calls", [])
+    configs = stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
+    tallies = simulate_streams(configs, workers=2)
+    src, detectors = configs[0].source, configs[0].detectors
+    dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
+    darks = [args[6] for fn, args in _InlinePool.calls if fn is _chunk_job]
+    assert len(darks) == num_chunks(src)
+    if darks:
+        for m in range(len(configs)):
+            for det in Detector:
+                joined = np.concatenate([tiles[m][det] for tiles in darks])
+                assert joined.tobytes() == dark[det].tobytes(), (m, det.label)
+    else:  # a run of no chunk still counts its darks
+        for tally, (_, ref_tally) in zip(tallies, whole_stream_runs(configs)):
+            assert list(counter_values(tally)) == list(counter_values(ref_tally))
+        assert all(tally.singles[det] for tally in tallies for det in Detector)
+
+
+def test_the_events_between_two_interiors_make_one_job(monkeypatch):
+    # a dead time of ten slots: cluster edges lie inside every tail, so a
+    # tail fed on its own would make a job of its own below the watermark,
+    # and the next chunk's head would wait in the pool for its last
+    # registered times; a tail that waits raw joins the next head instead
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    monkeypatch.setattr(_InlinePool, "calls", [])
+    configs = stream_configs(1300, 350.0, 1_000_000, 1e5, 5_000)
+    tallies = simulate_streams(configs, workers=2)
+    chunks = num_chunks(configs[0].source)
+    jobs = sum(fn is _count for fn, _ in _InlinePool.calls)
+    # one per model and chunk edge, and one at finish
+    assert 0 < jobs <= len(configs) * ((chunks - 1) + 1)
+    assert tallies == simulate_streams(configs)
+
+
 def test_a_pooled_run_counts_nothing_in_the_main_process(monkeypatch):
     # dead time and counting run in the pool's jobs, chunk interiors and the
     # events between them alike, so wrappers installed in the main process,
@@ -297,11 +359,11 @@ def test_only_a_chunks_edges_and_tally_travel_back():
     cfg = parse_config("", {"preset": "table1-block2", "model": "classical", "seed": 11})
     configs = [dataclasses.replace(cfg, model=model.value).sim_config() for model in RoutingModel]
     src, detectors, ccu = configs[0].source, configs[0].detectors, configs[0].ccu
-    span = _spans(src, detectors)[3]
+    spans = _spans(src, detectors)
     dark = dark_events(detectors, src.duration, substream(11, STREAM_DARK))
-    span_dark = {det: t[(t >= span[0]) & (t < span[1])] for det, t in dark.items()}
-    result = _chunk_job(src, detectors, [c.model for c in configs], ccu, False, span, [span_dark] * len(configs), 3)
-    assert all(interior is not None and interior.counted.tally.singles[Detector.A1] for _, interior, _ in result)
+    tile = {det: t[(t >= spans[2][1]) & (t < spans[3][1])] for det, t in dark.items()}
+    result = _chunk_job(src, detectors, [c.model for c in configs], ccu, False, spans[3], [tile] * len(configs), 3)
+    assert all(interior is not None and interior.counted.tally.singles[Detector.A1] for _, interior, _, _ in result)
     assert len(pickle.dumps(result)) < 64 * 2**10
 
 
@@ -329,7 +391,7 @@ def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
     dark = {det: ints([]) for det in Detector}
     ccu = CcuConfig(window, 20 * length * 1e-12)
     counted = []
-    side = _ClickSide(0, ccu, dark, counted.append)
+    side = _ClickSide(0, ccu, counted.append)
     buffered = []
     for i, clicks in enumerate(pieces):
         side.feed(dict(clicks), (i + 1) * length)
@@ -365,25 +427,30 @@ def test_feed_lets_go_of_what_it_has_counted():
     detectors = DetectorConfig(0.5)
     [(clicks, _)] = _simulate_chunk(src, detectors, [RoutingModel.CLASSICAL], 0)
     candidates = sum(t.nbytes for t in clicks.values())
-    side = _ClickSide(detectors.dead_time_ps, CcuConfig(5_000, src.duration), dark_events(detectors, src.duration, substream(7, STREAM_DARK)))
-    assert traced_peak(side.feed, clicks, _END) < 1.5 * candidates
-    assert not clicks and sum(side.counts["singles"].values()) > 0
+    [events] = merged_chunks([clicks], dark_events(detectors, src.duration, substream(7, STREAM_DARK)), [_END])
+    del clicks
+    side = _ClickSide(detectors.dead_time_ps, CcuConfig(5_000, src.duration))
+    assert traced_peak(side.feed, events, _END) < 1.5 * candidates
+    assert not events and sum(side.counts["singles"].values()) > 0
 
 
-def test_chunk_job_lets_go_of_what_it_has_counted():
+def test_chunk_job_lets_go_of_what_it_has_counted(monkeypatch):
     # one full chunk of bright candidates, the whole of a one-chunk run,
-    # counted in the job: the bound feed keeps above
+    # merged with its darks and counted in the job, its draw taken as done:
+    # the bound feed keeps above
     src = SourceConfig(mean_photon_number=1.0, slot_rate=CHUNK_SLOTS / 0.05, duration=0.05, seed=7)
     detectors = DetectorConfig(0.5)
     [(clicks, _)] = _simulate_chunk(src, detectors, [RoutingModel.CLASSICAL], 0)
     candidates = sum(t.nbytes for t in clicks.values())
     dark = dark_events(detectors, src.duration, substream(7, STREAM_DARK))
+    monkeypatch.setattr(importlib.import_module("bunchsim.simulate"), "_simulate_chunk", lambda *args: [(clicks, 0)])
     counted = []
 
     def job():
-        counted.append(_count_interior(clicks, dark, (_START, _END), detectors.dead_time_ps, CcuConfig(5_000, src.duration), False))
+        counted.extend(_chunk_job(src, detectors, [RoutingModel.CLASSICAL], CcuConfig(5_000, src.duration), False,
+                                  (_START, _END), [dark], 0))
 
     assert traced_peak(job) < 1.5 * candidates
-    [(raw, interior)] = counted
-    assert not clicks and not any(t.size for t in raw.values())
-    assert sum(interior.counted.tally.singles.values()) > 0 and interior.counted.pieces == []
+    [(head, interior, tail, _)] = counted
+    assert not clicks and not any(t.size for t in (*head.values(), *tail.values()))
+    assert sum(interior.counted.tally.singles.values()) > 0 and interior.counted.piece is None

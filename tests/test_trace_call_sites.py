@@ -37,9 +37,8 @@ def test_every_traced_call_site_resolves_to_a_callable():
     assert [site for site in lost if site not in STALE] == []
 
 
-def test_traced_run_and_replay_record_every_counter(tmp_path, monkeypatch):
-    # a counter that raises, say on a call signature that drifted, is only
-    # recorded as absent, and its per-layer metrics read 0 in the benchmark
+def installed_tracer(monkeypatch):
+    """(perfbench's tracer installed in this process, its traced modules)."""
     perf = load_tracer()
     modules = {name: importlib.import_module(name) for name, _, _, _ in perf.CALL_SITES}
     for name, attr, _, _ in perf.CALL_SITES:
@@ -48,6 +47,13 @@ def test_traced_run_and_replay_record_every_counter(tmp_path, monkeypatch):
             monkeypatch.setattr(modules[name], attr, getattr(modules[name], attr))
     tracer = perf.Tracer(0)
     perf.install(tracer)
+    return tracer, modules
+
+
+def test_traced_run_and_replay_record_every_counter(tmp_path, monkeypatch):
+    # a counter that raises, say on a call signature that drifted, is only
+    # recorded as absent, and its per-layer metrics read 0 in the benchmark
+    tracer, modules = installed_tracer(monkeypatch)
     cli = modules["bunchsim.cli_harness"]
     bank = modules["bunchsim.detector_bank"]
     unit = modules["bunchsim.coincidence_unit"]
@@ -63,3 +69,20 @@ def test_traced_run_and_replay_record_every_counter(tmp_path, monkeypatch):
     # one dark_events call per model: every candidate and dark enters dead time once
     assert counts["candidate_clicks"] + counts["dark_clicks"] == counts["merged_events"] > 0
     assert counts["event_bytes"] == (tmp_path / "events.bin").stat().st_size
+
+
+def test_traced_chunked_run_enters_every_dark_into_dead_time_once(tmp_path, monkeypatch):
+    # 20 chunks of 2^12 slots, 52 us each, with ~50 darks per detector in
+    # each: the darks enter dead time through the chunk jobs and the jobs
+    # between their interiors, and perfbench's check still adds up
+    tracer, modules = installed_tracer(monkeypatch)
+    source = importlib.import_module("bunchsim.photon_source")
+    monkeypatch.setattr(source, "CHUNK_SLOTS", 1 << 12)
+    assert source.num_chunks(source.SourceConfig(0.05, 7.8e7, 0.00105, 3)) == 20
+    flags = ["--model", "classical", "--mean-photon-number", "0.05", "--slot-rate", "7.8e7",
+             "--acquisition-s", "0.00105", "--dark-rate", "1e6", "--seed", "3"]
+    assert modules["bunchsim.cli_harness"].main(["run", *flags, "--workers", "1", "--quiet",
+                                                 "--output-dir", str(tmp_path)]) == 0
+    counts = tracer.counts
+    assert counts["dark_clicks"] > 4 * 20 * 40
+    assert counts["candidate_clicks"] + counts["dark_clicks"] == counts["merged_events"]
