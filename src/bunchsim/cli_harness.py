@@ -396,7 +396,6 @@ def _cmd_predict(args) -> int:
         cfg.efficiency,
         cfg.dark_rate,
         window_ps=cfg.window_ps,
-        exact=args.exact,
     )
     lines = ["counter_name,rate_per_s"]
     lines.extend(f"{name},{rate!r}" for name, rate in prediction.counters())
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="closed-form counter rates, no simulation")
     _add_config_flags(p_pred)
-    p_pred.add_argument("--exact", action="store_true", help="exact per-slot click probabilities at any mean; no dead time")
     p_pred.set_defaults(func=_cmd_predict)
     return parser
 

@@ -1,23 +1,21 @@
 """Closed-form rate predictions, calibration and correlation estimators.
 
-Both predictor orders read one description of each routing model (_sides):
-the detectors a slot lights fire independently. click_pattern_table gives
-the exact per-slot probability of every click pattern at any mean (no dead
-time); its first term in nbar is the leading order, for a Poisson source at
-mean photon number nbar, slot rate R and detector efficiency eta:
+One description of each routing model (_sides) holds everything: the
+detectors a slot lights fire independently, since a coherent state stays a
+product of coherent states through the splitters. click_pattern_table gives
+the exact per-slot probability of every click pattern at any mean photon
+number nbar (saturation included, no dead time), and every predicted
+counter is the slot rate R times the table's probability that all of its
+detectors fire (plus darks). With x = nbar * eta / 4 and q = 1 - exp(-x),
+that is R * q^k for a counter of k detectors under classical and
+phase-basis routing.
 
-    counter of k detectors    R * (nbar^k / k!) * eta^k * P_k   (+ darks)
-
-P_k (leading_pattern_probability) is 1/4 for singles, 1/8 for pairs and 3/32
-for triples under classical and phase-basis routing. Inverting the singles
-and pair relations gives the calibration closed forms: pair/singles =
-nbar * eta / 4 fixes eta, then the singles rate fixes R.
+Calibration inverts the table's first order in x in closed form (calibrate).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +32,6 @@ from .coincidence_unit import (
 )
 from .detector_bank import Detector
 from .routing_models import RoutingModel
-
-NBAR_SMALL_LIMIT = 0.1
 
 
 # --- reference measurement blocks -------------------------------------------
@@ -130,18 +126,6 @@ def click_pattern_table(model: RoutingModel, mean_photon_number: float, efficien
     return [sum(by_fired[m.bit_count()] for side in sides if m & ~side == 0) / len(sides) for m in range(16)]
 
 
-def leading_pattern_probability(model: RoutingModel, mask: int) -> float:
-    """P_k: chance that a k-photon slot, k = popcount(mask), puts one photon on each detector of mask.
-
-    k!/lit^k on every side that holds the mask, averaged over the sides; a
-    dyadic rational, so exact in floats.
-    """
-    sides = _sides(model)
-    lit = 4 // len(sides)
-    k = mask.bit_count()
-    return sum(math.factorial(k) / lit**k for side in sides if mask & ~side == 0) / len(sides)
-
-
 # --- predictions -------------------------------------------------------------
 
 
@@ -167,40 +151,19 @@ def predicted_rates(
     efficiency: float,
     dark_rate: float,
     window_ps: int = CcuConfig.window_ps,
-    exact: bool = False,
 ) -> RatePrediction:
     """Closed-form rates for every counter.
 
-    Every counter is slot_rate times the per-slot probability that all of
-    its detectors fire. With exact=True that probability is summed over
-    click_pattern_table: exact at any mean photon number, with saturation
-    but no dead time. By default it is the table's first term in nbar,
-    (nbar^k / k!) * eta^k * P_k for a counter of k detectors: valid at
-    dilute means and never below the exact rate. Without darks the gap
-    1 - exact/leading lies in [0, k * x / 2], x = nbar * eta / lit, since
-    x - x^2/2 <= 1 - exp(-x) <= x. Pair channels include dark-driven
-    accidentals (photon x dark and dark x dark); photon-photon accidentals
-    between different slots are excluded by the slot spacing.
+    Every counter is slot_rate times the per-slot probability, summed over
+    click_pattern_table, that all of its detectors fire: exact at any mean
+    photon number, with saturation but no dead time. Pair channels include
+    dark-driven accidentals (photon x dark and dark x dark); photon-photon
+    accidentals between different slots are excluded by the slot spacing.
     """
-    if not exact and mean_photon_number > NBAR_SMALL_LIMIT:
-        warnings.warn(
-            f"mean photon number {mean_photon_number} is outside the dilute regime; "
-            "predictions degrade",
-            stacklevel=2,
-        )
-    nbar = mean_photon_number
-    # fire(m): rate of slots in which every detector of bitmask m fires
-    if exact:
-        table = click_pattern_table(model, nbar, efficiency)
+    table = click_pattern_table(model, mean_photon_number, efficiency)
 
-        def fire(m: int) -> float:
-            return slot_rate * sum(p for mask, p in enumerate(table) if mask & m == m)
-
-    else:
-
-        def fire(m: int) -> float:
-            k = m.bit_count()
-            return slot_rate * (nbar**k / math.factorial(k)) * efficiency**k * leading_pattern_probability(model, m)
+    def fire(m: int) -> float:  # rate of slots in which every detector of bitmask m fires
+        return slot_rate * sum(p for mask, p in enumerate(table) if mask & m == m)
 
     singles = {det: fire(1 << det) + dark_rate for det in Detector}
     acc = accidental_pair_rate(fire(1 << Detector.A1), dark_rate, window_ps) * 2.0
@@ -227,13 +190,16 @@ def calibrate(targets: ReferenceBlock | TallyTable, mean_photon_number: float | 
     read only when mean_photon_number is None (a TallyTable has none).
 
     Uses the mean of the provided singles counters and the mean of the
-    provided pair counters:
+    provided pair counters, and inverts the first order in x = nbar * eta / 4
+    of the table's singles R * q and pairs R * q^2, q = 1 - exp(-x):
 
         eta = 4 * pair / (singles * nbar)      R = 4 * singles / (nbar * eta)
 
-    so predictions round-trip those two aggregates exactly. Residuals map
-    every provided counter to (predicted - observed) / observed under the
-    phase-basis model with no dark term.
+    Residuals map every provided counter to (predicted - observed) / observed,
+    predicted by predicted_rates under the phase-basis model with no dark
+    term, so the fitted aggregates show the fit's first-order bias: q/x - 1
+    on the mean singles and (q/x)^2 - 1 on the mean pair (-0.16% and -0.32%
+    at block 1).
     """
     nbar = targets.mean_photon_number if mean_photon_number is None else mean_photon_number
     if nbar <= 0:

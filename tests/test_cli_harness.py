@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -102,7 +103,7 @@ def test_parse_config_rejections(text, needle):
 def test_config_flags_are_the_config_schema(capsys):
     assert [field.name for field in dataclasses.fields(ExperimentConfig)] == list(_CONFIG_FIELDS)
     [commands] = [action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
-    own = {"-h", "--help", "--config", "--preset", "--workers", "--quiet", "--models", "--exact"}
+    own = {"-h", "--help", "--config", "--preset", "--workers", "--quiet", "--models"}
     expected = {"--" + key.replace("_", "-"): key for key in _CONFIG_FIELDS}
     for command, required in (("run", []), ("compare", ["--models", "classical,bunching"]), ("predict", [])):
         flags = {flag: action.dest for action in commands[command]._actions for flag in action.option_strings}
@@ -589,11 +590,11 @@ def test_main_predict_lists_all_counters(capsys):
     assert all(math.isfinite(v) and v >= 0 for v in values)
 
 
-def predict_exact(model, mean, *flags):
-    """`predict --exact` output as {counter name: printed rate string}."""
+def predict_output(model, mean, *flags):
+    """`predict` output as {counter name: printed rate string}."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["predict", "--exact", "--model", model, "--mean-photon-number", str(mean), *flags]) == 0
+        assert main(["predict", "--model", model, "--mean-photon-number", str(mean), *flags]) == 0
     return dict(line.split(",") for line in out.getvalue().splitlines()[1:])
 
 
@@ -606,10 +607,10 @@ TRIPLE_NAMES = [counter_name("triple", key) for key in TRIPLE_KEYS]
 
 @pytest.mark.parametrize("model", ["classical", "phase-basis", "bunching"])
 @pytest.mark.parametrize("mean", [5, 10, 50, 700])
-def test_predict_exact_holds_at_high_means(model, mean):
+def test_predict_holds_at_high_means(model, mean):
     # with independent detectors a counter of k detectors fires with q^k per slot
     cal = calibrate(REFERENCE_BLOCKS["block1"])
-    rates = {name: float(rate) for name, rate in predict_exact(model, mean, "--dark-rate", "0").items()}
+    rates = {name: float(rate) for name, rate in predict_output(model, mean, "--dark-rate", "0").items()}
     if model == "bunching":  # one side lit per slot, half the time each
         q = -math.expm1(-mean * cal.efficiency / 2)
         expected = dict.fromkeys(SINGLE_NAMES, cal.slot_rate * q / 2)
@@ -628,8 +629,8 @@ def test_predict_exact_holds_at_high_means(model, mean):
 @pytest.mark.parametrize("model", ["classical", "phase-basis", "bunching"])
 @pytest.mark.parametrize("mean", [0.022, 0.3, 1.0, 5.0, 37.7, 700.0])
 @pytest.mark.parametrize("dark", ["0", "27"])
-def test_predict_exact_prints_exchangeable_counters_bit_identical(model, mean, dark):
-    rates = predict_exact(model, mean, "--dark-rate", dark)
+def test_predict_prints_exchangeable_counters_bit_identical(model, mean, dark):
+    rates = predict_output(model, mean, "--dark-rate", dark)
     if model == "bunching":
         classes = [SINGLE_NAMES, SAME_SIDE_NAMES, CROSS_SIDE_NAMES, TRIPLE_NAMES]
         if dark == "0":
@@ -638,6 +639,29 @@ def test_predict_exact_prints_exchangeable_counters_bit_identical(model, mean, d
         classes = [SINGLE_NAMES, PAIR_NAMES, TRIPLE_NAMES]
     for names in classes:
         assert len({rates[name] for name in names}) == 1, names
+
+
+def test_predict_has_one_table_and_no_order_switch(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["predict", "--exact", "--model", "classical", "--mean-photon-number", "1"])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every `bunchsim ...` line of README's sh blocks, continuation lines joined
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [line.strip() for line in body.splitlines() if line.strip().startswith("bunchsim ")]
+    assert {shlex.split(cmd)[1] for cmd in commands} == {"run", "compare", "predict", "calibrate"}
+    parser = build_parser()
+    for cmd in commands:
+        try:
+            parser.parse_args(shlex.split(cmd, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {cmd}")
 
 
 LIMIT = f"{MAX_MEAN_PHOTON_NUMBER:.1f}"
@@ -661,7 +685,8 @@ def test_predict_and_calibrate_reject_means_run_rejects(command, message, mean, 
 
 
 def test_predict_accepts_means_below_the_limit(capsys):
-    with pytest.warns(UserWarning, match="dilute regime"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the table holds at any mean
         assert main(["predict", "--model", "classical", "--mean-photon-number", "700"]) == 0
     assert capsys.readouterr().out.startswith("counter_name,rate_per_s\n")
 
@@ -716,18 +741,16 @@ PREDICT_FLAGS = dict.fromkeys(
     flags=st.lists(st.sampled_from(sorted(PREDICT_FLAGS)), max_size=3, unique=True).flatmap(
         lambda names: st.tuples(*(st.tuples(st.just(name), PREDICT_FLAGS[name]) for name in names))
     ),
-    exact=st.booleans(),
 )
-@example(model=None, flags=(("--mean-photon-number", "-inf"), ("--dark-rate", "-inf")), exact=False)
-@example(model="bunching", flags=(("--slot-rate", "-inf"), ("--efficiency", "-inf")), exact=True)
-def test_predict_exits_0_or_1_for_any_numeric_flags(model, flags, exact):
+@example(model=None, flags=(("--mean-photon-number", "-inf"), ("--dark-rate", "-inf")))
+@example(model="bunching", flags=(("--slot-rate", "-inf"), ("--efficiency", "-inf")))
+def test_predict_exits_0_or_1_for_any_numeric_flags(model, flags):
     # a few flags at a time, so that most of the others keep their valid defaults;
     # one --flag=value token each, so that values such as -inf reach the parser
-    argv = ["predict", *(["--model", model] if model else []), *(["--exact"] if exact else [])]
+    argv = ["predict", *(["--model", model] if model else [])]
     argv += [f"{flag}={value}" for flag, value in flags]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as stop:  # argparse usage errors
