@@ -15,17 +15,18 @@ a process pool otherwise:
   candidate reaches, between the first and the last reset gap of its
   events there, at least max(dead time, 2 * window + 1) ps wide: the event
   after one is registered whatever came before it, and no coincidence
-  cluster spans one. It returns the interior's tally, each detector's last
-  registered time and the raw events below (head) and above (tail) it;
+  cluster spans one. It returns the interior's count (_Counted) and the
+  raw events below (head) and above (tail) it;
 - the main process feeds each head in schedule order to one buffer per
   detector of raw events not yet counted. The events below the last gap of
   more than 2 * window, where a coincidence cluster is closed, go through
   dead time, the cut and counting once, in a job of their own (_count)
-  that carries each detector's last registered time across the edge. A
-  tail waits raw for the next head, so the events between two interiors
+  that carries each detector's last registered time. A reset gap closes a
+  head, so it is counted whole and the interior's count queued after it;
+  a tail waits raw for the next head, so the events between two interiors
   make one such job. A chunk with no interior, where the jitter's reach or
-  the dead time outlasts the span or no gap is wide enough, is fed whole
-  up to its watermark; a one-chunk run is counted wholly in its chunk job.
+  the dead time outlasts the span or no gap is wide enough, is fed up to
+  its watermark; a one-chunk run is counted wholly in its chunk job.
 
 Every job runs where the chunk jobs run, so with a pool the main process
 filters and counts nothing itself. The run holds about one chunk's clicks at
@@ -205,11 +206,11 @@ def _spans(src: SourceConfig, detectors: DetectorConfig) -> list[tuple[int, int]
 
 
 class _Counted(NamedTuple):
-    """What counting a run of events gives: its tally, None if nothing of it
-    lies in the acquisition, each detector's last registered time, None if
-    none, and its registered piece if the run has a consumer, else None."""
+    """What counting a run of events gives: its tally, zeros if nothing of
+    it lies in the acquisition, each detector's last registered time, None
+    if none, and its registered piece if the run has a consumer, else None."""
 
-    tally: TallyTable | None
+    tally: TallyTable
     last: dict
     piece: dict | None
 
@@ -226,8 +227,6 @@ def _count(events: dict, last: dict, dead_time_ps: int, ccu: CcuConfig, keep_pie
         if registered.size:
             last[det] = int(registered[-1])
         piece[det] = registered[: np.searchsorted(registered, acq_ps)]
-    if not any(t.size for t in piece.values()):
-        return _Counted(None, last, None)
     # through its module, the call site perfbench's tracer wraps for event replays
     return _Counted(coincidence_unit.accumulate(piece, ccu), last, piece if keep_piece else None)
 
@@ -261,10 +260,10 @@ class _ClickSide:
     accumulate.
 
     submit runs a job: in process by default, or pool.submit, so that with
-    a pool the main process counts nothing itself. Tallies are added and
-    pieces handed to on_piece in time order as their jobs finish; a job
-    waits for the one before it only for the last registered times it
-    carries, which after a chunk's interior are the interior's.
+    a pool the main process counts nothing itself. A chunk's interior comes
+    counted. Each count's tally is added and its piece handed to on_piece in
+    time order as they finish; a job waits for the one before it only for
+    the last registered times it carries, after an interior the interior's.
     """
 
     def __init__(self, dead_time_ps: int, ccu: CcuConfig, on_piece=None, submit=_in_process):
@@ -276,7 +275,7 @@ class _ClickSide:
         # the counted runs whose tally and piece are not yet taken, in time
         # order, and the last one, whose last registered times dead time carries
         self.pending = deque()
-        self.latest = _done(_Counted(None, dict.fromkeys(Detector), None))
+        self.latest = _done(_Counted(None, dict.fromkeys(Detector), None))  # no run yet: never added
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
             "pairs": dict.fromkeys(PAIR_KEYS, 0),
@@ -310,23 +309,24 @@ class _ClickSide:
         del closed
         self._take_done()
 
-    def take(self, head: dict, interior, tail: dict, watermark: int) -> None:
+    def take(self, head: dict, counted: _Counted | None, tail: dict, watermark: int) -> None:
         """Take one chunk job's result for this model: the raw events below
-        its interior, the interior, None if it has none, and the raw events
-        above it.
+        its interior, the interior's count, None if it has none, and the raw
+        events above it.
 
-        The events below the interior are all here, and a reset gap closes
-        them, so the head is fed up to the interior and the interior's count
-        follows. The tail waits raw for the next chunk's head, so that the
-        events between two interiors make one job, which carries the first
+        Every buffered event lies below the chunk's span (_spans) and the
+        head below the interior, so a reset gap closes them all: the head is
+        fed at _END and the interior's count queued as feed queues a job's.
+        The tail waits raw for the next chunk's head, so that the events
+        between two interiors make one job, which carries the first
         interior's last registered times. With no interior, the head holds
         every event and is fed up to the watermark.
         """
-        if interior is None:
+        if counted is None:
             self.feed(head, watermark)
             return
-        self.feed(head, interior.lo)
-        self._then(_done(interior.counted))
+        self.feed(head, _END)
+        self._then(_done(counted))
         self._merge(tail)
         self._take_done()
 
@@ -338,9 +338,8 @@ class _ClickSide:
         """Add the tallies and hand on the pieces of the finished runs, in turn."""
         while self.pending and (wait or self.pending[0].done()):
             counted = self.pending.popleft().result()
-            if counted.tally is not None:
-                for _, group, key in COUNTERS:
-                    self.counts[group][key] += getattr(counted.tally, group)[key]
+            for _, group, key in COUNTERS:
+                self.counts[group][key] += getattr(counted.tally, group)[key]
             if counted.piece is not None:
                 self.on_piece(counted.piece)
 
@@ -351,15 +350,8 @@ class _ClickSide:
         return TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
 
 
-class _Interior(NamedTuple):
-    """The part of one model's chunk that its job counts: its first event and its count."""
-
-    lo: int
-    counted: _Counted
-
-
 def _count_interior(events: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_piece: bool):
-    """(head, interior, tail) of one model's chunk: the click side of its interior.
+    """(head, counted, tail) of one model's chunk: its interior's _Counted, None if none.
 
     events are the chunk's sorted raw events, its candidates merged with its
     darks, popped once split; they hold every event that lies in span, the
@@ -389,25 +381,24 @@ def _count_interior(events: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_
         a, b = np.searchsorted(t, (lo, hi))
         head[det], interior[det], tail[det] = t[:a].copy(), t[a:b], t[b:].copy()
     del t
-    return head, _Interior(lo, _count(interior, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece)), tail
+    return head, _count(interior, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece), tail
 
 
 def _chunk_job(src: SourceConfig, detectors: DetectorConfig, models, ccu: CcuConfig, keep_piece: bool,
-               span, darks, chunk_index: int) -> list[tuple[dict, _Interior | None, dict, int]]:
-    """(head, interior, tail, fallback slots) of every model for one chunk.
+               span, darks, chunk_index: int) -> list[tuple[dict, _Counted | None, dict, int]]:
+    """(head, counted, tail, fallback slots) of every model for one chunk.
 
     Each model's draw is merged with its darks, one dict per model of those
-    from the previous chunk's watermark to this one's, and the click side of
-    its interior runs here (_count_interior). The same function runs in
-    process and in a pool, so only the few events near the chunk's edges and
-    its interior's tally travel back. Top-level so process pools can pickle it.
+    from the previous chunk's watermark to this one's in one sort, and the
+    click side of its interior runs here (_count_interior). The same
+    function runs in process and in a pool, so only the few events near the
+    chunk's edges and its interior's count travel back. Top-level for pickling.
     """
     results = []
     for (events, fallback), dark in zip(_simulate_chunk(src, detectors, models, chunk_index), darks):
         for det in Detector:
-            events[det].sort(kind="stable")  # jittered clicks in slot order are nearly sorted
             events[det] = np.concatenate([events[det], dark[det]])
-            events[det].sort(kind="stable")  # a merge of two sorted runs
+            events[det].sort(kind="stable")  # nearly sorted jittered clicks, then sorted darks
         results.append((*_count_interior(events, span, detectors.dead_time_ps, ccu, keep_piece), fallback))
     return results
 
@@ -454,9 +445,9 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
         sides = [_ClickSide(detectors.dead_time_ps, base.ccu, sink, submit) for sink in sinks]
         fallback_slots = [0] * len(configs)
         for i, chunk in enumerate(results):
-            for m, (head, interior, tail, fallback) in enumerate(chunk):
+            for m, (head, counted, tail, fallback) in enumerate(chunk):
                 fallback_slots[m] += fallback
-                sides[m].take(head, interior, tail, spans[i][1])
+                sides[m].take(head, counted, tail, spans[i][1])
             if progress is not None:
                 progress(i + 1, chunks)
         if not chunks:  # a run of no chunks still has its darks

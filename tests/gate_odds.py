@@ -1,4 +1,4 @@
-"""Odds that an exact simulator passes criterion 3's triple band.
+"""Odds that an exact simulator passes criterion 3's triple band and criterion 7.
 
 Criterion 3 (tests/test_acceptance.py) asks each of the four triple counters
 of one block-1 run to land within 35% of 2.3 counts. At ~2.6 expected counts
@@ -13,25 +13,45 @@ which the four counters share. Over N slots, with disjoint patterns,
     T_i = X_i + W,  X_i ~ Poisson(N * table[triple i]),  W ~ Poisson(N * table[0b1111])
 
 all five independent, so the counters are correlated through W alone.
+
+Criterion 7 runs 1 s of darks alone, 27 /s per detector, and asks each of
+the four dark singles, ~ Poisson(27), to lie within 27 +/- 16, and each of
+the six pair counters to lie at or below the Poisson (1 - 1e-4) quantile of
+the accidental mean 2 * (5 ns) * 27^2 * (1 s) = 7.3e-6. That quantile is 0,
+so every pair counter must read 0. The odds treat the singles and the pair
+counters as independent, which leaves out only the pair counters' slight
+rise with the singles.
 """
 
 from __future__ import annotations
 
 import math
 
-from bunchsim.coincidence_unit import TRIPLE_KEYS
+from bunchsim.coincidence_unit import PAIR_KEYS, TRIPLE_KEYS
+from bunchsim.detector_bank import Detector
 from bunchsim.routing_models import RoutingModel
-from bunchsim.statistics import REFERENCE_BLOCKS, calibrate, click_pattern_table
+from bunchsim.statistics import REFERENCE_BLOCKS, accidental_pair_rate, calibrate, click_pattern_table
 
 TARGET, REL = 2.3, 0.35  # criterion 3's triple band: |T - 2.3| <= 0.35 * 2.3
+DARK_RATE, DARK_BAND = 27.0, 16  # criterion 7's singles band: |S - 27| <= 16 in 1 s
+PAIR_QUANTILE, WINDOW_PS = 1 - 1e-4, 5_000  # criterion 7's pair ceiling
+
+
+def pmf(k, mu):
+    return math.exp(-mu) * mu**k / math.factorial(k)
+
+
+def poisson_ceiling(mu):
+    """The least c with P(Poisson(mu) <= c) >= PAIR_QUANTILE, as scipy's poisson.ppf."""
+    ceiling, cdf = 0, pmf(0, mu)
+    while cdf < PAIR_QUANTILE:
+        ceiling += 1
+        cdf += pmf(ceiling, mu)
+    return ceiling
 
 
 def band_odds(own, shared):
     """P(every T_i = X_i + W lies in the band), X_i ~ Poisson(own[i]), W ~ Poisson(shared)."""
-
-    def pmf(k, mu):
-        return math.exp(-mu) * mu**k / math.factorial(k)
-
     band = [t for t in range(math.floor(TARGET * (1 + REL)) + 1) if abs(t - TARGET) <= REL * TARGET]
     odds = 0.0
     for w in range(max(band) + 1):
@@ -47,3 +67,16 @@ def block1_means():
     slots = fit.slot_rate * block.acquisition_s
     own = [slots * table[sum(1 << det for det in key)] for key in TRIPLE_KEYS]
     return own, slots * table[0b1111]
+
+
+def dark_floor_means():
+    """(mean of each dark single, accidental mean of each pair counter) of criterion 7's 1 s run."""
+    return DARK_RATE, accidental_pair_rate(DARK_RATE, DARK_RATE, WINDOW_PS)
+
+
+def dark_floor_odds(single, accidental):
+    """P(four Poisson(single) singles lie in the band and six Poisson(accidental)
+    pair counters at or below their ceiling), all ten independent."""
+    singles = sum(pmf(k, single) for k in range(math.ceil(single - DARK_BAND), math.floor(single + DARK_BAND) + 1))
+    pairs = sum(pmf(k, accidental) for k in range(poisson_ceiling(accidental) + 1))
+    return singles ** len(Detector) * pairs ** len(PAIR_KEYS)

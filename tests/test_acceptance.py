@@ -39,7 +39,7 @@ from bunchsim.statistics import (
     predicted_rates,
     scaling_check,
 )
-from gate_odds import band_odds, block1_means
+from gate_odds import band_odds, block1_means, dark_floor_means, dark_floor_odds
 from oracles import enumerate_distribution
 
 CAL = calibrate(REFERENCE_BLOCKS["block1"])
@@ -191,7 +191,8 @@ def test_criterion_7_dark_count_floor():
     accidental = accidental_pair_rate(27.0, 27.0, 5_000)
     ceiling = stats.poisson.ppf(1 - 1e-4, accidental * tally.acquisition_s)
     assert all(count <= ceiling for count in tally.pairs.values())
-    print(f"criterion 7: dark singles {sorted(tally.singles.values())}, pairs <= {ceiling:.0f}")
+    print(f"criterion 7: dark singles {sorted(tally.singles.values())}, pairs <= {ceiling:.0f}; "
+          f"an exact simulator passes with odds {dark_floor_odds(*dark_floor_means()):.4f}")
 
 
 def test_criterion_8_worker_count_invariance(tmp_path):

@@ -173,7 +173,13 @@ def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
         counted = []
         side = _ClickSide(dead, ccu, counted.append)
         for events, span in zip(merged_chunks(pieces, dark, watermarks), spans):
-            side.take(*_count_interior(events, span, dead, ccu, True), span[1])
+            head, interior, tail = _count_interior(events, span, dead, ccu, True)
+            held = {det: t.copy() for det, t in tail.items()}
+            side.take(head, interior, tail, span[1])
+            if interior is not None:
+                # feeding the head left nothing buffered below the interior
+                for det in Detector:
+                    assert side.raw[det].tobytes() == held[det].tobytes(), det.label
         if not pieces:
             side.feed(dict(dark), _END)
         tally = side.finish({})
@@ -363,16 +369,25 @@ def test_only_a_chunks_edges_and_tally_travel_back():
     dark = dark_events(detectors, src.duration, substream(11, STREAM_DARK))
     tile = {det: t[(t >= spans[2][1]) & (t < spans[3][1])] for det, t in dark.items()}
     result = _chunk_job(src, detectors, [c.model for c in configs], ccu, False, spans[3], [tile] * len(configs), 3)
-    assert all(interior is not None and interior.counted.tally.singles[Detector.A1] for _, interior, _, _ in result)
+    assert all(interior is not None and interior.tally.singles[Detector.A1] for _, interior, _, _ in result)
     assert len(pickle.dumps(result)) < 64 * 2**10
 
 
-def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch):
+@pytest.mark.parametrize("mean, slot_rate", [
     # whole streams held to the end took ~4x the 4-chunk peak at 40 chunks
+    (0.5, 1e7),
+    # the large-mean limit: the 22 ns dead time outlasts the 12.8 ns slot and
+    # a slot with no click has odds ~e^-12, so few spans hold a reset gap and
+    # the click side feeds most chunks up to their watermark, carrying each
+    # detector's last registered time; raw events held until the next
+    # interior took ~5x the 4-chunk peak at 40 chunks
+    (20.0, 7.8e7),
+])
+def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch, mean, slot_rate):
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 14)
 
     def peak(chunks):
-        source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=chunks * (1 << 14) / 1e7, seed=3)
+        source = SourceConfig(mean_photon_number=mean, slot_rate=slot_rate, duration=chunks * (1 << 14) / slot_rate, seed=3)
         return traced_peak(simulate, SimConfig(source, DetectorConfig(0.6), RoutingModel.CLASSICAL, 5_000))
 
     assert peak(40) < 1.3 * peak(4)
@@ -453,4 +468,4 @@ def test_chunk_job_lets_go_of_what_it_has_counted(monkeypatch):
     assert traced_peak(job) < 1.5 * candidates
     [(head, interior, tail, _)] = counted
     assert not clicks and not any(t.size for t in (*head.values(), *tail.values()))
-    assert sum(interior.counted.tally.singles.values()) > 0 and interior.counted.piece is None
+    assert sum(interior.tally.singles.values()) > 0 and interior.piece is None
