@@ -22,7 +22,9 @@ on raw words, one per nonzero n, and a block it cannot replay exactly
 Reproducibility contract: all randomness is drawn from Philox counter-based
 generators keyed by (seed, purpose, chunk).  Slot streams are generated in
 fixed-size canonical chunks, so any partition of the chunk list across
-workers reproduces the serial stream exactly.
+workers reproduces the serial stream exactly. substream, the one place a
+generator is built, loads numpy.random's generator code at a process's
+first draw, so a process that draws nothing never loads it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 # Canonical chunk length in slots. Changing this constant changes which
 # substream each slot draws from, i.e. the realisations for a given seed.
@@ -76,8 +77,13 @@ _SEGMENT_BITS = 16
 _OCCUPANCY_SIGMAS = 10.0
 
 
-def substream(seed: int, *path: int) -> Generator:
-    """Independent generator derived from (seed, path), stable across runs."""
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Independent generator derived from (seed, path), stable across runs.
+
+    numpy.random is imported here, at a process's first draw.
+    """
+    from numpy.random import Generator, Philox, SeedSequence
+
     ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return Generator(Philox(ss))
 
@@ -258,7 +264,7 @@ def _inversion_loop(words: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out
 
 
-def binomial_half(n, rng: Generator) -> np.ndarray:
+def binomial_half(n, rng: np.random.Generator) -> np.ndarray:
     """rng.binomial(n, 0.5) as an int16 row, leaving rng in the same state.
 
     numpy inverts one uniform per nonzero n <= 60: n = 0 draws nothing, and

@@ -7,10 +7,11 @@ The click side (dead time, the cut at the acquisition end and counting) runs
 where each chunk is drawn, in one chunk job, in process at one worker and in
 a process pool otherwise:
 
-- the main process draws the darks once per model and hands each chunk job
-  those from the previous chunk's watermark to its own (_spans), so the
-  darks tile the jobs. The job merges them into its candidates once, and
-  every later stage sees one kind of sorted raw event;
+- the darks are drawn once per model, where the chunk jobs run and before
+  the first (_draw_darks), and the main process hands each chunk job those
+  from the previous chunk's watermark to its own (_spans), so the darks
+  tile the jobs. The job merges them into its candidates once, and every
+  later stage sees one kind of sorted raw event;
 - the job counts the interior of its span, the times no other chunk's
   candidate reaches, between the first and the last reset gap of its
   events there, at least max(dead time, 2 * window + 1) ps wide: the event
@@ -29,10 +30,11 @@ a process pool otherwise:
   its watermark; a one-chunk run is counted wholly in its chunk job.
 
 Every job runs where the chunk jobs run, so with a pool the main process
-filters and counts nothing itself. The run holds about one chunk's clicks at
-a time, not the acquisition's, only a chunk's edges and tallies travel
-between processes, and no registered stream is kept: a consumer may take
-each counted piece.
+draws, filters and counts nothing itself, and never loads numpy.random's
+generator code (photon_source.substream). The run holds about one chunk's
+clicks at a time, not the acquisition's, only a chunk's edges and tallies
+travel between processes, and no registered stream is kept: a consumer may
+take each counted piece.
 
 Per chunk the engine holds the occupied slots as uint16 segment offsets
 (photon_source.SegmentedSlots) and int16 photon numbers, the latter
@@ -273,9 +275,9 @@ class _ClickSide:
         self.on_piece = on_piece
         self.submit = submit
         # the counted runs whose tally and piece are not yet taken, in time
-        # order, and the last one, whose last registered times dead time carries
+        # order, and each detector's last registered time in the runs taken
         self.pending = deque()
-        self.latest = _done(_Counted(None, dict.fromkeys(Detector), None))  # no run yet: never added
+        self.last = dict.fromkeys(Detector)
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
             "pairs": dict.fromkeys(PAIR_KEYS, 0),
@@ -304,8 +306,9 @@ class _ClickSide:
             if k:
                 self.raw[det] = self.raw[det][k:].copy()
         if any(t.size for t in closed.values()):
-            last = self.latest.result().last
-            self._then(self.submit(_count, closed, last, self.dead_time_ps, self.ccu, self.on_piece is not None))
+            last = self.pending[-1].result().last if self.pending else self.last
+            keep_piece = self.on_piece is not None
+            self.pending.append(self.submit(_count, closed, last, self.dead_time_ps, self.ccu, keep_piece))
         del closed
         self._take_done()
 
@@ -326,18 +329,15 @@ class _ClickSide:
             self.feed(head, watermark)
             return
         self.feed(head, _END)
-        self._then(_done(counted))
+        self.pending.append(_done(counted))
         self._merge(tail)
         self._take_done()
-
-    def _then(self, future: concurrent.futures.Future) -> None:
-        self.pending.append(future)
-        self.latest = future
 
     def _take_done(self, wait: bool = False) -> None:
         """Add the tallies and hand on the pieces of the finished runs, in turn."""
         while self.pending and (wait or self.pending[0].done()):
             counted = self.pending.popleft().result()
+            self.last = counted.last
             for _, group, key in COUNTERS:
                 self.counts[group][key] += getattr(counted.tally, group)[key]
             if counted.piece is not None:
@@ -403,18 +403,27 @@ def _chunk_job(src: SourceConfig, detectors: DetectorConfig, models, ccu: CcuCon
     return results
 
 
+def _draw_darks(detectors: DetectorConfig, src: SourceConfig, models: int) -> list[dict]:
+    """Each model's darks, the same ones from the same substream: one
+    dark_events call per model, which perfbench's click accounting relies
+    on. Darks are few, so one task draws them all. Top-level for pickling."""
+    return [dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK)) for _ in range(models)]
+
+
 def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) -> list[TallyTable]:
     """Run the full pipeline for configs that differ only in their model.
 
     Returns one TallyTable per config, in the order of configs. Each chunk
     job counts its chunk's interior, and a job of its own the events
     between two interiors, both in the pool if there is one, so no more
-    than a chunk's clicks are held at a time. on_piece, if given, is called
-    as on_piece(index, piece) with the index of a config in configs and
-    each counted piece: per-detector registered events, dead-time filtered
-    and cut to the acquisition [0, duration), in time order, so that one
-    config's pieces in turn make its registered streams. progress, if
-    given, is called as progress(done_chunks, total_chunks).
+    than a chunk's clicks are held at a time. The pool, if there is one,
+    draws the darks too, in one task before the first chunk job. on_piece,
+    if given, is called as on_piece(index, piece) with the index of a
+    config in configs and each counted piece: per-detector registered
+    events, dead-time filtered and cut to the acquisition [0, duration), in
+    time order, so that one config's pieces in turn make its registered
+    streams. progress, if given, is called as progress(done_chunks,
+    total_chunks).
     """
     if workers < 1:
         raise ValueError("workers: must be >= 1")
@@ -429,9 +438,8 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
     chunks = num_chunks(src)
     spans = _spans(src, detectors)
     watermarks = [_START] + [end for _, end in spans]
-    # darks are few; each model draws the same ones from the same substream,
-    # one dark_events call per model, which perfbench's click accounting relies on
-    darks = [dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK)) for _ in configs]
+    # job and count read darks, each model's, drawn where the chunk jobs run
+    # and before the first (_draw_darks)
 
     def job(i):
         lo, hi = watermarks[i], watermarks[i + 1]
@@ -468,6 +476,8 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
         # looked up here, so that concurrent.futures loads its process pool,
         # and multiprocessing with it, only when a pool starts
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            # drawn in the pool too, so that the main process draws nothing
+            darks = pool.submit(_draw_darks, detectors, src, len(configs)).result()
 
             def results():
                 # at most 2 * workers chunks are submitted and not yet consumed,
@@ -480,6 +490,7 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
                     yield result
 
             return count(pool.submit, results())
+    darks = _draw_darks(detectors, src, len(configs))
     return count(_in_process, (_chunk_job(*job(i)) for i in range(chunks)))
 
 

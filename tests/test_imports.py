@@ -5,7 +5,10 @@ the library, the tests and the demos with ast: a name that a top-level import
 binds must appear somewhere in the module as a name. `__init__.py` is skipped,
 since it imports to re-export. In the library, every private top-level name
 and every private method must also be read somewhere in its module, so a
-helper whose last caller goes does not outlive it.
+helper whose last caller goes does not outlive it. No library module
+imports numpy.random where importing the module runs it: the generator code
+loads at a process's first draw (photon_source.substream), so that a process
+that draws nothing, such as a pooled run's main process, never loads it.
 """
 
 import ast
@@ -72,6 +75,39 @@ def test_private_name_check_sees_every_definition():
     assert unread_private_names(source) == ["_B", "_C", "_C._left", "_f"]
 
 
+def import_time_imports(source: str) -> list[str]:
+    """The dotted names imported by the statements that importing the module
+    runs, outside any function body; a relative import is skipped."""
+    names = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        nodes.extend(ast.iter_child_nodes(node))
+    return sorted(names)
+
+
+def imports_numpy_random(name: str) -> bool:
+    return name == "numpy.random" or name.startswith("numpy.random.")
+
+
+def test_import_time_check_sees_every_form():
+    source = (
+        "import numpy.random as npr\nfrom numpy import random, ndarray\nfrom .photon_source import random\n"
+        "if npr:\n    from numpy.random import Philox\n"
+        "class C:\n    from numpy.random import SeedSequence\n    def f(self):\n        import numpy.random\n"
+        "def g():\n    from numpy.random import Generator\n"
+    )
+    assert [name for name in import_time_imports(source) if imports_numpy_random(name)] == [
+        "numpy.random", "numpy.random", "numpy.random.Philox", "numpy.random.SeedSequence"
+    ]
+
+
 def module_id(path: Path) -> str:
     return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
@@ -84,3 +120,8 @@ def test_every_module_level_import_is_used(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=module_id)
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=module_id)
+def test_no_library_module_imports_numpy_random_at_import_time(path):
+    assert [name for name in import_time_imports(path.read_text(encoding="utf-8")) if imports_numpy_random(name)] == []

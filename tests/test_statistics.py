@@ -25,7 +25,7 @@ from bunchsim.coincidence_unit import (
 from bunchsim.detector_bank import Detector, DetectorConfig
 from bunchsim.photon_source import MAX_MEAN_PHOTON_NUMBER, SourceConfig
 from bunchsim.routing_models import RoutingModel
-from bunchsim.simulate import SimConfig, simulate
+from bunchsim.simulate import SimConfig, _simulate_chunk, simulate
 from bunchsim.statistics import (
     REFERENCE_BLOCKS,
     ReferenceBlock,
@@ -163,6 +163,35 @@ def test_click_pattern_table_is_a_distribution_at_any_mean(model, nbar, eta):
 @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
 def test_click_pattern_table_without_photons_never_fires(model, eta):
     assert click_pattern_table(model, 0.0, eta) == [1.0] + [0.0] * 15
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("mean", [0.05, 1.0])
+def test_engine_click_patterns_follow_the_table(model, mean):
+    # the engine's per-slot click patterns, drawn with no jitter and no darks
+    # at 1e9 slots/s so that a click's slot is t // 1000, against the closed
+    # form: a Pearson chi-square over 2^20 slots, the smallest cells pooled
+    # until the pool expects 5 slots. Seed and threshold were fixed before
+    # the first run; a failure is a defect of the engine or of the table
+    slots, efficiency = 1 << 20, 0.6
+    src = SourceConfig(mean_photon_number=mean, slot_rate=1e9, duration=(slots + 0.5) / 1e9, seed=8)
+    detectors = DetectorConfig(efficiency, jitter_sigma_ps=0.0, dark_rate=0.0)
+    [(clicks, _)] = _simulate_chunk(src, detectors, [model], 0)
+    pattern = np.zeros(slots, dtype=np.intp)
+    for det, t in clicks.items():
+        fired = t // 1000
+        assert np.all(t % 1000 == 0) and np.unique(fired).size == fired.size
+        pattern[fired] |= 1 << det
+    observed = np.bincount(pattern, minlength=16)
+    table = np.array(click_pattern_table(model, mean, efficiency))
+    assert observed[table == 0].sum() == 0  # bunching's cross-side patterns
+    observed, expected = observed[table > 0], slots * table[table > 0]
+    order = np.argsort(expected)
+    pooled = order[: np.searchsorted(np.cumsum(expected[order]), 5.0) + 1]
+    kept = order[pooled.size :]
+    observed = np.append(observed[kept], observed[pooled].sum())
+    expected = np.append(expected[kept], expected[pooled].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-4
 
 
 # --- calibration --------------------------------------------------------------

@@ -8,6 +8,7 @@ every click of the acquisition at once; memory must follow the chunk, not
 the acquisition.
 """
 
+import ast
 import concurrent.futures
 import dataclasses
 import importlib
@@ -334,10 +335,11 @@ def test_the_events_between_two_interiors_make_one_job(monkeypatch):
 
 
 def test_a_pooled_run_counts_nothing_in_the_main_process(monkeypatch):
-    # dead time and counting run in the pool's jobs, chunk interiors and the
-    # events between them alike, so wrappers installed in the main process,
-    # as perfbench's tracer installs them, see either every call (one
-    # worker) or none (a pool), never a share that depends on the schedule
+    # the darks, dead time and counting run in the pool's jobs, chunk
+    # interiors and the events between them alike, so wrappers installed in
+    # the main process, as perfbench's tracer installs them, see either
+    # every call (one worker) or none (a pool), never a share that depends
+    # on the schedule
     calls = []
 
     def recorded(name, fn):
@@ -350,13 +352,14 @@ def test_a_pooled_run_counts_nothing_in_the_main_process(monkeypatch):
     simulate_module = importlib.import_module("bunchsim.simulate")
     coincidence_module = importlib.import_module("bunchsim.coincidence_unit")
     monkeypatch.setattr(simulate_module, "apply_dead_time", recorded("dead time", apply_dead_time))
+    monkeypatch.setattr(simulate_module, "dark_events", recorded("darks", dark_events))
     monkeypatch.setattr(coincidence_module, "accumulate", recorded("accumulate", coincidence_module.accumulate))
     source = SourceConfig(mean_photon_number=0.05, slot_rate=1e9, duration=2.5 * CHUNK_SLOTS / 1e9, seed=5)
     config = SimConfig(source, DetectorConfig(0.6, dark_rate=1e5), RoutingModel.CLASSICAL, 5_000)
     pooled = simulate(config, workers=2)
     assert calls == []
     assert list(counter_values(simulate(config))) == list(counter_values(pooled))
-    assert {"dead time", "accumulate"} <= set(calls)
+    assert {"darks", "dead time", "accumulate"} <= set(calls)
 
 
 def test_only_a_chunks_edges_and_tally_travel_back():
@@ -415,22 +418,48 @@ def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
     assert_same_run(counted, side.finish({}), *whole_stream_click_side(pieces, dark, 0, ccu))
 
 
-def test_a_run_on_one_worker_loads_no_process_pool(tmp_path):
-    # concurrent.futures loads its process pool, and multiprocessing with
-    # it, at the first lookup of ProcessPoolExecutor, which only a pool makes
+def loaded_after(commands, package):
+    """The modules of package that a fresh interpreter holds after running each CLI command in turn."""
     script = (
         "import sys\n"
         "from bunchsim import cli_harness\n"
-        "flags = ['--model', 'classical', '--mean-photon-number', '0.05', '--acquisition-s', '0.001', '--seed', '3']\n"
-        f"assert cli_harness.main(['run', *flags, '--workers', '1', '--quiet', '--output-dir', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli_harness.main(argv) == 0, argv\n"
+        f"print(sorted(name for name in sys.modules if name == {package!r} or name.startswith({package + '.'!r})))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "[]"  # after the tally the run prints
+    return ast.literal_eval(out.stdout.splitlines()[-1])  # after the data the commands print
+
+
+def test_a_run_on_one_worker_loads_no_process_pool(tmp_path):
+    # concurrent.futures loads its process pool, and multiprocessing with
+    # it, at the first lookup of ProcessPoolExecutor, which only a pool makes
+    flags = ["--model", "classical", "--mean-photon-number", "0.05", "--acquisition-s", "0.001", "--seed", "3"]
+    run = ["run", *flags, "--workers", "1", "--quiet", "--output-dir", str(tmp_path)]
+    assert loaded_after([run], "multiprocessing") == []
     assert (tmp_path / "tally.csv").exists()
+
+
+def test_a_process_that_draws_nothing_loads_no_random_number_code(tmp_path):
+    # photon_source.substream loads numpy.random at a process's first draw:
+    # a pooled compare's main process draws nothing, its pool drawing the
+    # darks too, and predict and calibrate are closed-form. 5e6 slots make
+    # two chunks, so the pool starts; on one worker the run draws in process
+    flags = ["--models", "classical,bunching,phase-basis", "--mean-photon-number", "0.05", "--slot-rate", "1e9",
+             "--acquisition-s", "0.005", "--seed", "3", "--quiet"]
+    pooled = [
+        ["compare", *flags, "--workers", "2", "--output-dir", str(tmp_path / "pooled")],
+        ["predict", "--model", "classical", "--mean-photon-number", "0.05"],
+        ["calibrate"],
+    ]
+    assert loaded_after(pooled, "numpy.random") == []
+    one_worker = ["compare", *flags, "--workers", "1", "--output-dir", str(tmp_path / "one")]
+    assert "numpy.random" in loaded_after([one_worker], "numpy.random")
+    comparison = (tmp_path / "pooled" / "comparison.csv").read_bytes()
+    assert comparison == (tmp_path / "one" / "comparison.csv").read_bytes()
 
 
 def test_feed_lets_go_of_what_it_has_counted():
