@@ -2,7 +2,7 @@
 # phase-basis slots at the block-1 operating point, counted the same way the
 # hardware counts, then printed next to the reference numbers.
 #
-# Takes ~1.4-1.5 s wall, interpreter start included, on a 2-core Intel Xeon
+# Takes ~1.0-1.1 s wall, interpreter start included, on a 2-core Intel Xeon
 # host; writes reports under demo_out/reference_run/.
 
 import time

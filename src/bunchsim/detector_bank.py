@@ -222,15 +222,11 @@ def apply_dead_time(times, dead_time_ps: int, last: int | None = None) -> np.nda
 _RECORD = np.dtype([("det", "u1"), ("t", "<u8")])
 # labels have at most 3 characters; a longer field is cut to 4 and stays unknown
 _TEXT_ROW = np.dtype([("label", "U4"), ("t", "<i8")])
-# events formatted or packed per write call, which bounds the writer's memory
-_WRITE_BLOCK = 1 << 16
-# binary records read at a time, which bounds the binary reader's memory
-_READ_BLOCK = 1 << 16
 
 
 def write_events(path, pieces, fmt: str = "text") -> None:
     """Dump pieces of per-detector sorted timestamps, each detector's pieces in
-    turn, never joined. A refused binary dump leaves no file."""
+    turn, never joined, in draw_blocks. A refused binary dump leaves no file."""
     if fmt not in ("text", "binary"):
         raise ValueError(f"unknown event dump format {fmt!r}")
     pieces = [{det: np.asarray(p.get(det, ()), dtype=np.int64) for det in Detector} for p in pieces]
@@ -240,8 +236,8 @@ def write_events(path, pieces, fmt: str = "text") -> None:
     with open(path, "w" if fmt == "text" else "wb") as fh:
         for det in Detector:
             for p in pieces:
-                for lo in range(0, p[det].size, _WRITE_BLOCK):
-                    t = p[det][lo : lo + _WRITE_BLOCK]
+                for block in draw_blocks(p[det].size):
+                    t = p[det][block]
                     if fmt == "text":
                         fh.write(f"{det.label}\t" + f"\n{det.label}\t".join(map(str, t.tolist())) + "\n")
                     else:
@@ -260,10 +256,10 @@ def _group_by_label(labels: np.ndarray, times: np.ndarray) -> dict[Detector, np.
 
 
 def _record_blocks(fh):
-    """The binary dump's records, _READ_BLOCK at a time, from the start of the file."""
+    """The binary dump's whole records in draw_blocks, from the start of the file."""
     fh.seek(0)
-    while (block := np.fromfile(fh, dtype=_RECORD, count=_READ_BLOCK)).size:
-        yield block
+    for block in draw_blocks(os.fstat(fh.fileno()).st_size // _RECORD.itemsize):
+        yield np.fromfile(fh, dtype=_RECORD, count=block.stop - block.start)
 
 
 def _read_binary(path) -> dict[Detector, np.ndarray]:

@@ -165,7 +165,8 @@ def slot_count(config: SourceConfig) -> int:
 
 
 def num_chunks(config: SourceConfig) -> int:
-    return -(-slot_count(config) // CHUNK_SLOTS)
+    """The canonical chunks of a run, at least one: a run of no slot is chunk 0, empty."""
+    return max(1, -(-slot_count(config) // CHUNK_SLOTS))
 
 
 def chunk_start(chunk_index: int) -> int:
@@ -339,7 +340,7 @@ def occupied_slots(config: SourceConfig, chunk_index: int) -> tuple[SegmentedSlo
     """
     total = slot_count(config)
     start = chunk_start(chunk_index)
-    if not 0 <= start < max(total, 1):
+    if not 0 <= chunk_index < num_chunks(config):
         raise IndexError(f"chunk {chunk_index} out of range")
     m = min(CHUNK_SLOTS, total - start)
     table = poisson_cdf_table(config.mean_photon_number)

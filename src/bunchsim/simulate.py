@@ -27,7 +27,8 @@ a process pool otherwise:
   a tail waits raw for the next head, so the events between two interiors
   make one such job. A chunk with no interior, where the jitter's reach or
   the dead time outlasts the span or no gap is wide enough, is fed up to
-  its watermark; a one-chunk run is counted wholly in its chunk job.
+  its watermark. A run has at least one chunk, empty if it has no slot,
+  and a one-chunk run is counted wholly in its chunk job.
 
 Every job runs where the chunk jobs run, so with a pool the main process
 draws, filters and counts nothing itself, and never loads numpy.random's
@@ -458,9 +459,6 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
                 sides[m].take(head, counted, tail, spans[i][1])
             if progress is not None:
                 progress(i + 1, chunks)
-        if not chunks:  # a run of no chunks still has its darks
-            for side, dark in zip(sides, darks):
-                side.feed(dark, _END)
         return [
             side.finish({
                 "config": config_metadata(config),

@@ -1,4 +1,4 @@
-"""Odds that an exact simulator passes criterion 3's triple band and criterion 7.
+"""Odds that an exact simulator passes criterion 3's triple band, criterion 4 and criterion 7.
 
 Criterion 3 (tests/test_acceptance.py) asks each of the four triple counters
 of one block-1 run to land within 35% of 2.3 counts. At ~2.6 expected counts
@@ -14,6 +14,19 @@ which the four counters share. Over N slots, with disjoint patterns,
 
 all five independent, so the counters are correlated through W alone.
 
+Criterion 4 asks two block-2 runs, classical and phase-basis, each for an
+equal-ratio p > 0.01 over the four reference pair counters, one block-1
+bunching run for p < 1e-6 over the same counters, and each of that run's
+four cross-side pair counters to lie at or below the Poisson (1 - 1e-4)
+quantile of its predicted mean. The split models' reference pair means are
+equal, 3191 each in 1 s, which is the null the two tests hold; at such
+means chi_square_tail(3, .) is close to its continuous limit, so each passes
+with odds 1 - 0.01. The bunching run's same-side means, 1596, against
+cross-side ones of 0.135 put its p far below 1e-6, with odds ~1. Each
+cross-side counter, ~ Poisson(0.1348), lies at or below its ceiling, 3,
+with odds 1 - 1.2e-5. The parts are independent runs, or counters treated
+as independent, so the odds are their product, ~0.980.
+
 Criterion 7 runs 1 s of darks alone, 27 /s per detector, and asks each of
 the four dark singles, ~ Poisson(27), to lie within 27 +/- 16, and each of
 the six pair counters to lie at or below the Poisson (1 - 1e-4) quantile of
@@ -27,14 +40,21 @@ from __future__ import annotations
 
 import math
 
-from bunchsim.coincidence_unit import PAIR_KEYS, TRIPLE_KEYS
+from bunchsim.coincidence_unit import CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS, TRIPLE_KEYS
 from bunchsim.detector_bank import Detector
 from bunchsim.routing_models import RoutingModel
-from bunchsim.statistics import REFERENCE_BLOCKS, accidental_pair_rate, calibrate, click_pattern_table
+from bunchsim.statistics import (
+    REFERENCE_BLOCKS,
+    accidental_pair_rate,
+    calibrate,
+    click_pattern_table,
+    predicted_rates,
+)
 
 TARGET, REL = 2.3, 0.35  # criterion 3's triple band: |T - 2.3| <= 0.35 * 2.3
 DARK_RATE, DARK_BAND = 27.0, 16  # criterion 7's singles band: |S - 27| <= 16 in 1 s
-PAIR_QUANTILE, WINDOW_PS = 1 - 1e-4, 5_000  # criterion 7's pair ceiling
+PAIR_QUANTILE, WINDOW_PS = 1 - 1e-4, 5_000  # criterion 7's pair ceiling, and criterion 4's
+EQUAL_RATIO_P, BUNCHING_P = 0.01, 1e-6  # criterion 4: p above the one for the split models, below the other
 
 
 def pmf(k, mu):
@@ -80,3 +100,27 @@ def dark_floor_odds(single, accidental):
     singles = sum(pmf(k, single) for k in range(math.ceil(single - DARK_BAND), math.floor(single + DARK_BAND) + 1))
     pairs = sum(pmf(k, accidental) for k in range(poisson_ceiling(accidental) + 1))
     return singles ** len(Detector) * pairs ** len(PAIR_KEYS)
+
+
+def criterion4_means():
+    """(per block-2 run, classical then phase-basis, its four reference pair
+    means; the bunching run's six pair means) of criterion 4's 1 s runs at
+    the block-1 fit, 27 darks/s per detector."""
+    fit = calibrate(REFERENCE_BLOCKS["block1"])
+
+    def pairs(model, mean):
+        return predicted_rates(model, mean, fit.slot_rate, fit.efficiency, DARK_RATE, WINDOW_PS).pairs
+
+    split = [[pairs(model, 0.044)[key] for key in REFERENCE_PAIRS]
+             for model in (RoutingModel.CLASSICAL, RoutingModel.PHASE_BASIS)]
+    return split, pairs(RoutingModel.BUNCHING, 0.022)
+
+
+def criterion4_odds(bunching):
+    """P(both equal-ratio tests pass, in the continuous limit, the bunching
+    run's p < 1e-6, taken as 1, and each cross-side pair counter,
+    ~ Poisson(bunching[key]), lies at or below its ceiling)."""
+    cross = math.prod(
+        sum(pmf(k, bunching[key]) for k in range(poisson_ceiling(bunching[key]) + 1)) for key in CROSS_SIDE_PAIRS
+    )
+    return (1 - EQUAL_RATIO_P) ** 2 * cross

@@ -39,7 +39,7 @@ from bunchsim.statistics import (
     predicted_rates,
     scaling_check,
 )
-from gate_odds import band_odds, block1_means, dark_floor_means, dark_floor_odds
+from gate_odds import band_odds, block1_means, criterion4_means, criterion4_odds, dark_floor_means, dark_floor_odds
 from oracles import enumerate_distribution
 
 CAL = calibrate(REFERENCE_BLOCKS["block1"])
@@ -152,7 +152,8 @@ def test_criterion_4_equal_ratio_claim(block2_runs, bunching_dark_run):
     for key in CROSS_SIDE_PAIRS:
         ceiling = stats.poisson.ppf(1 - 1e-4, prediction.pairs[key])
         assert bunching_dark_run.pairs[key] <= ceiling, (key, bunching_dark_run.pairs[key])
-    print(f"criterion 4: equal-ratio p>{0.01} for classical/phase-basis, bunching p={p_bunch:.1e}")
+    print(f"criterion 4: equal-ratio p>{0.01} for classical/phase-basis, bunching p={p_bunch:.1e}; "
+          f"an exact simulator passes with odds {criterion4_odds(criterion4_means()[1]):.4f}")
 
 
 def test_criterion_5_bunching_fraction(block2_runs, bunching_clean_run):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bunchsim import detector_bank
+from bunchsim import detector_bank, photon_source
 from bunchsim.detector_bank import (
     Detector,
     DetectorConfig,
@@ -317,7 +317,7 @@ def test_binary_dump_is_read_in_record_blocks(tmp_path):
     streams = {det: np.sort(rng.integers(0, 10**12, size=n, dtype=np.int64)) for det, n in sizes.items()}
     path = tmp_path / "e.bin"
     write_events(path, [streams], fmt="binary")
-    block = detector_bank._READ_BLOCK * detector_bank._RECORD.itemsize
+    block = photon_source._SCAN_BLOCK * detector_bank._RECORD.itemsize
     assert block < path.stat().st_size // 2  # the file spans several blocks
     assert oracles.traced_peak(read_events, path, "binary") < 2 * sum(t.nbytes for t in streams.values()) + block
 
@@ -326,9 +326,9 @@ def test_interleaved_binary_dump_keeps_file_order_per_detector(tmp_path):
     # a dump from elsewhere may mix detectors within a record block, and its
     # times need not be sorted; each detector's times come back in file order
     rng = np.random.default_rng(11)
-    records = np.empty(3 * detector_bank._READ_BLOCK + 5, dtype=detector_bank._RECORD)
+    records = np.empty(3 * photon_source._SCAN_BLOCK + 5, dtype=detector_bank._RECORD)
     records["det"] = rng.integers(0, len(Detector), size=records.size)
-    records["det"][: detector_bank._READ_BLOCK + 7] = Detector.B1  # one grouped block, then a mixed one
+    records["det"][: photon_source._SCAN_BLOCK + 7] = Detector.B1  # one grouped block, then a mixed one
     records["t"] = rng.integers(0, 2**63, size=records.size, dtype=np.uint64)
     path = tmp_path / "e.bin"
     records.tofile(path)

@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 from gate_odds import (
+    BUNCHING_P,
     DARK_BAND,
+    EQUAL_RATIO_P,
     REL,
     TARGET,
     WINDOW_PS,
     band_odds,
     block1_means,
+    criterion4_means,
+    criterion4_odds,
     dark_floor_means,
     dark_floor_odds,
     poisson_ceiling,
 )
 from scipy import stats
+
+from bunchsim.coincidence_unit import CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS
 
 
 def test_block1_odds_match_a_monte_carlo_of_the_mixture():
@@ -24,6 +30,32 @@ def test_block1_odds_match_a_monte_carlo_of_the_mixture():
     rng = np.random.default_rng(3)
     counts = rng.poisson(own, size=(draws, len(own))) + rng.poisson(shared, size=(draws, 1))
     hits = int(np.all(np.abs(counts - TARGET) <= REL * TARGET, axis=1).sum())
+    assert abs(hits - draws * odds) <= 5 * math.sqrt(draws * odds * (1 - odds)), (hits, draws * odds)
+
+
+def equal_ratio_p(counts):
+    """equal_ratio_chisquare's p-value of each row of counts."""
+    expected = counts.mean(axis=-1, keepdims=True)
+    return stats.chi2.sf(((counts - expected) ** 2 / expected).sum(axis=-1), counts.shape[-1] - 1)
+
+
+def test_criterion_4_odds_match_a_monte_carlo_of_poisson_pair_counters():
+    split, bunching = criterion4_means()
+    assert np.allclose(split, 3191.376, atol=1e-3)  # one null for both split models
+    assert [poisson_ceiling(bunching[key]) for key in CROSS_SIDE_PAIRS] == [3] * 4
+    odds = criterion4_odds(bunching)
+    assert odds == pytest.approx(0.99**2 * 0.99995, abs=5e-5)  # ~0.980
+    # per draw, the four reference pair counters of each block-2 run and the
+    # bunching run's six pair counters, all independent Poisson, through
+    # criterion 4's three tests
+    draws = 100_000
+    rng = np.random.default_rng(4)
+    split_ok = np.all(equal_ratio_p(rng.poisson(split, size=(draws, *np.shape(split)))) > EQUAL_RATIO_P, axis=1)
+    pairs = dict(zip(PAIR_KEYS, rng.poisson([bunching[key] for key in PAIR_KEYS], size=(draws, len(PAIR_KEYS))).T))
+    bunching_ok = equal_ratio_p(np.stack([pairs[key] for key in REFERENCE_PAIRS], axis=1)) < BUNCHING_P
+    cross_ok = np.all([pairs[key] <= poisson_ceiling(bunching[key]) for key in CROSS_SIDE_PAIRS], axis=0)
+    assert bunching_ok.all()
+    hits = int((split_ok & bunching_ok & cross_ok).sum())
     assert abs(hits - draws * odds) <= 5 * math.sqrt(draws * odds * (1 - odds)), (hits, draws * odds)
 
 

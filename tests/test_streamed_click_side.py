@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bunchsim import photon_source
-from bunchsim.cli_harness import parse_config
+from bunchsim.cli_harness import parse_config, run_experiment
 from bunchsim.coincidence_unit import CcuConfig, counter_values
 from bunchsim.detector_bank import Detector, DetectorConfig, apply_dead_time, dark_events
 from bunchsim.photon_source import CHUNK_SLOTS, STREAM_DARK, SourceConfig, num_chunks, substream
@@ -196,7 +196,7 @@ STREAM_CASES = (
         (1300, 3_000_000.0, 10_000_000, 1e5, 5_000),  # reach 37 us: across several edges, dead time beyond a chunk
         (1300, 350.0, 22_000, 1e5, 500_000),  # clusters cut at gaps > 1 us, a few per chunk
         (1300, 350.0, 22_000, 1e5, 2_500_000),  # gaps > 5 us, most of a chunk: no cluster closes
-        (0, 350.0, 22_000, 2e10, 5_000),  # no slot, so no chunk: ~1000 darks per detector
+        (0, 350.0, 22_000, 2e10, 5_000),  # no slot, so one empty chunk: ~1000 darks per detector
         # a dead time of 10 slots: a reset gap is a dead time wide, far more
         # than a cluster edge
         (1300, 350.0, 1_000_000, 1e5, 5_000),
@@ -304,16 +304,36 @@ def test_the_darks_tile_the_chunk_jobs(monkeypatch, slots, jitter_ps, dead_time_
     src, detectors = configs[0].source, configs[0].detectors
     dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
     darks = [args[6] for fn, args in _InlinePool.calls if fn is _chunk_job]
-    assert len(darks) == num_chunks(src)
-    if darks:
+    if slots:
+        assert len(darks) == num_chunks(src)
         for m in range(len(configs)):
             for det in Detector:
                 joined = np.concatenate([tiles[m][det] for tiles in darks])
                 assert joined.tobytes() == dark[det].tobytes(), (m, det.label)
-    else:  # a run of no chunk still counts its darks
+    else:  # a run of no slot is one empty chunk, which runs in process and counts every dark
+        assert num_chunks(src) == 1 and _InlinePool.calls == []
         for tally, (_, ref_tally) in zip(tallies, whole_stream_runs(configs)):
             assert list(counter_values(tally)) == list(counter_values(ref_tally))
         assert all(tally.singles[det] for tally in tallies for det in Detector)
+
+
+def test_a_run_of_no_slot_is_one_empty_chunk(tmp_path):
+    # 1e-7 s at 1e6 slots/s holds no whole slot: the run is chunk 0 with no
+    # slot, whose job counts the ~1e5 darks per detector as its interior,
+    # and it reports its progress as every other run does, at any worker count
+    flags = {"model": "classical", "mean_photon_number": 0.5, "slot_rate": 1e6, "acquisition_s": 1e-7,
+             "dark_rate": 1e12, "seed": 3, "events_format": "binary"}
+    assert num_chunks(SourceConfig(0.5, 1e6, 1e-7, 3)) == 1
+    files = {}
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        calls = []
+        cfg = parse_config("", {**{key: str(value) for key, value in flags.items()}, "output_dir": str(out)})
+        tally, _ = run_experiment(cfg, workers=workers, progress=lambda *done: calls.append(done))
+        assert calls == [(1, 1)]
+        assert all(tally.singles[det] for det in Detector)
+        files[workers] = {name: (out / name).read_bytes() for name in ("tally.csv", "analysis.csv", "run.json", "events.bin")}
+    assert files[1] == files[2]
 
 
 def test_the_events_between_two_interiors_make_one_job(monkeypatch):
