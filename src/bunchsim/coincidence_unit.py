@@ -287,20 +287,9 @@ def _pieces(streams: dict, config: CcuConfig):
     yield {det: t[a:] for det, t, a in zip(Detector, times, start)}
 
 
-def _count_piece(streams: dict, config: CcuConfig) -> tuple[dict, dict]:
-    """(pair counts, triple counts) of one piece, read from one set of clusters.
-
-    A piece whose events all lie alone keeps no event in its clusters, and
-    every counter of it is 0.
-    """
-    clusters = _clusters(streams, 2 * int(config.window_ps))
-    if not clusters.keys.size:
-        return dict.fromkeys(PAIR_KEYS, 0), dict.fromkeys(TRIPLE_KEYS, 0)
-    return count_pairs(clusters, config), count_triples(clusters, config)
-
-
 def _time_ordered(t: np.ndarray) -> bool:
-    """Whether t never decreases, compared _MERGE_STEP steps at a time."""
+    """Whether t never decreases, compared _MERGE_STEP steps at a time: one
+    whole-stream compare would be the only stream-length temporary of accumulate."""
     blocks = (t[lo : lo + _MERGE_STEP + 1] for lo in range(0, t.size - 1, _MERGE_STEP))
     return not any(np.any(b[1:] < b[:-1]) for b in blocks)
 
@@ -328,9 +317,12 @@ def accumulate(streams: dict, config: CcuConfig) -> TallyTable:
         clean[det] = t
     pairs, triples = dict.fromkeys(PAIR_KEYS, 0), dict.fromkeys(TRIPLE_KEYS, 0)
     for piece in _pieces(clean, config):
-        for total, found in zip((pairs, triples), _count_piece(piece, config)):
-            for key, n in found.items():
-                total[key] += n
+        clusters = _clusters(piece, 2 * int(config.window_ps))
+        if clusters.keys.size:  # a piece whose events all lie alone counts 0
+            for total, found in ((pairs, count_pairs(clusters, config)), (triples, count_triples(clusters, config))):
+                for key, n in found.items():
+                    total[key] += n
+        del clusters  # a piece's arrays go before the next piece is cut
     return TallyTable({det: int(clean[det].size) for det in Detector}, pairs, triples, config.acquisition_s)
 
 

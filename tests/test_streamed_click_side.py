@@ -518,3 +518,18 @@ def test_chunk_job_lets_go_of_what_it_has_counted(monkeypatch):
     [(head, interior, tail, _)] = counted
     assert not clicks and not any(t.size for t in (*head.values(), *tail.values()))
     assert sum(interior.tally.singles.values()) > 0 and interior.piece is None
+
+
+def test_a_chunks_count_never_raises_its_draws_peak():
+    # bright-replay's one chunk (classical, mean 1.0, 0.05 s, seed 11), its
+    # events kept for the dump: the draw and the whole job both peak at
+    # ~24.9 MiB traced. A _simulate_chunk that yields model by model holds
+    # the slot offsets through each count and took the job to ~25.9 MiB;
+    # list() measures such a draw whole too
+    config = parse_config("", {"model": "classical", "mean_photon_number": 1.0, "acquisition_s": 0.05, "seed": 11}).sim_config()
+    src, detectors = config.source, config.detectors
+    [span] = _spans(src, detectors)
+    dark = dark_events(detectors, src.duration, substream(11, STREAM_DARK))
+    draw = traced_peak(lambda: list(_simulate_chunk(src, detectors, [config.model], 0)))
+    job = traced_peak(_chunk_job, src, detectors, [config.model], config.ccu, True, span, [dark], 0)
+    assert job <= draw + 0.5 * 2**20
