@@ -286,16 +286,12 @@ class _ClickSide:
             "triples": dict.fromkeys(TRIPLE_KEYS, 0),
         }
 
-    def _merge(self, events: dict) -> None:
-        """Buffer sorted raw events, popped once merged."""
-        for det in Detector:
-            self.raw[det] = np.concatenate([self.raw[det], events.pop(det)])
-            self.raw[det].sort(kind="stable")  # a merge of sorted runs
-
     def feed(self, events: dict, watermark: int) -> None:
         """Take sorted raw events, popping them once merged, and count up to
         the last closed cluster edge below watermark."""
-        self._merge(events)
+        for det in Detector:
+            self.raw[det] = np.concatenate([self.raw[det], events.pop(det)])
+            self.raw[det].sort(kind="stable")  # a merge of sorted runs
         # no view of a buffer outlives the edge search or its detector's
         # count, so each pre-feed buffer goes once its remainder replaces it
         edge = coincidence_unit.closed_edge(
@@ -321,18 +317,18 @@ class _ClickSide:
 
         Every buffered event lies below the chunk's span (_spans) and the
         head below the interior, so a reset gap closes them all: the head is
-        fed at _END and the interior's count queued as feed queues a job's.
-        The tail waits raw for the next chunk's head, so that the events
-        between two interiors make one job, which carries the first
-        interior's last registered times. With no interior, the head holds
-        every event and is fed up to the watermark.
+        fed at _END, which empties every buffer, and the interior's count
+        queued as feed queues a job's. The tail is then the buffer, so that
+        the events between two interiors make one job, which carries the
+        first interior's last registered times. With no interior, the head
+        holds every event and is fed up to the watermark.
         """
         if counted is None:
             self.feed(head, watermark)
             return
         self.feed(head, _END)
         self.pending.append(_done(counted))
-        self._merge(tail)
+        self.raw = tail
         self._take_done()
 
     def _take_done(self, wait: bool = False) -> None:

@@ -2,14 +2,19 @@
 
 The tracer looks each site up at run time and skips a missing one, so a
 renamed or moved function shows up there only as an absent per-layer
-metric. This reads its CALL_SITES and resolves each site here instead.
+metric. This reads its CALL_SITES and resolves each site here instead, and
+runs the benchmark's one pooled traced operation at full length.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # sites whose function the program no longer calls through that module
 STALE = {"bunchsim.cli_harness.accumulate", "bunchsim.simulate.chunk_arrays"}
@@ -86,3 +91,17 @@ def test_traced_chunked_run_enters_every_dark_into_dead_time_once(tmp_path, monk
     counts = tracer.counts
     assert counts["dark_clicks"] > 4 * 20 * 40
     assert counts["candidate_clicks"] + counts["dark_clicks"] == counts["merged_events"]
+
+
+def test_benchmarks_pooled_traced_compare_passes_its_checks():
+    # perfbench's own smoke tests run compare-3model at 0.005 s, one chunk,
+    # so no pool starts; at full length its 19 chunks go through a 2-worker
+    # pool, and the counts of its traced 1-worker operation must equal those
+    # of the pooled traced ones. It writes only under .perfbench/.
+    command = [sys.executable, "perfbench/run.py", "--workload", "compare-3model",
+               "--seed", "5", "--seconds", "0", "--trace", "1"]
+    # run.py starts no operation that could end past 160 s
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, done.stdout
