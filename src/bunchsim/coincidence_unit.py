@@ -18,10 +18,10 @@ of its detectors and none missing need the greedy walk.
 
 The same gaps bound memory: accumulate cuts the streams into pieces of
 about 4 * _MERGE_STEP events at cluster edges, counts each piece from its
-own merged timeline and adds the counts. closed_edge finds the last gap
-wider than a spread, for these pieces and for the streamed click side of
-simulate, which filters and counts raw events up to the edge; opened_edge,
-its mirror, finds the first, where simulate's chunk job starts counting.
+own merged timeline and adds the counts. gap_edges finds the first and the
+last gap wider than a spread between two bounds, for these pieces and for
+the streamed click side of simulate, which filters and counts raw events
+up to the last edge, and whose chunk job counts between the two.
 """
 
 from __future__ import annotations
@@ -156,58 +156,49 @@ def _clusters(streams: dict, spread: int) -> _Clusters:
     return _Clusters(keys, cluster, one, some, only.reshape(4, n))
 
 
-def closed_edge(streams, watermark: int, spread: int) -> int:
-    """A time c that no cluster cut at gaps > spread spans, so the events below
-    c can be counted apart from those at or above it.
+def gap_edges(streams, lo: int, hi: int, spread: int) -> tuple[int, int] | None:
+    """(first, last): the times just after the first and the last gap > spread
+    of the merged timeline of lo, the sorted per-detector times of streams
+    in [lo, hi], and hi; None if it has no such gap.
 
-    streams are sorted per-detector times below watermark, and every event
-    still to come lies at or above it. c follows the last gap > spread of
-    their merged timeline closed by watermark; _clusters cuts at spread =
-    2 * window. With no such gap, c is the first event and nothing lies
-    below it.
-
-    The search goes back from watermark: it merges only the events at or
-    above watermark - span, the suffix of the timeline, and doubles span
-    until that suffix holds a gap or every event. So it costs the events
-    after the last gap, however far back that gap lies; c is watermark
-    when the first span holds no event.
+    A bound more than spread from every event is a gap itself: a far lower
+    bound makes first the first event, and last too where no other gap
+    lies. The bounds stay Python ints, as a far one's distance wraps in
+    int64. Each edge is searched inward from its bound, so it costs the
+    events between that bound and the nearest gap.
     """
-    watermark, spread = int(watermark), int(spread)
+    lo, hi, spread = int(lo), int(hi), int(spread)
+    streams = [t for t in streams if len(t)]
+    if not streams:
+        return (hi, hi) if hi - lo > spread else None
+    head, tail = min(int(t[0]) for t in streams), max(int(t[-1]) for t in streams)
+    first = head if head - lo > spread else _inner_gap(streams, head, tail, spread, forward=True)
+    if first is None:  # no gap below the last event
+        return (hi, hi) if hi - tail > spread else None
+    last = hi if hi - tail > spread else _inner_gap(streams, head, tail, spread, forward=False)
+    return first, head if last is None else last  # with no gap between events, lo's is the last
+
+
+def _inner_gap(streams, head: int, tail: int, spread: int, forward: bool) -> int | None:
+    """The event just after the first gap > spread between the events of
+    streams, the last if not forward, or None: merged only within span of
+    head (tail), span doubling until that holds a gap or every event."""
     span = 2 * spread + 2
-    if all(t[-1] < watermark - span for t in streams if len(t)):
-        return watermark
-    first = min(int(t[0]) for t in streams if len(t))
     while True:
-        whole = watermark - span <= first
-        suffix = [t if whole else t[np.searchsorted(t, watermark - span) :] for t in streams]
-        times = np.concatenate([*suffix, [watermark]])
+        whole = tail - head <= span
+        if whole:
+            part = streams
+        elif forward:
+            part = [t[: np.searchsorted(t, head + span, "right")] for t in streams]
+        else:
+            part = [t[np.searchsorted(t, tail - span) :] for t in streams]
+        times = np.concatenate(part)
         times.sort(kind="stable")  # a merge of sorted runs
         gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
-        if gaps.size or whole:
-            return int(times[gaps[-1] + 1] if gaps.size else times[0])
-        span *= 2
-
-
-def opened_edge(streams, floor: int, spread: int) -> int | None:
-    """The first event after the first gap > spread, or None: closed_edge's mirror.
-
-    streams are sorted per-detector times above floor, and every earlier
-    event lies at or below it, so floor opens their merged timeline. The
-    search goes forward from floor through the prefix of events at or below
-    floor + span, and doubles span until that prefix holds a gap or every
-    event.
-    """
-    floor, spread = int(floor), int(spread)
-    last = max((int(t[-1]) for t in streams if len(t)), default=floor)
-    span = 2 * spread + 2
-    while True:
-        whole = floor + span >= last
-        prefix = [t if whole else t[: np.searchsorted(t, floor + span, "right")] for t in streams]
-        times = np.concatenate([[floor], *prefix])
-        times.sort(kind="stable")
-        gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
-        if gaps.size or whole:
-            return int(times[gaps[0] + 1]) if gaps.size else None
+        if gaps.size:
+            return int(times[gaps[0 if forward else -1] + 1])
+        if whole:
+            return None
         span *= 2
 
 
@@ -267,20 +258,22 @@ def _pieces(streams: dict, config: CcuConfig):
     Every _MERGE_STEP-th event of each stream is a mark, and every fourth
     mark in time order a candidate c: about 4 * _MERGE_STEP events apart,
     whether the clicks fall on one detector or spread over four. The cut
-    near c is closed_edge of the events below c, with c, an event, as the
-    watermark. The events below the previous candidate hold no gap after
-    the last cut, which that candidate's search would have found, so only
-    the events from it on are searched. Where they hold no gap either, the
-    piece grows to the next candidate.
+    near c is the last gap edge (gap_edges) of the events below c, bounded
+    by c, an event, and -1 - spread, a gap below every event at or above 0.
+    The events below the previous candidate hold no gap after the last cut,
+    which that candidate's search would have found, so only the events from
+    it on are searched. Where they hold no gap either, the edge is their
+    first event and the piece grows to the next candidate.
     """
     times = [streams[det] for det in Detector]
+    spread = 2 * int(config.window_ps)
     marks = np.sort(np.concatenate([t[_MERGE_STEP::_MERGE_STEP] for t in times]))
     start = lo = [0] * len(times)
     for c in marks[len(times) - 1 :: len(times)].tolist():
         hi = [int(np.searchsorted(t, c)) for t in times]
-        edge = closed_edge([t[a:b] for t, a, b in zip(times, lo, hi)], c, 2 * int(config.window_ps))
+        _, edge = gap_edges([t[a:b] for t, a, b in zip(times, lo, hi)], -1 - spread, c, spread)
         cut = [int(np.searchsorted(t, edge)) for t in times]
-        if cut != lo:  # closed_edge found a gap: edge is past the first event searched
+        if cut != lo:  # a gap lies past the first event searched
             yield {det: t[a:b] for det, t, a, b in zip(Detector, times, start, cut)}
             start = cut
         lo = hi

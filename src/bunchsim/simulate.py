@@ -254,14 +254,14 @@ class _ClickSide:
     darks, and a watermark, the time no later event lies below. One buffer
     per detector holds the raw events not yet counted. Each feed finds the
     last closed cluster edge of the buffered events below the watermark
-    (coincidence_unit), submits dead time, the cut at the acquisition end
-    and counting of the events below it as a job (_count), and keeps the
-    rest raw. Dead time only removes events, so a gap of more than
-    2 * window in the raw timeline is at least as wide in the registered
-    one, and no coincidence spans it. Each event is filtered and counted
-    exactly once and in time order, so the result equals the whole-stream
-    pass: merge, sort, apply_dead_time, cut at the acquisition end and
-    accumulate.
+    (coincidence_unit.gap_edges), submits dead time, the cut at the
+    acquisition end and counting of the events below it as a job (_count),
+    and keeps the rest raw. Dead time only removes events, so a gap of more
+    than 2 * window in the raw timeline is at least as wide in the
+    registered one, and no coincidence spans it. Each event is filtered and
+    counted exactly once and in time order, so the result equals the
+    whole-stream pass: merge, sort, apply_dead_time, cut at the acquisition
+    end and accumulate.
 
     submit runs a job: in process by default, or pool.submit, so that with
     a pool the main process counts nothing itself. A chunk's interior comes
@@ -294,8 +294,8 @@ class _ClickSide:
             self.raw[det].sort(kind="stable")  # a merge of sorted runs
         # no view of a buffer outlives the edge search or its detector's
         # count, so each pre-feed buffer goes once its remainder replaces it
-        edge = coincidence_unit.closed_edge(
-            [t[: np.searchsorted(t, watermark)] for t in self.raw.values()], watermark, 2 * int(self.ccu.window_ps)
+        _, edge = coincidence_unit.gap_edges(
+            [t[: np.searchsorted(t, watermark)] for t in self.raw.values()], _START, watermark, 2 * self.ccu.window_ps
         )
         closed = {}
         for det in Detector:
@@ -359,24 +359,24 @@ def _count_interior(events: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_
     registered whatever came before it, and no coincidence cluster spans the
     gap. So dead time with no carried time, the cut at the acquisition end
     and counting on the interior's events give the whole-stream pass's
-    counts of them. The span's start less 1 and its end close the timeline,
-    as no event lies between them and the span; the first chunk's interior
-    starts at _START and the last one's ends at _END. head holds the events
-    below lo, every event when no interior lies between two gaps, and tail
-    those at or above hi.
+    counts of them. The span's start less 1 and its end bound the timeline
+    (coincidence_unit.gap_edges), as no event lies between them and the
+    span; the first chunk's, -2^63, is a gap below every event, so its
+    interior starts at its first event. head holds the events below lo,
+    every event when no interior lies between two gaps, and tail those at
+    or above hi.
     """
     start, end = span
     spread = max(dead_time_ps, 2 * int(ccu.window_ps) + 1) - 1  # a reset gap is wider than spread
     inside = [t[np.searchsorted(t, start) : np.searchsorted(t, end)] for t in events.values()]
-    lo = start if start == _START else coincidence_unit.opened_edge(inside, start - 1, spread)
-    hi = coincidence_unit.closed_edge(inside, end, spread)
+    edges = coincidence_unit.gap_edges(inside, start - 1, end, spread)
     del inside  # its views would pin each row past its dead time
-    if lo is None or lo >= hi:
+    if edges is None or edges[0] >= edges[1]:
         return events, None, dict.fromkeys(Detector, _EMPTY)
     head, interior, tail = {}, {}, {}
     for det in Detector:
         t = events.pop(det)  # each detector's row goes once filtered
-        a, b = np.searchsorted(t, (lo, hi))
+        a, b = np.searchsorted(t, edges)
         head[det], interior[det], tail[det] = t[:a].copy(), t[a:b], t[b:].copy()
     del t
     return head, _count(interior, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece), tail

@@ -34,13 +34,27 @@ the accidental mean 2 * (5 ns) * 27^2 * (1 s) = 7.3e-6. That quantile is 0,
 so every pair counter must read 0. The odds treat the singles and the pair
 counters as independent, which leaves out only the pair counters' slight
 rise with the singles.
+
+test_simulation_matches_predictions (tests/test_statistics.py) asks each of
+the 14 counters of one run to lie in the central (1 - 1e-4) Poisson interval
+of predicted_rates' mean, or at 0 where that mean is 0. predicted_rates
+gives triples no dark term, but a dark within 2 * window of a slot in which
+the other two detectors of a triple counter fire makes a triple: at the
+triple width 2 * window, accidental_pair_rate(pair rate, dark rate,
+2 * window) of them per second. Under bunching a slot lights one side only,
+so these are a triple counter's only counts, and its band is (0, 0). The
+odds take every counter as an independent Poisson count with that term
+added, which leaves out the singles' and pairs' shared clicks; the triples
+make all but ~1e-3 of the shortfall.
 """
 
 from __future__ import annotations
 
 import math
 
-from bunchsim.coincidence_unit import CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS, TRIPLE_KEYS
+from scipy import stats
+
+from bunchsim.coincidence_unit import COUNTERS, CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS, TRIPLE_KEYS
 from bunchsim.detector_bank import Detector
 from bunchsim.routing_models import RoutingModel
 from bunchsim.statistics import (
@@ -54,6 +68,7 @@ from bunchsim.statistics import (
 TARGET, REL = 2.3, 0.35  # criterion 3's triple band: |T - 2.3| <= 0.35 * 2.3
 DARK_RATE, DARK_BAND = 27.0, 16  # criterion 7's singles band: |S - 27| <= 16 in 1 s
 PAIR_QUANTILE, WINDOW_PS = 1 - 1e-4, 5_000  # criterion 7's pair ceiling, and criterion 4's
+PREDICTION_MASS = 1 - 1e-4  # test_simulation_matches_predictions' central Poisson interval
 EQUAL_RATIO_P, BUNCHING_P = 0.01, 1e-6  # criterion 4: p above the one for the split models, below the other
 
 
@@ -124,3 +139,32 @@ def criterion4_odds(bunching):
         sum(pmf(k, bunching[key]) for k in range(poisson_ceiling(bunching[key]) + 1)) for key in CROSS_SIDE_PAIRS
     )
     return (1 - EQUAL_RATIO_P) ** 2 * cross
+
+
+def prediction_means(model, mean_photon_number, duration, dark_rate=DARK_RATE):
+    """Per counter name, (its band, its Poisson mean) in one run of
+    test_simulation_matches_predictions: 1e7 slots/s, efficiency 0.5828.
+
+    The band is the test's, from predicted_rates. The mean adds the
+    photon-pair x dark accidental triples that predicted_rates omits."""
+    slot_rate, efficiency = 1e7, 0.5828
+    prediction = predicted_rates(model, mean_photon_number, slot_rate, efficiency, dark_rate, WINDOW_PS)
+    table = click_pattern_table(model, mean_photon_number, efficiency)
+
+    def fire(dets):  # rate of slots in which every detector of dets fires
+        return slot_rate * sum(p for mask, p in enumerate(table) if all(mask >> det & 1 for det in dets))
+
+    out = {}
+    for name, group, key in COUNTERS:
+        predicted = getattr(prediction, group)[key] * duration
+        mean = predicted
+        if group == "triples":
+            pairs = (fire([d for d in key if d != dark]) for dark in key)
+            mean += sum(accidental_pair_rate(rate, dark_rate, 2 * WINDOW_PS) for rate in pairs) * duration
+        out[name] = stats.poisson.interval(PREDICTION_MASS, predicted) if predicted > 0 else (0, 0), mean
+    return out
+
+
+def prediction_odds(means):
+    """P(every counter, ~ Poisson(mean), lies in its band), all independent."""
+    return math.prod(stats.poisson.cdf(hi, mu) - stats.poisson.cdf(lo - 1, mu) for (lo, hi), mu in means.values())

@@ -257,24 +257,13 @@ def enumerated_click_table(model: RoutingModel, mean_photon_number: float, effic
     return table.tolist()
 
 
-def closed_edge(streams, watermark: int, config) -> int:
-    """coincidence_unit.closed_edge by one sort of every event: the first
-    event after the last gap > 2 * window of the merged timeline closed by
-    watermark, or the first event if there is no such gap."""
-    times = np.concatenate([*streams, [watermark]])
-    times.sort(kind="stable")
-    gaps = np.flatnonzero(times[1:] - times[:-1] > 2 * int(config.window_ps))
-    return int(times[gaps[-1] + 1] if gaps.size else times[0])
-
-
-def opened_edge(streams, floor: int, spread: int):
-    """coincidence_unit.opened_edge by one sort of every event: the first event
-    after the first gap > spread of the merged timeline opened by floor, or
-    None if there is no such gap."""
-    times = np.concatenate([[floor], *streams])
-    times.sort(kind="stable")
-    gaps = np.flatnonzero(times[1:] - times[:-1] > spread)
-    return int(times[gaps[0] + 1]) if gaps.size else None
+def gap_edges(streams, lo: int, hi: int, spread: int):
+    """coincidence_unit.gap_edges by one sort of every event, in Python ints:
+    (first, last), the times just after the first and the last gap > spread
+    of the merged timeline of lo, the events and hi, or None if it has none."""
+    times = sorted([lo, *(int(t) for stream in streams for t in stream), hi])
+    gaps = [i for i in range(1, len(times)) if times[i] - times[i - 1] > spread]
+    return (times[gaps[0]], times[gaps[-1]]) if gaps else None
 
 
 def whole_stream_click_side(chunk_clicks, dark: dict, dead_time_ps: int, ccu):

@@ -24,7 +24,7 @@ from bunchsim.coincidence_unit import (
     tally_to_csv,
     tally_to_json,
 )
-from bunchsim.coincidence_unit import _clusters, _greedy, _pieces, closed_edge, opened_edge
+from bunchsim.coincidence_unit import _clusters, _greedy, _pieces, gap_edges
 from bunchsim.detector_bank import MAX_PS, Detector
 from oracles import streams_from_events, traced_peak
 import oracles
@@ -291,12 +291,13 @@ def test_accumulate_holds_no_stream_length_temporary():
 
 @st.composite
 def edge_cases(draw):
-    """(streams below watermark, watermark, config) for closed_edge.
+    """(streams below watermark, watermark, config) for gap_edges.
 
     Events lie at gaps below the watermark, each at or within 2 * window of
     the one above it or beyond, so the last gap > 2 * window lies within
-    closed_edge's first span, further back, or nowhere. An event may click
-    on several detectors at once, and a stream may be empty.
+    the search's first span back from the watermark, further back, or
+    nowhere. An event may click on several detectors at once, and a stream
+    may be empty.
     """
     window = draw(st.integers(1, 50) | st.integers(1, MAX_PS - 1))
     spread = 2 * window
@@ -312,25 +313,37 @@ def edge_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_cases())
-@example(([np.arange(0, 100, 10)] * 4, 100, CcuConfig(window_ps=10, acquisition_s=1.0)))  # no gap at all
-@example(([np.array([0, *range(100, 200, 10)])] * 4, 200, CcuConfig(window_ps=10, acquisition_s=1.0)))  # gap far back
-@example(([np.empty(0, dtype=np.int64)] * 4, 7, CcuConfig(window_ps=MAX_PS - 1, acquisition_s=1.0)))
-def test_closed_edge_searches_back_to_the_last_gap(case):
+@given(edge_cases(), st.none() | st.integers(0, 200) | st.integers(0, 2**62))
+@example(([np.arange(0, 100, 10)] * 4, 100, CcuConfig(window_ps=10, acquisition_s=1.0)), None)  # no gap at all
+@example(([np.array([0, *range(100, 200, 10)])] * 4, 200, CcuConfig(window_ps=10, acquisition_s=1.0)), None)  # gap far back
+@example(([np.empty(0, dtype=np.int64)] * 4, 7, CcuConfig(window_ps=MAX_PS - 1, acquisition_s=1.0)), None)
+def test_gap_edges_searches_inward_to_the_first_and_last_gap(case, below):
+    # the watermark closes the timeline above; below it lies the lower
+    # bound, `below` ps under the first event, or far, at -2^63, as the
+    # click side passes. The case mirrored in time searches the other way
     streams, watermark, config = case
-    assert closed_edge(streams, watermark, 2 * config.window_ps) == oracles.closed_edge(streams, watermark, config)
-
-
-@settings(max_examples=300, deadline=None)
-@given(edge_cases())
-@example(([np.arange(0, 100, 10)] * 4, 100, CcuConfig(window_ps=10, acquisition_s=1.0)))  # no gap at all
-@example(([np.empty(0, dtype=np.int64)] * 4, 7, CcuConfig(window_ps=MAX_PS - 1, acquisition_s=1.0)))
-def test_opened_edge_searches_forward_to_the_first_gap(case):
-    # closed_edge's cases mirrored in time: the watermark becomes the floor
-    streams, watermark, config = case
-    mirrored = [-t[::-1] for t in streams]
     spread = 2 * config.window_ps
-    assert opened_edge(mirrored, -watermark, spread) == oracles.opened_edge(mirrored, -watermark, spread)
+    lo = -(2**63) if below is None else min([watermark, *(int(t[0]) for t in streams if t.size)]) - below
+    mirrored = [-t[::-1] for t in streams]
+    for events, a, b in ((streams, lo, watermark), (mirrored, -watermark, -lo)):
+        assert gap_edges(events, a, b, spread) == oracles.gap_edges(events, a, b, spread)
+
+
+@pytest.mark.parametrize("near", [0, 2**53])
+def test_gap_edges_keeps_far_bounds_and_large_times_exact(near):
+    # the first chunk's lower bound and the last chunk's upper one: their
+    # distance to an event wraps in int64, and times past 2^53, an odd one
+    # here, lose their last bit in float64, as an empty list would make a
+    # concatenation
+    lo, hi = -(2**63), 2**63 - 1
+    events = near + np.array([1, 3, 4, 9], dtype=np.int64)
+    streams = [events[:2], events[2:], np.empty(0, dtype=np.int64), []]
+    assert gap_edges(streams, lo, hi, 1) == (near + 1, hi)
+    assert gap_edges(streams, lo, near + 9, 4) == (near + 1, near + 9)
+    assert gap_edges(streams, near + 1, hi, 1) == (near + 3, hi)
+    for a, b in ((lo, hi), (lo, near + 9), (near + 1, hi), (near + 1, near + 9)):
+        for spread in (0, 1, 2, 4, 5, 2**62):
+            assert gap_edges(streams, a, b, spread) == oracles.gap_edges(streams, a, b, spread), (a, b, spread)
 
 
 def test_a_piece_with_no_partnered_event_skips_the_counters(monkeypatch):

@@ -16,10 +16,16 @@ from gate_odds import (
     dark_floor_means,
     dark_floor_odds,
     poisson_ceiling,
+    prediction_means,
+    prediction_odds,
 )
 from scipy import stats
 
-from bunchsim.coincidence_unit import CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS
+from bunchsim.coincidence_unit import CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS, TRIPLE_KEYS, counter_name
+from bunchsim.detector_bank import DetectorConfig
+from bunchsim.photon_source import SourceConfig
+from bunchsim.routing_models import RoutingModel
+from bunchsim.simulate import SimConfig, simulate
 
 
 def test_block1_odds_match_a_monte_carlo_of_the_mixture():
@@ -82,3 +88,35 @@ def test_dark_floor_odds_match_a_monte_carlo_of_poisson_darks():
         passed[draw[1:][paired]] = False
         hits += int(passed.sum())
     assert abs(hits - draws * odds) <= 5 * math.sqrt(draws * odds * (1 - odds)), (hits, draws * odds)
+
+
+def test_bunching_prediction_odds_match_a_monte_carlo_of_poisson_counters():
+    # test_simulation_matches_predictions' bunching case at mean 1.0, 0.1 s
+    means = prediction_means(RoutingModel.BUNCHING, 1.0, 0.1)
+    triples = [means[counter_name("triple", key)] for key in TRIPLE_KEYS]
+    assert all(band == (0, 0) for band, _ in triples)
+    # 0.070 per run over 200 fresh seeds, 13 of which read a triple
+    assert sum(mean for _, mean in triples) == pytest.approx(0.0690, abs=5e-5)
+    odds = prediction_odds(means)
+    assert odds == pytest.approx(0.9328, abs=5e-5)  # exp(-0.0690) = 0.9333 from the triples, the rest ~1e-4 each
+    draws = 100_000
+    rng = np.random.default_rng(6)
+    bands = np.array([band for band, _ in means.values()])
+    counts = rng.poisson([mean for _, mean in means.values()], size=(draws, len(means)))
+    hits = int(np.all((bands[:, 0] <= counts) & (counts <= bands[:, 1]), axis=1).sum())
+    assert abs(hits - draws * odds) <= 5 * math.sqrt(draws * odds * (1 - odds)), (hits, draws * odds)
+
+
+def test_accidental_triples_match_the_engine():
+    # the photon-pair x dark term is linear in the dark rate: at 81 000
+    # darks/s, 3000 times the test's, it is ~207 triples per run instead of
+    # 0.069, while the dark x dark terms stay below 1. Dead time hides ~3%
+    # of the darks behind their own detector's photon clicks
+    dark_rate, seeds = 81_000.0, (1, 2, 3)
+    means = prediction_means(RoutingModel.BUNCHING, 1.0, 0.1, dark_rate)
+    mean = len(seeds) * sum(means[counter_name("triple", key)][1] for key in TRIPLE_KEYS)
+    detectors = DetectorConfig(efficiency=0.5828, dark_rate=dark_rate)
+    runs = [SimConfig(SourceConfig(1.0, 1e7, 0.1, seed), detectors, RoutingModel.BUNCHING, WINDOW_PS) for seed in seeds]
+    seen = sum(sum(simulate(config).triples.values()) for config in runs)
+    print(f"{seen} triples against a mean of {mean:.1f}")
+    assert abs(seen - mean) <= 5 * math.sqrt(mean), (seen, mean)

@@ -188,6 +188,31 @@ def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
     assert_filtered_once(inputs, [*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
 
 
+def test_a_first_chunks_interior_starts_at_its_first_event():
+    # the first chunk's span starts at _START: its timeline opens with a gap
+    # below every event, so nothing lies below the interior. Reset gaps are
+    # wider than 10 ps here, so the interior ends at 600, after the last
+    events = {det: ints([10 + det, 20 + det, 500 + det, 900]) for det in Detector}
+    head, counted, tail = _count_interior(dict(events), (_START, 600), 0, CcuConfig(5, 1e-9), True)
+    assert counted is not None
+    for det in Detector:
+        assert head[det].size == 0
+        assert counted.piece[det].tolist() == events[det][:3].tolist()
+        assert tail[det].tolist() == [900]
+
+
+@pytest.mark.parametrize("end", [120, 200])
+def test_a_span_with_no_two_reset_gaps_has_no_interior(end):
+    # in the span's timeline from 99 to end, no gap is wider than 10 ps, or
+    # only the one before end: every event, inside the span and out, is head
+    events = {det: ints([95, 100 + det, 108 + det, 115, 300]) for det in Detector}
+    head, counted, tail = _count_interior(dict(events), (100, end), 0, CcuConfig(5, 1e-9), True)
+    assert counted is None
+    for det in Detector:
+        assert head[det].tolist() == events[det].tolist()
+        assert tail[det].size == 0
+
+
 STREAM_CASES = (
     "slots, jitter_ps, dead_time_ps, dark_rate, window_ps",
     [
