@@ -359,6 +359,8 @@ def tally_from_csv(text: str) -> TallyTable:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("not a tally CSV: bad header")
     for ln in lines[1:]:
+        if ln.count(",") != 2:
+            raise ValueError(f"tally CSV row must have 3 fields, name, count and rate_per_s: {ln!r}")
         name, count, rate = ln.split(",")
         if name not in lookup:
             raise ValueError(f"tally CSV names an unknown counter: {name!r}")

@@ -22,13 +22,15 @@ a process pool otherwise:
   detector of raw events not yet counted. The events below the last gap of
   more than 2 * window, where a coincidence cluster is closed, go through
   dead time, the cut and counting once, in a job of their own (_count)
-  that carries each detector's last registered time. A reset gap closes a
-  head, so it is counted whole and the interior's count queued after it;
-  a tail waits raw for the next head, so the events between two interiors
-  make one such job. A chunk with no interior, where the jitter's reach or
-  the dead time outlasts the span or no gap is wide enough, is fed up to
-  its watermark. A run has at least one chunk, empty if it has no slot,
-  and a one-chunk run is counted wholly in its chunk job.
+  that carries each detector's last registered time. The main process
+  waits for each job's result and adds it at once, handing its piece on. A
+  reset gap closes a head, so it is counted whole and the interior's count
+  added after it; a tail waits raw for the next head, so the events
+  between two interiors make one such job. A chunk with no interior, where
+  the jitter's reach or the dead time outlasts the span or no gap is wide
+  enough, is fed up to its watermark. A run has at least one chunk, empty
+  if it has no slot, and a one-chunk run is counted wholly in its chunk
+  job.
 
 Every job runs where the chunk jobs run, so with a pool the main process
 draws, filters and counts nothing itself, and never loads numpy.random's
@@ -235,15 +237,9 @@ def _count(events: dict, last: dict, dead_time_ps: int, ccu: CcuConfig, keep_pie
     return _Counted(coincidence_unit.accumulate(piece, ccu), last, piece if keep_piece else None)
 
 
-def _done(result) -> concurrent.futures.Future:
-    future = concurrent.futures.Future()
-    future.set_result(result)
-    return future
-
-
-def _in_process(fn, *args) -> concurrent.futures.Future:
-    """pool.submit's stand-in for a run without a pool."""
-    return _done(fn(*args))
+def _in_process(fn, *args):
+    """The job runner of a run without a pool: fn(*args), called here."""
+    return fn(*args)
 
 
 class _ClickSide:
@@ -254,7 +250,7 @@ class _ClickSide:
     darks, and a watermark, the time no later event lies below. One buffer
     per detector holds the raw events not yet counted. Each feed finds the
     last closed cluster edge of the buffered events below the watermark
-    (coincidence_unit.gap_edges), submits dead time, the cut at the
+    (coincidence_unit.gap_edges), runs dead time, the cut at the
     acquisition end and counting of the events below it as a job (_count),
     and keeps the rest raw. Dead time only removes events, so a gap of more
     than 2 * window in the raw timeline is at least as wide in the
@@ -263,23 +259,21 @@ class _ClickSide:
     whole-stream pass: merge, sort, apply_dead_time, cut at the acquisition
     end and accumulate.
 
-    submit runs a job: in process by default, or pool.submit, so that with
-    a pool the main process counts nothing itself. A chunk's interior comes
-    counted. Each count's tally is added and its piece handed to on_piece in
-    time order as they finish; a job waits for the one before it only for
-    the last registered times it carries, after an interior the interior's.
+    run(fn, *args) runs a job and returns its result: in process by
+    default, or in a pool, so that with a pool the main process counts
+    nothing itself. A chunk's interior comes counted. Each count is added
+    as soon as it is run or taken (_add), in time order: its tally is
+    summed, its piece handed to on_piece, and its last registered times
+    carried into the next job.
     """
 
-    def __init__(self, dead_time_ps: int, ccu: CcuConfig, on_piece=None, submit=_in_process):
+    def __init__(self, dead_time_ps: int, ccu: CcuConfig, on_piece=None, run=_in_process):
         self.dead_time_ps = dead_time_ps
         self.ccu = ccu
         self.raw = dict.fromkeys(Detector, _EMPTY)  # sorted raw events, not yet counted
         self.on_piece = on_piece
-        self.submit = submit
-        # the counted runs whose tally and piece are not yet taken, in time
-        # order, and each detector's last registered time in the runs taken
-        self.pending = deque()
-        self.last = dict.fromkeys(Detector)
+        self.run = run
+        self.last = dict.fromkeys(Detector)  # each detector's last registered time in the runs added
         self.counts = {
             "singles": dict.fromkeys(Detector, 0),
             "pairs": dict.fromkeys(PAIR_KEYS, 0),
@@ -304,11 +298,9 @@ class _ClickSide:
             if k:
                 self.raw[det] = self.raw[det][k:].copy()
         if any(t.size for t in closed.values()):
-            last = self.pending[-1].result().last if self.pending else self.last
-            keep_piece = self.on_piece is not None
-            self.pending.append(self.submit(_count, closed, last, self.dead_time_ps, self.ccu, keep_piece))
-        del closed
-        self._take_done()
+            counted = self.run(_count, closed, self.last, self.dead_time_ps, self.ccu, self.on_piece is not None)
+            del closed  # with a pool its views stay, pinning the pre-feed buffers through on_piece
+            self._add(counted)
 
     def take(self, head: dict, counted: _Counted | None, tail: dict, watermark: int) -> None:
         """Take one chunk job's result for this model: the raw events below
@@ -317,34 +309,31 @@ class _ClickSide:
 
         Every buffered event lies below the chunk's span (_spans) and the
         head below the interior, so a reset gap closes them all: the head is
-        fed at _END, which empties every buffer, and the interior's count
-        queued as feed queues a job's. The tail is then the buffer, so that
-        the events between two interiors make one job, which carries the
-        first interior's last registered times. With no interior, the head
-        holds every event and is fed up to the watermark.
+        fed at _END, which empties every buffer and adds its count, and the
+        interior's count is added after it, its piece handed to on_piece
+        here. The tail is then the buffer, so that the events between two
+        interiors make one job, which carries the first interior's last
+        registered times. With no interior, the head holds every event and
+        is fed up to the watermark.
         """
         if counted is None:
             self.feed(head, watermark)
             return
         self.feed(head, _END)
-        self.pending.append(_done(counted))
+        self._add(counted)
         self.raw = tail
-        self._take_done()
 
-    def _take_done(self, wait: bool = False) -> None:
-        """Add the tallies and hand on the pieces of the finished runs, in turn."""
-        while self.pending and (wait or self.pending[0].done()):
-            counted = self.pending.popleft().result()
-            self.last = counted.last
-            for _, group, key in COUNTERS:
-                self.counts[group][key] += getattr(counted.tally, group)[key]
-            if counted.piece is not None:
-                self.on_piece(counted.piece)
+    def _add(self, counted: _Counted) -> None:
+        """Add one counted run's tally, hand on its piece and carry its last registered times."""
+        self.last = counted.last
+        for _, group, key in COUNTERS:
+            self.counts[group][key] += getattr(counted.tally, group)[key]
+        if counted.piece is not None:
+            self.on_piece(counted.piece)
 
     def finish(self, metadata: dict) -> TallyTable:
         """The tally once every chunk is taken, counting the last tail at _END first."""
         self.feed(dict.fromkeys(Detector, _EMPTY), _END)
-        self._take_done(wait=True)
         return TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
 
 
@@ -444,11 +433,11 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
         tiles = [{det: t[np.searchsorted(t, lo) : np.searchsorted(t, hi)] for det, t in dark.items()} for dark in darks]
         return (src, detectors, [c.model for c in configs], base.ccu, on_piece is not None, spans[i], tiles, i)
 
-    def count(submit, results):
+    def count(run, results):
         """The tallies of the chunk jobs' results, in schedule order, with
-        every other count submitted as a job too."""
+        every other count run as a job too."""
         sinks = [None if on_piece is None else functools.partial(on_piece, m) for m in range(len(configs))]
-        sides = [_ClickSide(detectors.dead_time_ps, base.ccu, sink, submit) for sink in sinks]
+        sides = [_ClickSide(detectors.dead_time_ps, base.ccu, sink, run) for sink in sinks]
         fallback_slots = [0] * len(configs)
         for i, chunk in enumerate(results):
             for m, (head, counted, tail, fallback) in enumerate(chunk):
@@ -471,8 +460,13 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
         # looked up here, so that concurrent.futures loads its process pool,
         # and multiprocessing with it, only when a pool starts
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+
+            def run(fn, *args):
+                """One job in the pool, its result awaited."""
+                return pool.submit(fn, *args).result()
+
             # drawn in the pool too, so that the main process draws nothing
-            darks = pool.submit(_draw_darks, detectors, src, len(configs)).result()
+            darks = run(_draw_darks, detectors, src, len(configs))
 
             def results():
                 # at most 2 * workers chunks are submitted and not yet consumed,
@@ -484,7 +478,7 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
                         ahead.append(pool.submit(_chunk_job, *job(i + 2 * workers)))
                     yield result
 
-            return count(pool.submit, results())
+            return count(run, results())
     darks = _draw_darks(detectors, src, len(configs))
     return count(_in_process, (_chunk_job(*job(i)) for i in range(chunks)))
 

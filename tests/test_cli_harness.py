@@ -880,6 +880,18 @@ def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(tmp_pat
     assert "no finite, positive acquisition" in captured.err
 
 
+@pytest.mark.parametrize("fields", [2, 4])
+def test_calibrate_names_a_tally_row_without_three_fields(tally_path, tmp_path, fields, capsys):
+    lines = tally_path.read_text().splitlines()
+    row = ",".join(lines[1].split(",")[:2] if fields == 2 else [*lines[1].split(","), "0"])
+    path = tmp_path / "tally.csv"
+    path.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+    assert main(["calibrate", "--from-tally", str(path), "--mean-photon-number", "0.022"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"calibrate: tally CSV row must have 3 fields, name, count and rate_per_s: {row!r}\n" in captured.err
+
+
 def test_calibrate_reads_the_acquisition_of_a_short_run_from_its_tally(tmp_path, capsys):
     # a 0.02 s run: calibrating its tally as if it were 1 s long gave a slot rate 50x too low
     text = "model = classical\nmean_photon_number = 0.022\nseed = 1\nacquisition_s = 0.02\n"

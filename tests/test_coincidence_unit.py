@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -509,6 +510,14 @@ def test_csv_parser_rejects_garbage():
     # a second row for one counter would silently replace the first
     with pytest.raises(ValueError, match="repeats the counter \"single_A'\""):
         tally_from_csv("\n".join([*lines, "single_A',7,1.0"]) + "\n")
+
+
+@pytest.mark.parametrize("row", ["single_A',7", "single_A',7,1.0,2.0"])
+def test_csv_parser_names_a_row_without_three_fields(row):
+    # unpacked as it was, such a row raised "not enough values to unpack"
+    lines = tally_to_csv(build_tally(np.random.default_rng(29))).splitlines()
+    with pytest.raises(ValueError, match=re.escape(f"must have 3 fields, name, count and rate_per_s: {row!r}")):
+        tally_from_csv("\n".join([lines[0], row, *lines[2:]]) + "\n")
 
 
 def test_json_report_lists_published_channels():

@@ -11,7 +11,9 @@ the acquisition.
 import ast
 import concurrent.futures
 import dataclasses
+import functools
 import importlib
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -292,6 +294,75 @@ def test_pool_keeps_at_most_two_chunks_per_worker_ahead(monkeypatch):
     assert list(counter_values(tally)) == list(counter_values(simulate(config)))
 
 
+class _LazyFuture(Future):
+    """A future whose job runs only at the first result() call."""
+
+    def __init__(self, job):
+        super().__init__()
+        self.job = job
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.set_result(self.job())
+        return super().result(timeout)
+
+
+class _LazyPool(_InlinePool):
+    """A stand-in pool whose futures run their task only when their result
+    is taken. At each submit it records how many _count futures have not
+    had their result taken yet."""
+
+    counts: list = []
+    untaken: list = []
+
+    def submit(self, fn, *args):
+        self.untaken.append(sum(not future.done() for future in self.counts))
+        future = _LazyFuture(functools.partial(fn, *args))
+        if fn is _count:
+            self.counts.append(future)
+        return future
+
+
+def test_the_click_side_takes_each_count_before_the_next_job(monkeypatch):
+    # a dead time of ten slots makes jobs of the events between interiors;
+    # each one's result is taken, and its piece handed on, before the pool
+    # is given anything else, so the main process never holds a count that
+    # a pool's future still owes
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LazyPool)
+    monkeypatch.setattr(_LazyPool, "counts", [])
+    monkeypatch.setattr(_LazyPool, "untaken", [])
+    configs = stream_configs(1300, 350.0, 1_000_000, 1e5, 5_000)
+    counted = [[] for _ in configs]
+    tallies = simulate_streams(configs, workers=2, on_piece=lambda m, piece: counted[m].append(piece))
+    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(configs)):
+        assert_same_run(pieces, tally, ref_streams, ref_tally)
+    assert _LazyPool.counts and all(future.done() for future in _LazyPool.counts)
+    assert _LazyPool.untaken == [0] * len(_LazyPool.untaken)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="only a forked worker inherits CHUNK_SLOTS")
+def test_a_real_pool_at_large_mean_equals_one_worker(monkeypatch):
+    # mean 20 at 7.8e7 slots/s: the 22 ns dead time outlasts the slot and
+    # few spans hold a reset gap (none of these eight), so every count is a
+    # pool job that the click side waits for
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 14)
+    source = SourceConfig(mean_photon_number=20.0, slot_rate=7.8e7, duration=8 * (1 << 14) / 7.8e7, seed=3)
+    configs = [SimConfig(source, DetectorConfig(0.6), model, 5_000) for model in (RoutingModel.CLASSICAL, RoutingModel.BUNCHING)]
+    assert num_chunks(source) == 8
+    runs = {}
+    for workers in (1, 2):
+        counted = [[] for _ in configs]
+        tallies = simulate_streams(configs, workers=workers, on_piece=lambda m, piece: counted[m].append(piece))
+        runs[workers] = tallies, [joined(pieces) for pieces in counted]
+    (tallies, streams), (pooled_tallies, pooled_streams) = runs[1], runs[2]
+    assert pooled_tallies == tallies
+    for pooled, ref in zip(pooled_streams, streams):
+        for det in Detector:
+            assert pooled[det].tobytes() == ref[det].tobytes(), det.label
+    assert all(tally.singles[det] for tally in tallies for det in Detector)
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize(*STREAM_CASES)
 def test_pooled_chunk_jobs_equal_whole_stream_pass(monkeypatch, slots, jitter_ps, dead_time_ps, dark_rate, window_ps, workers):
@@ -364,8 +435,8 @@ def test_a_run_of_no_slot_is_one_empty_chunk(tmp_path):
 def test_the_events_between_two_interiors_make_one_job(monkeypatch):
     # a dead time of ten slots: cluster edges lie inside every tail, so a
     # tail fed on its own would make a job of its own below the watermark,
-    # and the next chunk's head would wait in the pool for its last
-    # registered times; a tail that waits raw joins the next head instead
+    # one more round trip to the pool that the main process waits for; a
+    # tail that waits raw joins the next head instead
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "submitted", [])
