@@ -20,8 +20,8 @@ The same gaps bound memory: accumulate cuts the streams into pieces of
 about 4 * _MERGE_STEP events at cluster edges, counts each piece from its
 own merged timeline and adds the counts. gap_edges finds the first and the
 last gap wider than a spread between two bounds, for these pieces and for
-the streamed click side of simulate, which filters and counts raw events
-up to the last edge, and whose chunk job counts between the two.
+simulate's chunk job, which counts between the two reset gaps of its span
+or else cuts it at its last cluster edge.
 """
 
 from __future__ import annotations

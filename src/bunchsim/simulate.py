@@ -16,21 +16,19 @@ a process pool otherwise:
   candidate reaches, between the first and the last reset gap of its
   events there, at least max(dead time, 2 * window + 1) ps wide: the event
   after one is registered whatever came before it, and no coincidence
-  cluster spans one. It returns the interior's count (_Counted) and the
-  raw events below (head) and above (tail) it;
-- the main process feeds each head in schedule order to one buffer per
-  detector of raw events not yet counted. The events below the last gap of
-  more than 2 * window, where a coincidence cluster is closed, go through
-  dead time, the cut and counting once, in a job of their own (_count)
-  that carries each detector's last registered time. The main process
-  waits for each job's result and adds it at once, handing its piece on. A
-  reset gap closes a head, so it is counted whole and the interior's count
-  added after it; a tail waits raw for the next head, so the events
-  between two interiors make one such job. A chunk with no interior, where
-  the jitter's reach or the dead time outlasts the span or no gap is wide
-  enough, is fed up to its watermark. A run has at least one chunk, empty
-  if it has no slot, and a one-chunk run is counted wholly in its chunk
-  job.
+  cluster spans one. With no interior, where the jitter's reach or the
+  dead time outlasts the span or no gap is wide enough, it cuts at the
+  span's last gap of more than 2 * window, where a coincidence cluster is
+  closed, if there is one. It returns the interior's count (_Counted) and
+  the raw events below (head) and above (tail) the interior or the cut;
+- the main process stitches the results in schedule order, with one
+  buffer per detector of raw events not yet counted. Each head goes with
+  the buffer through dead time, the cut and counting once, in a job of its
+  own (_count) that carries each detector's last registered time; the
+  interior's count follows, and the tail is then the buffer. The main
+  process waits for each job's result and adds it at once, handing its
+  piece on. A run has at least one chunk, empty if it has no slot, and a
+  one-chunk run is counted wholly in its chunk job.
 
 Every job runs where the chunk jobs run, so with a pool the main process
 draws, filters and counts nothing itself, and never loads numpy.random's
@@ -47,7 +45,7 @@ over its port row, and each detector's int16 count row is freed once its
 clicks are drawn. No full-length slot-time array is built: the slot clock
 rint(slot / slot_rate * 1e12) is evaluated only for the slots that fire,
 on int64 slot indices widened from their offsets. The click side lets go
-of each detector's pre-feed buffer once its remainder replaces it.
+of each detector's pre-feed buffer once it is merged.
 
 Several routing models run in one pass: each chunk's occupied slots are drawn
 once, then routed, split and detected once per model. The routing
@@ -242,22 +240,27 @@ def _in_process(fn, *args):
     return fn(*args)
 
 
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted events of a and b: a merge of two sorted runs, a's first at equal times."""
+    t = np.concatenate([a, b])
+    t.sort(kind="stable")
+    return t
+
+
 class _ClickSide:
     """Dead time, cut and counting of one model's events, chunk by chunk.
 
     The main process takes each chunk job's result in schedule order
-    (take). Each feed takes sorted raw events, candidates merged with their
-    darks, and a watermark, the time no later event lies below. One buffer
-    per detector holds the raw events not yet counted. Each feed finds the
-    last closed cluster edge of the buffered events below the watermark
-    (coincidence_unit.gap_edges), runs dead time, the cut at the
-    acquisition end and counting of the events below it as a job (_count),
-    and keeps the rest raw. Dead time only removes events, so a gap of more
-    than 2 * window in the raw timeline is at least as wide in the
-    registered one, and no coincidence spans it. Each event is filtered and
-    counted exactly once and in time order, so the result equals the
-    whole-stream pass: merge, sort, apply_dead_time, cut at the acquisition
-    end and accumulate.
+    (take): sorted raw events, candidates merged with their darks, cut by
+    the chunk job at a gap of more than 2 * window, where no coincidence
+    cluster spans. Dead time only removes events, so such a gap in the raw
+    timeline is at least as wide in the registered one. One buffer per
+    detector holds the raw events not yet counted, those above the last
+    cut. Each feed runs dead time, the cut at the acquisition end and
+    counting of the buffered events and the fed ones as one job (_count).
+    Each event is filtered and counted exactly once and in time order, so
+    the result equals the whole-stream pass: merge, sort, apply_dead_time,
+    cut at the acquisition end and accumulate.
 
     run(fn, *args) runs a job and returns its result: in process by
     default, or in a pool, so that with a pool the main process counts
@@ -280,48 +283,35 @@ class _ClickSide:
             "triples": dict.fromkeys(TRIPLE_KEYS, 0),
         }
 
-    def feed(self, events: dict, watermark: int) -> None:
-        """Take sorted raw events, popping them once merged, and count up to
-        the last closed cluster edge below watermark."""
+    def feed(self, events: dict) -> None:
+        """Count the buffered events and sorted raw events that no
+        coincidence cluster joins to a later event, popping them once merged."""
+        run, self.raw = self.raw, dict.fromkeys(Detector, _EMPTY)
         for det in Detector:
-            self.raw[det] = np.concatenate([self.raw[det], events.pop(det)])
-            self.raw[det].sort(kind="stable")  # a merge of sorted runs
-        # no view of a buffer outlives the edge search or its detector's
-        # count, so each pre-feed buffer goes once its remainder replaces it
-        _, edge = coincidence_unit.gap_edges(
-            [t[: np.searchsorted(t, watermark)] for t in self.raw.values()], _START, watermark, 2 * self.ccu.window_ps
-        )
-        closed = {}
-        for det in Detector:
-            k = int(np.searchsorted(self.raw[det], edge))
-            closed[det] = self.raw[det][:k]
-            if k:
-                self.raw[det] = self.raw[det][k:].copy()
-        if any(t.size for t in closed.values()):
-            counted = self.run(_count, closed, self.last, self.dead_time_ps, self.ccu, self.on_piece is not None)
-            del closed  # with a pool its views stay, pinning the pre-feed buffers through on_piece
+            run[det] = _merged(run[det], events.pop(det))  # each pre-feed buffer goes once merged
+        if any(t.size for t in run.values()):
+            counted = self.run(_count, run, self.last, self.dead_time_ps, self.ccu, self.on_piece is not None)
+            del run  # with a pool it stays unpopped, pinning the merged buffers through on_piece
             self._add(counted)
 
-    def take(self, head: dict, counted: _Counted | None, tail: dict, watermark: int) -> None:
-        """Take one chunk job's result for this model: the raw events below
-        its interior, the interior's count, None if it has none, and the raw
-        events above it.
+    def take(self, head: dict | None, counted: _Counted | None, tail: dict) -> None:
+        """Take one chunk job's result for this model (_count_interior): the
+        raw events below its cut, None if it has none, its interior's
+        count, None if it has none, and the raw events above.
 
         Every buffered event lies below the chunk's span (_spans) and the
-        head below the interior, so a reset gap closes them all: the head is
-        fed at _END, which empties every buffer and adds its count, and the
-        interior's count is added after it, its piece handed to on_piece
-        here. The tail is then the buffer, so that the events between two
-        interiors make one job, which carries the first interior's last
-        registered times. With no interior, the head holds every event and
-        is fed up to the watermark.
+        head below the cut, so the cut closes them all: the head is fed,
+        and the interior's count is added after it, its piece handed to
+        on_piece here. The tail then joins the buffer, so that the events
+        between two cuts make one job, which carries the last registered
+        times before them.
         """
-        if counted is None:
-            self.feed(head, watermark)
-            return
-        self.feed(head, _END)
-        self._add(counted)
-        self.raw = tail
+        if head is not None:
+            self.feed(head)
+        if counted is not None:
+            self._add(counted)
+        for det in Detector:
+            self.raw[det] = _merged(self.raw[det], tail.pop(det))
 
     def _add(self, counted: _Counted) -> None:
         """Add one counted run's tally, hand on its piece and carry its last registered times."""
@@ -332,8 +322,8 @@ class _ClickSide:
             self.on_piece(counted.piece)
 
     def finish(self, metadata: dict) -> TallyTable:
-        """The tally once every chunk is taken, counting the last tail at _END first."""
-        self.feed(dict.fromkeys(Detector, _EMPTY), _END)
+        """The tally once every chunk is taken, counting what is still buffered first."""
+        self.feed(dict.fromkeys(Detector, _EMPTY))
         return TallyTable(**self.counts, acquisition_s=self.ccu.acquisition_s, metadata=metadata)
 
 
@@ -351,41 +341,45 @@ def _count_interior(events: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_
     counts of them. The span's start less 1 and its end bound the timeline
     (coincidence_unit.gap_edges), as no event lies between them and the
     span; the first chunk's, -2^63, is a gap below every event, so its
-    interior starts at its first event. head holds the events below lo,
-    every event when no interior lies between two gaps, and tail those at
-    or above hi.
+    interior starts at its first event. head holds the events below lo and
+    tail those at or above hi. With no interior, lo = hi is the last gap of
+    more than 2 * window there, a cluster edge of the merged stream; with
+    none, head is None and tail holds every event.
     """
     start, end = span
     spread = max(dead_time_ps, 2 * int(ccu.window_ps) + 1) - 1  # a reset gap is wider than spread
     inside = [t[np.searchsorted(t, start) : np.searchsorted(t, end)] for t in events.values()]
     edges = coincidence_unit.gap_edges(inside, start - 1, end, spread)
+    interior = edges is not None and edges[0] < edges[1]
+    if not interior:
+        edges = coincidence_unit.gap_edges(inside, start - 1, end, 2 * int(ccu.window_ps))
+        edges = None if edges is None else (edges[1], edges[1])
     del inside  # its views would pin each row past its dead time
-    if edges is None or edges[0] >= edges[1]:
-        return events, None, dict.fromkeys(Detector, _EMPTY)
-    head, interior, tail = {}, {}, {}
+    if edges is None:
+        return None, None, events
+    head, middle, tail = {}, {}, {}
     for det in Detector:
         t = events.pop(det)  # each detector's row goes once filtered
         a, b = np.searchsorted(t, edges)
-        head[det], interior[det], tail[det] = t[:a].copy(), t[a:b], t[b:].copy()
+        head[det], middle[det], tail[det] = t[:a].copy(), t[a:b], t[b:].copy()
     del t
-    return head, _count(interior, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece), tail
+    return head, _count(middle, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece) if interior else None, tail
 
 
 def _chunk_job(src: SourceConfig, detectors: DetectorConfig, models, ccu: CcuConfig, keep_piece: bool,
-               span, darks, chunk_index: int) -> list[tuple[dict, _Counted | None, dict, int]]:
+               span, darks, chunk_index: int) -> list[tuple[dict | None, _Counted | None, dict, int]]:
     """(head, counted, tail, fallback slots) of every model for one chunk.
 
     Each model's draw is merged with its darks, one dict per model of those
-    from the previous chunk's watermark to this one's in one sort, and the
-    click side of its interior runs here (_count_interior). The same
+    from the previous chunk's watermark to this one's in one sort, and its
+    cut and the click side of its interior run here (_count_interior). The same
     function runs in process and in a pool, so only the few events near the
     chunk's edges and its interior's count travel back. Top-level for pickling.
     """
     results = []
     for (events, fallback), dark in zip(_simulate_chunk(src, detectors, models, chunk_index), darks):
         for det in Detector:
-            events[det] = np.concatenate([events[det], dark[det]])
-            events[det].sort(kind="stable")  # nearly sorted jittered clicks, then sorted darks
+            events[det] = _merged(events[det], dark[det])  # nearly sorted jittered clicks, then sorted darks
         results.append((*_count_interior(events, span, detectors.dead_time_ps, ccu, keep_piece), fallback))
     return results
 
@@ -401,8 +395,8 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
     """Run the full pipeline for configs that differ only in their model.
 
     Returns one TallyTable per config, in the order of configs. Each chunk
-    job counts its chunk's interior, and a job of its own the events
-    between two interiors, both in the pool if there is one, so no more
+    job cuts its chunk and counts its interior, and a job of its own the
+    events between two cuts, both in the pool if there is one, so no more
     than a chunk's clicks are held at a time. The pool, if there is one,
     draws the darks too, in one task before the first chunk job. on_piece,
     if given, is called as on_piece(index, piece) with the index of a
@@ -442,7 +436,7 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
         for i, chunk in enumerate(results):
             for m, (head, counted, tail, fallback) in enumerate(chunk):
                 fallback_slots[m] += fallback
-                sides[m].take(head, counted, tail, spans[i][1])
+                sides[m].take(head, counted, tail)
             if progress is not None:
                 progress(i + 1, chunks)
         return [

@@ -201,6 +201,8 @@ def calibrate(targets: ReferenceBlock | TallyTable, mean_photon_number: float | 
     on the mean singles and (q/x)^2 - 1 on the mean pair (-0.16% and -0.32%
     at block 1).
     """
+    if mean_photon_number is None and isinstance(targets, TallyTable):
+        raise ValueError("calibrating a TallyTable needs mean_photon_number")
     nbar = targets.mean_photon_number if mean_photon_number is None else mean_photon_number
     if nbar <= 0:
         raise ValueError("mean_photon_number must be > 0 for calibration")

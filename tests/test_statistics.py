@@ -278,6 +278,15 @@ def test_calibrate_rejects_inconsistent_targets():
         calibrate(dark)
 
 
+def test_calibrating_a_tally_needs_its_mean_photon_number():
+    # a TallyTable records no mean photon number, unlike a ReferenceBlock
+    block = REFERENCE_BLOCKS["block1"]
+    tally = TallyTable(block.singles, block.pairs, block.triples, block.acquisition_s)
+    with pytest.raises(ValueError, match="needs mean_photon_number"):
+        calibrate(tally)
+    assert calibrate(tally, block.mean_photon_number) == calibrate(block)
+
+
 @pytest.mark.parametrize("acquisition", [-0.01, 0.0, -0.0, math.inf, -math.inf, math.nan])
 def test_calibrate_rejects_acquisitions_that_are_not_finite_and_positive(acquisition):
     block = dataclasses.replace(REFERENCE_BLOCKS["block1"], acquisition_s=acquisition)

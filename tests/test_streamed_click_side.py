@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bunchsim import photon_source
+from bunchsim import coincidence_unit, photon_source
 from bunchsim.cli_harness import parse_config, run_experiment
 from bunchsim.coincidence_unit import CcuConfig, counter_values
 from bunchsim.detector_bank import Detector, DetectorConfig, apply_dead_time, dark_events
@@ -106,7 +106,7 @@ def click_side_cases(draw):
     edge less the reach, below which no later candidate lies. The last chunk's
     is _END or, as for any other chunk, its end less the reach, which leaves
     the rest to _ClickSide.finish; with no chunks only the darks remain, fed
-    at _END. A window up to 30 ps covers most of a chunk, so clusters stay
+    on their own. A window up to 30 ps covers most of a chunk, so clusters stay
     open across edges.
     """
     lengths = draw(st.lists(st.integers(1, 40), min_size=0, max_size=6))
@@ -141,30 +141,12 @@ def click_side_cases(draw):
      {det: ints([]) for det in Detector}],
     [7, _END], {det: ints([]) for det in Detector}, 0, CcuConfig(2, 12e-12),
 ))
-def test_streamed_click_side_equals_whole_stream_pass(case):
-    pieces, watermarks, dark, dead, ccu = case
-    ref_streams, ref_tally = whole_stream_click_side(pieces, dark, dead, ccu)
-    inputs = []
-    # patched per example, since a function-scoped fixture would span them all
-    with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs)):
-        counted = []
-        side = _ClickSide(dead, ccu, counted.append)
-        for events, watermark in zip(merged_chunks(pieces, dark, watermarks), watermarks):
-            side.feed(events, watermark)
-        if not pieces:
-            side.feed(dict(dark), _END)
-        tally = side.finish({})
-    assert_same_run(counted, tally, ref_streams, ref_tally)
-    assert_filtered_once(inputs, [*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
-
-
-@settings(max_examples=200, deadline=None)
-@given(click_side_cases())
 def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
-    # each chunk job counts its interior, and the main click side takes the
-    # rest; a span starts past every earlier candidate and the earlier
-    # watermark, and ends at the chunk's watermark, and the darks from the
-    # earlier watermark to the chunk's are merged into its candidates
+    # each chunk job cuts its chunk and counts its interior, and the main
+    # click side counts the rest; a span starts past every earlier candidate
+    # and the earlier watermark, and ends at the chunk's watermark, and the
+    # darks from the earlier watermark to the chunk's are merged into its
+    # candidates
     pieces, watermarks, dark, dead, ccu = case
     ref_streams, ref_tally = whole_stream_click_side(pieces, dark, dead, ccu)
     spans, start = [], _START
@@ -172,19 +154,20 @@ def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
         spans.append((start, end))
         start = max(start, end, *(int(t.max()) + 1 for t in clicks.values() if t.size))
     inputs = []
+    # patched per example, since a function-scoped fixture would span them all
     with mock.patch.object(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs)):
         counted = []
         side = _ClickSide(dead, ccu, counted.append)
         for events, span in zip(merged_chunks(pieces, dark, watermarks), spans):
             head, interior, tail = _count_interior(events, span, dead, ccu, True)
             held = {det: t.copy() for det, t in tail.items()}
-            side.take(head, interior, tail, span[1])
-            if interior is not None:
-                # feeding the head left nothing buffered below the interior
+            side.take(head, interior, tail)
+            if head is not None:
+                # feeding the head left nothing buffered below the cut
                 for det in Detector:
                     assert side.raw[det].tobytes() == held[det].tobytes(), det.label
         if not pieces:
-            side.feed(dict(dark), _END)
+            side.feed(dict(dark))
         tally = side.finish({})
     assert_same_run(counted, tally, ref_streams, ref_tally)
     assert_filtered_once(inputs, [*(clicks[det] for clicks in pieces for det in Detector), *dark.values()])
@@ -205,14 +188,20 @@ def test_a_first_chunks_interior_starts_at_its_first_event():
 
 @pytest.mark.parametrize("end", [120, 200])
 def test_a_span_with_no_two_reset_gaps_has_no_interior(end):
-    # in the span's timeline from 99 to end, no gap is wider than 10 ps, or
-    # only the one before end: every event, inside the span and out, is head
+    # in the span's timeline from 99 to 120 no gap is wider than 10 ps, so
+    # it has no cluster edge either: no cut, and every event is tail. Up to
+    # 200 only the gap before the end is: one reset gap and no interior, but
+    # a cluster edge, so the cut is at 200 and the events below it, inside
+    # the span and out, are head
     events = {det: ints([95, 100 + det, 108 + det, 115, 300]) for det in Detector}
     head, counted, tail = _count_interior(dict(events), (100, end), 0, CcuConfig(5, 1e-9), True)
     assert counted is None
-    for det in Detector:
-        assert head[det].tolist() == events[det].tolist()
-        assert tail[det].size == 0
+    if end == 120:
+        assert head is None
+        assert all(tail[det].tolist() == events[det].tolist() for det in Detector)
+    else:
+        assert all(head[det].tolist() == events[det][:-1].tolist() for det in Detector)
+        assert all(tail[det].tolist() == [300] for det in Detector)
 
 
 STREAM_CASES = (
@@ -434,7 +423,7 @@ def test_a_run_of_no_slot_is_one_empty_chunk(tmp_path):
 
 def test_the_events_between_two_interiors_make_one_job(monkeypatch):
     # a dead time of ten slots: cluster edges lie inside every tail, so a
-    # tail fed on its own would make a job of its own below the watermark,
+    # tail counted on its own would make a job of its own below the next cut,
     # one more round trip to the pool that the main process waits for; a
     # tail that waits raw joins the next head instead
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
@@ -497,9 +486,9 @@ def test_only_a_chunks_edges_and_tally_travel_back():
     (0.5, 1e7),
     # the large-mean limit: the 22 ns dead time outlasts the 12.8 ns slot and
     # a slot with no click has odds ~e^-12, so few spans hold a reset gap and
-    # the click side feeds most chunks up to their watermark, carrying each
-    # detector's last registered time; raw events held until the next
-    # interior took ~5x the 4-chunk peak at 40 chunks
+    # most chunk jobs cut their chunk at its last cluster edge, the click
+    # side carrying each detector's last registered time; raw events held
+    # until the next interior took ~5x the 4-chunk peak at 40 chunks
     (20.0, 7.8e7),
 ])
 def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch, mean, slot_rate):
@@ -514,8 +503,8 @@ def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch, mean, slot_ra
 
 def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
     # A1 clicks every 10 ps, so with a 100 ps window the only cluster edges are
-    # the 1 ns gaps at the start of each 100 ns chunk, far below its watermark.
-    # Searching only near the watermark held the whole acquisition back.
+    # the 1 ns gaps at the start of each 100 ns chunk, far below its end.
+    # Searching only near the end held the whole acquisition back.
     length, window = 100_000, 100
     pieces = [
         {det: ints(np.arange(i * length + 1_000, (i + 1) * length, 10) if det is Detector.A1 else [])
@@ -528,10 +517,51 @@ def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
     side = _ClickSide(0, ccu, counted.append)
     buffered = []
     for i, clicks in enumerate(pieces):
-        side.feed(dict(clicks), (i + 1) * length)
+        side.take(*_count_interior(dict(clicks), (i * length, (i + 1) * length), 0, ccu, True))
         buffered.append(sum(t.size for t in side.raw.values()))
     assert max(buffered) == pieces[0][Detector.A1].size
     assert_same_run(counted, side.finish({}), *whole_stream_click_side(pieces, dark, 0, ccu))
+
+
+def test_the_click_side_stitches_chunk_results_without_a_gap_search(monkeypatch):
+    # mean 20 at 7.8e7 slots/s in 2^12-slot chunks: no span holds two reset
+    # gaps, so each chunk job cuts its chunk at its last cluster edge. The
+    # main click side only stitches the jobs' results in schedule order: it
+    # searches no gap, and holds only the few events above each cut
+    monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 12)
+    source = SourceConfig(mean_photon_number=20.0, slot_rate=7.8e7, duration=16 * (1 << 12) / 7.8e7, seed=3)
+    config = SimConfig(source, DetectorConfig(0.6), RoutingModel.BUNCHING, 5_000)
+    src, detectors = config.source, config.detectors
+    spans = _spans(src, detectors)
+    dark = dark_events(detectors, src.duration, substream(3, STREAM_DARK))
+    bounds = [_START, *(end for _, end in spans)]
+    results = []
+    for i, span in enumerate(spans):
+        tile = {det: t[(t >= bounds[i]) & (t < bounds[i + 1])] for det, t in dark.items()}
+        [(head, interior, tail, _)] = _chunk_job(src, detectors, [config.model], config.ccu, True, span, [tile], i)
+        results.append((head, interior, tail))
+    assert len(results) == 16 and all(head is not None and interior is None for head, interior, _ in results)
+    sizes = [sum(t.size for part in (head, tail) for t in part.values()) for head, _, tail in results]
+
+    search = coincidence_unit.gap_edges
+
+    def counting_only(*args):
+        # accumulate cuts the streams it counts into pieces itself
+        if sys._getframe(1).f_code.co_name != "_pieces":
+            raise AssertionError("the click side searched for a gap")
+        return search(*args)
+
+    monkeypatch.setattr(coincidence_unit, "gap_edges", counting_only)
+    counted = []
+    side = _ClickSide(detectors.dead_time_ps, config.ccu, counted.append)
+    buffered = []
+    for result in results:
+        side.take(*result)
+        buffered.append(sum(t.size for t in side.raw.values()))
+    tally = side.finish({})
+    assert max(buffered) < 0.01 * min(sizes)
+    [(ref_streams, ref_tally)] = whole_stream_runs([config])
+    assert_same_run(counted, tally, ref_streams, ref_tally)
 
 
 def loaded_after(commands, package):
@@ -580,9 +610,9 @@ def test_a_process_that_draws_nothing_loads_no_random_number_code(tmp_path):
 
 def test_feed_lets_go_of_what_it_has_counted():
     # one full chunk of bright candidates, fed and counted at once: each
-    # detector's pre-feed buffer goes once its remainder replaces it. Pinned
-    # by the views handed to the edge search, the new allocations peaked at
-    # ~1.97x the candidates' bytes; they take ~1.31x
+    # detector's pre-feed buffer goes once merged. Pinned by the views
+    # handed to an edge search, the new allocations peaked at ~1.97x the
+    # candidates' bytes; they take ~1.31x
     src = SourceConfig(mean_photon_number=1.0, slot_rate=CHUNK_SLOTS / 0.05, duration=0.05, seed=7)
     detectors = DetectorConfig(0.5)
     [(clicks, _)] = _simulate_chunk(src, detectors, [RoutingModel.CLASSICAL], 0)
@@ -590,7 +620,7 @@ def test_feed_lets_go_of_what_it_has_counted():
     [events] = merged_chunks([clicks], dark_events(detectors, src.duration, substream(7, STREAM_DARK)), [_END])
     del clicks
     side = _ClickSide(detectors.dead_time_ps, CcuConfig(5_000, src.duration))
-    assert traced_peak(side.feed, events, _END) < 1.5 * candidates
+    assert traced_peak(side.feed, events) < 1.5 * candidates
     assert not events and sum(side.counts["singles"].values()) > 0
 
 
