@@ -13,14 +13,14 @@ a process pool otherwise:
   tile the jobs. The job merges them into its candidates once, and every
   later stage sees one kind of sorted raw event;
 - the job counts the interior of its span, the times no other chunk's
-  candidate reaches, between the first and the last reset gap of its
-  events there, at least max(dead time, 2 * window + 1) ps wide: the event
-  after one is registered whatever came before it, and no coincidence
-  cluster spans one. With no interior, where the jitter's reach or the
-  dead time outlasts the span or no gap is wide enough, it cuts at the
-  span's last gap of more than 2 * window, where a coincidence cluster is
-  closed, if there is one. It returns the interior's count (_Counted) and
-  the raw events below (head) and above (tail) the interior or the cut;
+  candidate reaches, from the first reset gap of its events there, at
+  least max(dead time, 2 * window + 1) ps wide, to their last cluster
+  edge, a gap of more than 2 * window: the event after a reset gap is
+  registered whatever came before it, and no coincidence cluster spans
+  either gap. The interior is empty where the jitter's reach or the dead
+  time outlasts the span or no gap is wide enough, and the cut is then at
+  the last cluster edge, if there is one. It returns the interior's count
+  (_Counted) and the raw events below (head) and above (tail) the interior;
 - the main process stitches the results in schedule order, with one
   buffer per detector of raw events not yet counted. Each head goes with
   the buffer through dead time, the cut and counting once, in a job of its
@@ -333,37 +333,36 @@ def _count_interior(events: dict, span, dead_time_ps: int, ccu: CcuConfig, keep_
     events are the chunk's sorted raw events, its candidates merged with its
     darks, popped once split; they hold every event that lies in span, the
     chunk's [start, end) (_spans). In the timeline of the span's events, the
-    first and the last reset gap, at least max(dead time, 2 * window + 1) ps
-    wide, bound the interior [lo, hi): the event after a reset gap is
-    registered whatever came before it, and no coincidence cluster spans the
-    gap. So dead time with no carried time, the cut at the acquisition end
-    and counting on the interior's events give the whole-stream pass's
-    counts of them. The span's start less 1 and its end bound the timeline
-    (coincidence_unit.gap_edges), as no event lies between them and the
-    span; the first chunk's, -2^63, is a gap below every event, so its
-    interior starts at its first event. head holds the events below lo and
-    tail those at or above hi. With no interior, lo = hi is the last gap of
-    more than 2 * window there, a cluster edge of the merged stream; with
-    none, head is None and tail holds every event.
+    interior [lo, hi) runs from the first reset gap, at least max(dead time,
+    2 * window + 1) ps wide, to the last cluster edge, a gap of more than
+    2 * window. The event after a reset gap is registered whatever came
+    before it, and no coincidence cluster spans either gap. So dead time
+    with no carried time, the cut at the acquisition end and counting on
+    the interior's events give the whole-stream pass's counts of them; its
+    last registered times carry dead time into the tail. The span's start
+    less 1 and its end bound the timeline (coincidence_unit.gap_edges), as
+    no event lies between them and the span; the first chunk's, -2^63, is a
+    gap below every event, so its interior starts at its first event. head
+    holds the events below lo and tail those at or above hi. With no reset
+    gap below the last cluster edge, lo = hi, the interior is empty; with
+    no cluster edge, head is None and tail holds every event.
     """
     start, end = span
     spread = max(dead_time_ps, 2 * int(ccu.window_ps) + 1) - 1  # a reset gap is wider than spread
     inside = [t[np.searchsorted(t, start) : np.searchsorted(t, end)] for t in events.values()]
-    edges = coincidence_unit.gap_edges(inside, start - 1, end, spread)
-    interior = edges is not None and edges[0] < edges[1]
-    if not interior:
-        edges = coincidence_unit.gap_edges(inside, start - 1, end, 2 * int(ccu.window_ps))
-        edges = None if edges is None else (edges[1], edges[1])
+    reset = coincidence_unit.gap_edges(inside, start - 1, end, spread)
+    cut = coincidence_unit.gap_edges(inside, start - 1, end, 2 * int(ccu.window_ps))
     del inside  # its views would pin each row past its dead time
-    if edges is None:
+    if cut is None:  # a reset gap is a cluster edge too: none lies above cut[1], and with no cut none at all
         return None, None, events
+    edges = (cut[1] if reset is None else reset[0], cut[1])
     head, middle, tail = {}, {}, {}
     for det in Detector:
         t = events.pop(det)  # each detector's row goes once filtered
         a, b = np.searchsorted(t, edges)
         head[det], middle[det], tail[det] = t[:a].copy(), t[a:b], t[b:].copy()
     del t
-    return head, _count(middle, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece) if interior else None, tail
+    return head, _count(middle, dict.fromkeys(Detector), dead_time_ps, ccu, keep_piece) if edges[0] < edges[1] else None, tail
 
 
 def _chunk_job(src: SourceConfig, detectors: DetectorConfig, models, ccu: CcuConfig, keep_piece: bool,

@@ -166,6 +166,10 @@ def test_chunk_jobs_and_click_side_equal_whole_stream_pass(case):
                 # feeding the head left nothing buffered below the cut
                 for det in Detector:
                     assert side.raw[det].tobytes() == held[det].tobytes(), det.label
+                # the cut is the span's last cluster edge: from it to the
+                # span's end no gap is wider than 2 * window
+                above = np.sort(np.concatenate([t[(t >= span[0]) & (t < span[1])] for t in held.values()]))
+                assert np.all(np.diff(np.append(above, span[1])) <= 2 * ccu.window_ps)
         if not pieces:
             side.feed(dict(dark))
         tally = side.finish({})
@@ -186,22 +190,32 @@ def test_a_first_chunks_interior_starts_at_its_first_event():
         assert tail[det].tolist() == [900]
 
 
-@pytest.mark.parametrize("end", [120, 200])
-def test_a_span_with_no_two_reset_gaps_has_no_interior(end):
+@pytest.mark.parametrize("end, dead_time_ps, times, cuts", [
     # in the span's timeline from 99 to 120 no gap is wider than 10 ps, so
-    # it has no cluster edge either: no cut, and every event is tail. Up to
-    # 200 only the gap before the end is: one reset gap and no interior, but
-    # a cluster edge, so the cut is at 200 and the events below it, inside
-    # the span and out, are head
-    events = {det: ints([95, 100 + det, 108 + det, 115, 300]) for det in Detector}
-    head, counted, tail = _count_interior(dict(events), (100, end), 0, CcuConfig(5, 1e-9), True)
-    assert counted is None
-    if end == 120:
-        assert head is None
-        assert all(tail[det].tolist() == events[det].tolist() for det in Detector)
-    else:
-        assert all(head[det].tolist() == events[det][:-1].tolist() for det in Detector)
-        assert all(tail[det].tolist() == [300] for det in Detector)
+    # it has no cluster edge either: no cut, and every event is tail
+    (120, 0, lambda d: [95, 100 + d, 108 + d, 115, 300], None),
+    # up to 200 only the gap before the end is: the first reset gap is the
+    # last cluster edge, so the interior is empty, the cut is at 200 and the
+    # events below it, inside the span and out, are head
+    (200, 0, lambda d: [95, 100 + d, 108 + d, 115, 300], (4, 4)),
+    # reset gaps are 50 ps wide: the interior runs from the first, before
+    # 200, past the last, before 260, to the last cluster edge, before 290
+    (300, 50, lambda d: [110 + d, 200 + d, 260 + d, 290, 400], (1, 3)),
+], ids=["no cut", "empty interior", "interior"])
+def test_the_interior_runs_from_the_first_reset_gap_to_the_last_cluster_edge(end, dead_time_ps, times, cuts):
+    # span (100, end), window 5 ps: a reset gap is wider than max(dead time,
+    # 10) ps and a cluster edge wider than 10 ps. cuts, None if there is no
+    # cut, are the indices of each detector's first interior and tail event
+    events = {det: ints(times(det)) for det in Detector}
+    head, counted, tail = _count_interior(dict(events), (100, end), dead_time_ps, CcuConfig(5, 1e-9), True)
+    lo, hi = cuts or (0, 0)
+    assert (head is None, counted is None) == (cuts is None, lo == hi)
+    for det in Detector:
+        assert tail[det].tolist() == times(det)[hi:]
+        if head is not None:
+            assert head[det].tolist() == times(det)[:lo]
+        if counted is not None:
+            assert counted.piece[det].tolist() == times(det)[lo:hi]
 
 
 STREAM_CASES = (
@@ -333,8 +347,9 @@ def test_the_click_side_takes_each_count_before_the_next_job(monkeypatch):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="only a forked worker inherits CHUNK_SLOTS")
 def test_a_real_pool_at_large_mean_equals_one_worker(monkeypatch):
     # mean 20 at 7.8e7 slots/s: the 22 ns dead time outlasts the slot and
-    # few spans hold a reset gap (none of these eight), so every count is a
-    # pool job that the click side waits for
+    # few spans hold a reset gap (none of these eight but the first, which
+    # opens with one), so nearly every count is a pool job that the click
+    # side waits for
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 14)
     source = SourceConfig(mean_photon_number=20.0, slot_rate=7.8e7, duration=8 * (1 << 14) / 7.8e7, seed=3)
     configs = [SimConfig(source, DetectorConfig(0.6), model, 5_000) for model in (RoutingModel.CLASSICAL, RoutingModel.BUNCHING)]
@@ -524,10 +539,12 @@ def test_held_events_stay_within_a_chunk_when_clusters_close_early_in_it():
 
 
 def test_the_click_side_stitches_chunk_results_without_a_gap_search(monkeypatch):
-    # mean 20 at 7.8e7 slots/s in 2^12-slot chunks: no span holds two reset
-    # gaps, so each chunk job cuts its chunk at its last cluster edge. The
-    # main click side only stitches the jobs' results in schedule order: it
-    # searches no gap, and holds only the few events above each cut
+    # mean 20 at 7.8e7 slots/s in 2^12-slot chunks: no span but the first,
+    # which opens with a gap below every event, holds a reset gap, so every
+    # later chunk job cuts its chunk at its last cluster edge with no
+    # interior. The main click side only stitches the jobs' results in
+    # schedule order: it searches no gap, and holds only the few events
+    # above each cut, far fewer than a chunk without an interior holds
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 12)
     source = SourceConfig(mean_photon_number=20.0, slot_rate=7.8e7, duration=16 * (1 << 12) / 7.8e7, seed=3)
     config = SimConfig(source, DetectorConfig(0.6), RoutingModel.BUNCHING, 5_000)
@@ -540,8 +557,8 @@ def test_the_click_side_stitches_chunk_results_without_a_gap_search(monkeypatch)
         tile = {det: t[(t >= bounds[i]) & (t < bounds[i + 1])] for det, t in dark.items()}
         [(head, interior, tail, _)] = _chunk_job(src, detectors, [config.model], config.ccu, True, span, [tile], i)
         results.append((head, interior, tail))
-    assert len(results) == 16 and all(head is not None and interior is None for head, interior, _ in results)
-    sizes = [sum(t.size for part in (head, tail) for t in part.values()) for head, _, tail in results]
+    assert [interior is not None for _, interior, _ in results] == [True] + [False] * 15
+    sizes = [sum(t.size for part in (head, tail) for t in part.values()) for head, _, tail in results[1:]]
 
     search = coincidence_unit.gap_edges
 
