@@ -24,6 +24,7 @@ from .coincidence_unit import (
     REFERENCE_PAIRS,
     CcuConfig,
     TallyTable,
+    csv_text,
     tally_from_csv,
     tally_to_csv,
     tally_to_json,
@@ -204,9 +205,7 @@ def _analysis_rows(tally: TallyTable, corr: CorrelationResult):
 
 
 def analysis_csv(tally: TallyTable, corr: CorrelationResult) -> str:
-    lines = ["quantity,value"]
-    lines.extend(f"{name},{value!r}" for name, value in _analysis_rows(tally, corr))
-    return "\n".join(lines) + "\n"
+    return csv_text("quantity,value", _analysis_rows(tally, corr))
 
 
 def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress, on_piece=None):
@@ -253,23 +252,15 @@ def comparison_csv(results) -> str:
     """Side-by-side counters plus Poisson z-scores for every model pair."""
     labels = [name for name, _, _ in results]
     pairs = [(i, j) for i in range(len(results)) for j in range(i + 1, len(results))]
-    header = ["counter_name", *labels]
-    header += [f"z_{labels[i]}_vs_{labels[j]}" for i, j in pairs]
-    lines = [",".join(header)]
-
+    header = ",".join(["counter_name", *labels, *(f"z_{labels[i]}_vs_{labels[j]}" for i, j in pairs)])
+    rows = []
     for name, group, key in COUNTERS:
         counts = [getattr(t, group)[key] for _, t, _ in results]
-        cells = [name, *(str(c) for c in counts)]
-        for i, j in pairs:
-            a, b = counts[i], counts[j]
-            cells.append(repr((a - b) / math.sqrt(a + b)) if a + b else "")
-        lines.append(",".join(cells))
-
+        z = [(a - b) / math.sqrt(a + b) if a + b else "" for a, b in ((counts[i], counts[j]) for i, j in pairs)]
+        rows.append([name, *counts, *z])
     for quantity in ("bunching_fraction", "g2_cross", "g2_same"):
-        cells = [quantity, *(repr(getattr(corr, quantity)) for _, _, corr in results)]
-        cells += [""] * len(pairs)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append([quantity, *(getattr(corr, quantity) for _, _, corr in results), *[""] * len(pairs)])
+    return csv_text(header, rows)
 
 
 def compare_models(cfg: ExperimentConfig, models, workers: int = 1, progress=None):
@@ -379,11 +370,9 @@ def _cmd_calibrate(args) -> int:
         result = calibrate(targets, args.mean_photon_number)
     except (OSError, ValueError) as err:  # an unreadable tally, or targets calibrate rejects
         raise ConfigError([f"calibrate: {err}"]) from err
-    lines = ["quantity,value"]
-    lines.append(f"slot_rate,{result.slot_rate!r}")
-    lines.append(f"efficiency,{result.efficiency!r}")
-    lines.extend(f"residual_{name},{value!r}" for name, value in result.residuals.items())
-    sys.stdout.write("\n".join(lines) + "\n")
+    rows = [("slot_rate", result.slot_rate), ("efficiency", result.efficiency)]
+    rows += [(f"residual_{name}", value) for name, value in result.residuals.items()]
+    sys.stdout.write(csv_text("quantity,value", rows))
     return 0
 
 
@@ -397,9 +386,7 @@ def _cmd_predict(args) -> int:
         cfg.dark_rate,
         window_ps=cfg.window_ps,
     )
-    lines = ["counter_name,rate_per_s"]
-    lines.extend(f"{name},{rate!r}" for name, rate in prediction.counters())
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(csv_text("counter_name,rate_per_s", prediction.counters()))
     return 0
 
 

@@ -324,11 +324,16 @@ def accumulate(streams: dict, config: CcuConfig) -> TallyTable:
 CSV_HEADER = "counter_name,count,rate_per_s"
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row of its cells joined by commas.
+
+    Cells print with str, which for a float is repr, so each value reads back exactly.
+    """
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def tally_to_csv(tally: TallyTable) -> str:
-    lines = [CSV_HEADER]
-    for name, count, rate in tally.counters():
-        lines.append(f"{name},{count},{rate!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_HEADER, tally.counters())
 
 
 def tally_to_json(tally: TallyTable) -> str:

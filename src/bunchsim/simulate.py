@@ -5,7 +5,8 @@ and every random draw comes from a substream keyed by (seed, purpose, chunk),
 so the result is byte-identical for any worker count and any chunk schedule.
 The click side (dead time, the cut at the acquisition end and counting) runs
 where each chunk is drawn, in one chunk job, in process at one worker and in
-a process pool otherwise:
+a process pool otherwise, whose modules (concurrent.futures, multiprocessing)
+load only when a pool starts:
 
 - the darks are drawn once per model, where the chunk jobs run and before
   the first (_draw_darks), and the main process hands each chunk job those
@@ -55,7 +56,6 @@ same draws, and the same output, as it would alone.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 from collections import deque
@@ -450,8 +450,10 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
 
     if workers > 1 and chunks > 1:
         workers = min(workers, chunks)
-        # looked up here, so that concurrent.futures loads its process pool,
-        # and multiprocessing with it, only when a pool starts
+        # imported and looked up here, so that concurrent.futures, its process
+        # pool and multiprocessing load only when a pool starts
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
 
             def run(fn, *args):

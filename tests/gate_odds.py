@@ -1,4 +1,16 @@
-"""Odds that an exact simulator passes criterion 3's triple band, criterion 4 and criterion 7.
+"""Odds that an exact simulator passes criterion 2, criterion 3's triple band, criterion 4 and criterion 7.
+
+Criterion 2 (tests/test_acceptance.py) draws, per routing model and photon
+number n = 0..4, 1e6 first-splitter outcomes from a substream of its own,
+so its 15 groups are independent, and asks the count of each outcome to
+lie within 3 sigma of its mean. An exact sampler's counts in a group are
+multinomial over enumerate_distribution's outcomes. Where a group has two
+outcomes, one count fixes the other, and it passes with the binomial odds
+P(|X - 5e5| <= 1500) = 0.9973; these are classical and phase-basis at
+n = 1 and bunching at every n >= 1. A Monte Carlo gives the odds of the
+groups of three to five outcomes: classical and phase-basis lay n photons
+binomially, and at n = 4 each passes with odds 0.987. All 15 groups pass
+with odds 0.925, so one fresh realisation in 13 fails criterion 2.
 
 Criterion 3 (tests/test_acceptance.py) asks each of the four triple counters
 of one block-1 run to land within 35% of 2.3 counts. At ~2.6 expected counts
@@ -50,8 +62,11 @@ make all but ~1e-3 of the shortfall.
 
 from __future__ import annotations
 
+import functools
 import math
 
+import numpy as np
+from oracles import enumerate_distribution
 from scipy import stats
 
 from bunchsim.coincidence_unit import COUNTERS, CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS, TRIPLE_KEYS
@@ -70,6 +85,8 @@ DARK_RATE, DARK_BAND = 27.0, 16  # criterion 7's singles band: |S - 27| <= 16 in
 PAIR_QUANTILE, WINDOW_PS = 1 - 1e-4, 5_000  # criterion 7's pair ceiling, and criterion 4's
 PREDICTION_MASS = 1 - 1e-4  # test_simulation_matches_predictions' central Poisson interval
 EQUAL_RATIO_P, BUNCHING_P = 0.01, 1e-6  # criterion 4: p above the one for the split models, below the other
+ROUTING_SAMPLES, ROUTING_SIGMAS = 1_000_000, 3  # criterion 2: samples per group, and its band in sigma
+ROUTING_DRAWS = 200_000  # Monte Carlo draws per criterion-2 group
 
 
 def pmf(k, mu):
@@ -168,3 +185,32 @@ def prediction_means(model, mean_photon_number, duration, dark_rate=DARK_RATE):
 def prediction_odds(means):
     """P(every counter, ~ Poisson(mean), lies in its band), all independent."""
     return math.prod(stats.poisson.cdf(hi, mu) - stats.poisson.cdf(lo - 1, mu) for (lo, hi), mu in means.values())
+
+
+def routing_groups():
+    """Criterion 2's groups, per (model, n) the probabilities of enumerate_distribution's outcomes."""
+    return {(model, n): np.array(list(enumerate_distribution(model, n).values()))
+            for model in RoutingModel for n in range(5)}
+
+
+def binomial_band_odds(prob):
+    """P(|X - mean| <= 3 sigma), X ~ Binomial(1e6, prob): the odds of a group of two outcomes."""
+    mean = ROUTING_SAMPLES * prob
+    reach = ROUTING_SIGMAS * math.sqrt(mean * (1 - prob))
+    cdf = functools.partial(stats.binom.cdf, n=ROUTING_SAMPLES, p=prob)
+    return float(cdf(math.floor(mean + reach)) - cdf(math.ceil(mean - reach) - 1))
+
+
+@functools.cache
+def criterion2_group_odds():
+    """Per group, the share of ROUTING_DRAWS seeded multinomial draws of its
+    1e6 samples in which every outcome's count lies within 3 sigma, as in
+    criterion 2's float comparison."""
+    rng = np.random.default_rng(2)
+    odds = {}
+    for group, probs in routing_groups().items():
+        counts = rng.multinomial(ROUTING_SAMPLES, probs, size=ROUTING_DRAWS)
+        mean = ROUTING_SAMPLES * probs
+        within = np.abs(counts - mean) <= ROUTING_SIGMAS * np.sqrt(mean * (1 - probs))
+        odds[group] = float(within.all(axis=1).mean())
+    return odds

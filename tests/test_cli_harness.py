@@ -569,6 +569,32 @@ def test_main_compare_writes_csv(tmp_path, capsys):
     assert captured.out.splitlines()[0].startswith("counter_name,classical,bunching,z_")
 
 
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (run_flags, "tally.csv"),
+        (run_flags, "analysis.csv"),
+        # run's flags after its command and model
+        (lambda tmp_path: ["compare", "--models", "classical,bunching,phase-basis", *run_flags(tmp_path)[3:]],
+         "comparison.csv"),
+        (lambda _: ["calibrate"], None),
+        (lambda _: ["predict", "--model", "bunching", "--mean-photon-number", "0.022"], None),
+    ],
+    ids=["tally", "analysis", "comparison", "calibrate", "predict"],
+)
+def test_every_report_is_one_rectangular_csv(argv, report, tmp_path, capsys):
+    # one header line, then rows with the header's cell count, each line
+    # ended by exactly one newline
+    assert main(argv(tmp_path)) == 0
+    text = (tmp_path / "out" / report).read_text() if report else capsys.readouterr().out
+    *lines, last = text.split("\n")
+    assert last == "" and all(lines)
+    header, *rows = lines
+    assert header.startswith(("counter_name,", "quantity,"))
+    assert rows and not any(row.startswith(("counter_name,", "quantity,")) for row in rows)
+    assert {row.count(",") for row in rows} == {header.count(",")}
+
+
 def test_every_counter_listing_follows_counters(tmp_path, capsys):
     names = [name for name, _, _ in COUNTERS]
     assert len(set(names)) == len(names) == 14

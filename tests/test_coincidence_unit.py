@@ -21,6 +21,7 @@ from bunchsim.coincidence_unit import (
     accumulate,
     counter_name,
     counter_values,
+    csv_text,
     tally_from_csv,
     tally_to_csv,
     tally_to_json,
@@ -424,6 +425,13 @@ def test_accumulate_validates_streams():
     far = {det: np.array([2_299_000 * 10**12 + int(det)], dtype=np.int64) for det in Detector}
     tally = accumulate(far, CcuConfig(window_ps=5_000, acquisition_s=2.3e6))
     assert set(tally.pairs.values()) == {1} and set(tally.triples.values()) == {1}
+
+
+def test_csv_text_prints_each_cell_with_str():
+    # a float prints as its repr, so 0.1 + 0.2 keeps every digit; "" is an empty cell
+    rows = [("sum", 1, 0.1 + 0.2), ("edge", float("nan"), float("inf")), ("zero", -0.0, "")]
+    assert csv_text("name,a,b", rows) == "name,a,b\nsum,1,0.30000000000000004\nedge,nan,inf\nzero,-0.0,\n"
+    assert csv_text("name,a,b", []) == "name,a,b\n"
 
 
 def test_csv_roundtrip_exact():

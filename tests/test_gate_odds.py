@@ -7,10 +7,13 @@ from gate_odds import (
     DARK_BAND,
     EQUAL_RATIO_P,
     REL,
+    ROUTING_DRAWS,
     TARGET,
     WINDOW_PS,
     band_odds,
+    binomial_band_odds,
     block1_means,
+    criterion2_group_odds,
     criterion4_means,
     criterion4_odds,
     dark_floor_means,
@@ -18,6 +21,7 @@ from gate_odds import (
     poisson_ceiling,
     prediction_means,
     prediction_odds,
+    routing_groups,
 )
 from scipy import stats
 
@@ -26,6 +30,26 @@ from bunchsim.detector_bank import DetectorConfig
 from bunchsim.photon_source import SourceConfig
 from bunchsim.routing_models import RoutingModel
 from bunchsim.simulate import SimConfig, simulate
+
+
+def test_criterion_2_odds_match_the_exact_binomial_where_a_group_has_two_outcomes():
+    groups, odds = routing_groups(), criterion2_group_odds()
+    two = [group for group, probs in groups.items() if len(probs) == 2]
+    assert sorted((model.value, n) for model, n in two) == [
+        ("bunching", 1), ("bunching", 2), ("bunching", 3), ("bunching", 4), ("classical", 1), ("phase-basis", 1)
+    ]
+    exact = binomial_band_odds(0.5)
+    assert exact == pytest.approx(0.99731, abs=5e-6)  # X in [498 500, 501 500] of Binomial(1e6, 1/2)
+    for group in two:
+        assert abs(odds[group] - exact) <= 5 * math.sqrt(exact * (1 - exact) / ROUTING_DRAWS), (group, odds[group])
+    assert all(odds[model, 0] == 1.0 for model in RoutingModel)  # one outcome, met exactly
+    # 4e6 draws per group of three to five outcomes, with the two-outcome
+    # groups exact, give 0.9248; the tolerance is three standard errors of
+    # this Monte Carlo's product of 15 shares
+    total = math.prod(odds.values())
+    error = total * math.sqrt(sum((1 - p) / (p * ROUTING_DRAWS) for p in odds.values()))
+    assert total == pytest.approx(0.9248, abs=3 * error), (total, error)
+    assert odds[RoutingModel.CLASSICAL, 4] == pytest.approx(0.9869, abs=5 * math.sqrt(0.9869 * 0.0131 / ROUTING_DRAWS))
 
 
 def test_block1_odds_match_a_monte_carlo_of_the_mixture():

@@ -581,14 +581,15 @@ def test_the_click_side_stitches_chunk_results_without_a_gap_search(monkeypatch)
     assert_same_run(counted, tally, ref_streams, ref_tally)
 
 
-def loaded_after(commands, package):
-    """The modules of package that a fresh interpreter holds after running each CLI command in turn."""
+def loaded_after(commands, *packages):
+    """The modules of packages that a fresh interpreter holds after running each CLI command in turn."""
     script = (
         "import sys\n"
         "from bunchsim import cli_harness\n"
         f"for argv in {commands!r}:\n"
         "    assert cli_harness.main(argv) == 0, argv\n"
-        f"print(sorted(name for name in sys.modules if name == {package!r} or name.startswith({package + '.'!r})))\n"
+        f"print(sorted(name for name in sys.modules if name.startswith({tuple(p + '.' for p in packages)!r})\n"
+        f"             or name in {packages!r}))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
@@ -598,11 +599,13 @@ def loaded_after(commands, package):
 
 
 def test_a_run_on_one_worker_loads_no_process_pool(tmp_path):
-    # concurrent.futures loads its process pool, and multiprocessing with
-    # it, at the first lookup of ProcessPoolExecutor, which only a pool makes
+    # simulate imports concurrent.futures, whose process pool loads
+    # multiprocessing, only where a pool starts: a one-worker run, predict
+    # and calibrate load neither
     flags = ["--model", "classical", "--mean-photon-number", "0.05", "--acquisition-s", "0.001", "--seed", "3"]
     run = ["run", *flags, "--workers", "1", "--quiet", "--output-dir", str(tmp_path)]
-    assert loaded_after([run], "multiprocessing") == []
+    predict = ["predict", "--model", "classical", "--mean-photon-number", "0.05"]
+    assert loaded_after([run, predict, ["calibrate"]], "concurrent", "multiprocessing") == []
     assert (tmp_path / "tally.csv").exists()
 
 
