@@ -31,10 +31,9 @@ def run(nbar, seed):
     cfg = SimConfig(
         source=SourceConfig(mean_photon_number=nbar, slot_rate=2e7, duration=1.0, seed=seed),
         detectors=DetectorConfig(efficiency=1.0, dark_rate=0.0),
-        model=RoutingModel.PHASE_BASIS,
         window_ps=5_000,
     )
-    return simulate(cfg)
+    return simulate(cfg, RoutingModel.PHASE_BASIS)
 
 
 low, high = run(0.05, 31), run(0.10, 32)

@@ -82,7 +82,7 @@ _CONFIG_FIELDS = {
 def _sim_config(self) -> SimConfig:
     source = SourceConfig(self.mean_photon_number, self.slot_rate, self.acquisition_s, self.seed)
     detectors = DetectorConfig(self.efficiency, self.dead_time_ps, self.jitter_ps, self.dark_rate)
-    return SimConfig(source, detectors, RoutingModel(self.model), self.window_ps)
+    return SimConfig(source, detectors, self.window_ps)
 
 
 # one field per key of _CONFIG_FIELDS, typed by its converter
@@ -218,10 +218,10 @@ def _simulate_and_count(cfg: ExperimentConfig, models, workers: int, progress, o
     if workers < 1:
         raise ConfigError(["workers: must be >= 1"])
     try:
-        sims = [dataclasses.replace(cfg, model=name).sim_config() for name in models]
+        sim = cfg.sim_config()
     except ValueError as err:
         raise ConfigError([str(err)]) from err
-    return simulate_streams(sims, workers=workers, progress=progress, on_piece=on_piece)
+    return simulate_streams(sim, models, workers=workers, progress=progress, on_piece=on_piece)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, progress=None):
@@ -264,14 +264,14 @@ def comparison_csv(results) -> str:
 
 
 def compare_models(cfg: ExperimentConfig, models, workers: int = 1, progress=None):
-    """Replay the same seeded source stream through each model.
+    """Run cfg's one acquisition under each model, whatever cfg.model says.
 
-    One chunk pass serves every model: the source is drawn once, then
-    routed, split and detected per model with the same routing, detection
-    and dark-count draws a standalone run of that model uses. Each column
-    therefore equals that model's `run` tally, and differences between
-    columns are pure model effects. A model named twice would only repeat
-    its column, so it is refused.
+    One chunk pass serves every model (simulate_streams): the source is
+    drawn once, then routed, split and detected per model with the same
+    routing, detection and dark-count draws a standalone run of that model
+    uses. Each column therefore equals that model's `run` tally, and
+    differences between columns are pure model effects. A model named twice
+    would only repeat its column, so it is refused.
     """
     models = list(models)
     if len(models) < 2:
@@ -348,7 +348,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     if args.model is None:
-        args.model = _MODEL_NAMES[0]  # base config; compare_models sets each run's model
+        args.model = _MODEL_NAMES[0]  # parse_config requires one; compare_models runs each of models
     cfg = _config_from_args(args)
     progress = None if args.quiet else _progress_printer("compare")
     results = compare_models(cfg, models, workers=args.workers, progress=progress)

@@ -48,10 +48,11 @@ rint(slot / slot_rate * 1e12) is evaluated only for the slots that fire,
 on int64 slot indices widened from their offsets. The click side lets go
 of each detector's pre-feed buffer once it is merged.
 
-Several routing models run in one pass: each chunk's occupied slots are drawn
-once, then routed, split and detected once per model. The routing
-and detection substreams do not depend on the model, so each model gets the
-same draws, and the same output, as it would alone.
+A SimConfig is one acquisition, and simulate_streams runs it under each of
+its routing models in one pass: each chunk's occupied slots are drawn once,
+then routed, split and detected once per model. The routing and detection
+substreams do not depend on the model, so each model gets the same draws,
+and the same output, as it would alone.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -97,7 +98,6 @@ class SimConfig:
 
     source: SourceConfig
     detectors: DetectorConfig
-    model: RoutingModel
     window_ps: int
 
     def __post_init__(self):
@@ -116,12 +116,12 @@ class SimConfig:
         return CcuConfig(self.window_ps, self.source.duration)
 
 
-def config_metadata(config: SimConfig) -> dict:
-    """Flat, JSON-friendly description of a run; deliberately excludes
-    anything execution-dependent (worker count, wall clock) so outputs of
-    equivalent runs compare byte-for-byte."""
+def config_metadata(config: SimConfig, model: RoutingModel) -> dict:
+    """Flat, JSON-friendly description of a run of config under model;
+    deliberately excludes anything execution-dependent (worker count, wall
+    clock) so outputs of equivalent runs compare byte-for-byte."""
     return {
-        "model": config.model.value,
+        "model": model.value,
         "mean_photon_number": config.source.mean_photon_number,
         "slot_rate": config.source.slot_rate,
         "seed": config.source.seed,
@@ -390,30 +390,28 @@ def _draw_darks(detectors: DetectorConfig, src: SourceConfig, models: int) -> li
     return [dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK)) for _ in range(models)]
 
 
-def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) -> list[TallyTable]:
-    """Run the full pipeline for configs that differ only in their model.
+def simulate_streams(config: SimConfig, models, workers: int = 1, progress=None, on_piece=None) -> list[TallyTable]:
+    """Run the full pipeline for one acquisition under each routing model.
 
-    Returns one TallyTable per config, in the order of configs. Each chunk
-    job cuts its chunk and counts its interior, and a job of its own the
-    events between two cuts, both in the pool if there is one, so no more
-    than a chunk's clicks are held at a time. The pool, if there is one,
-    draws the darks too, in one task before the first chunk job. on_piece,
-    if given, is called as on_piece(index, piece) with the index of a
-    config in configs and each counted piece: per-detector registered
-    events, dead-time filtered and cut to the acquisition [0, duration), in
-    time order, so that one config's pieces in turn make its registered
-    streams. progress, if given, is called as progress(done_chunks,
-    total_chunks).
+    models are RoutingModels or their names, each converted before any
+    chunk is drawn. Returns one TallyTable per model, in the order of
+    models. Each chunk job cuts its chunk and counts its interior, and a
+    job of its own the events between two cuts, both in the pool if there
+    is one, so no more than a chunk's clicks are held at a time. The pool,
+    if there is one, draws the darks too, in one task before the first
+    chunk job. on_piece, if given, is called as on_piece(index, piece) with
+    the index of a model in models and each counted piece: per-detector
+    registered events, dead-time filtered and cut to the acquisition [0,
+    duration), in time order, so that one model's pieces in turn make its
+    registered streams. progress, if given, is called as
+    progress(done_chunks, total_chunks).
     """
     if workers < 1:
         raise ValueError("workers: must be >= 1")
-    configs = list(configs)
-    if not configs:
-        raise ValueError("simulate_streams: need at least one config")
-    base = configs[0]
-    if any(replace(c, model=base.model) != base for c in configs[1:]):
-        raise ValueError("simulate_streams: configs may differ only in model")
-    src, detectors = base.source, base.detectors
+    models = [RoutingModel(m) for m in models]
+    if not models:
+        raise ValueError("simulate_streams: need at least one model")
+    src, detectors = config.source, config.detectors
 
     chunks = num_chunks(src)
     spans = _spans(src, detectors)
@@ -424,14 +422,14 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
     def job(i):
         lo, hi = watermarks[i], watermarks[i + 1]
         tiles = [{det: t[np.searchsorted(t, lo) : np.searchsorted(t, hi)] for det, t in dark.items()} for dark in darks]
-        return (src, detectors, [c.model for c in configs], base.ccu, on_piece is not None, spans[i], tiles, i)
+        return (src, detectors, models, config.ccu, on_piece is not None, spans[i], tiles, i)
 
     def count(run, results):
         """The tallies of the chunk jobs' results, in schedule order, with
         every other count run as a job too."""
-        sinks = [None if on_piece is None else functools.partial(on_piece, m) for m in range(len(configs))]
-        sides = [_ClickSide(detectors.dead_time_ps, base.ccu, sink, run) for sink in sinks]
-        fallback_slots = [0] * len(configs)
+        sinks = [None if on_piece is None else functools.partial(on_piece, m) for m in range(len(models))]
+        sides = [_ClickSide(detectors.dead_time_ps, config.ccu, sink, run) for sink in sinks]
+        fallback_slots = [0] * len(models)
         for i, chunk in enumerate(results):
             for m, (head, counted, tail, fallback) in enumerate(chunk):
                 fallback_slots[m] += fallback
@@ -440,12 +438,12 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
                 progress(i + 1, chunks)
         return [
             side.finish({
-                "config": config_metadata(config),
+                "config": config_metadata(config, model),
                 "slots": slot_count(src),
                 "phase_basis_fallback_slots": int(fallback),
                 "version": __version__,
             })
-            for side, config, fallback in zip(sides, configs, fallback_slots)
+            for side, model, fallback in zip(sides, models, fallback_slots)
         ]
 
     if workers > 1 and chunks > 1:
@@ -461,7 +459,7 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
                 return pool.submit(fn, *args).result()
 
             # drawn in the pool too, so that the main process draws nothing
-            darks = run(_draw_darks, detectors, src, len(configs))
+            darks = run(_draw_darks, detectors, src, len(models))
 
             def results():
                 # at most 2 * workers chunks are submitted and not yet consumed,
@@ -474,11 +472,11 @@ def simulate_streams(configs, workers: int = 1, progress=None, on_piece=None) ->
                     yield result
 
             return count(run, results())
-    darks = _draw_darks(detectors, src, len(configs))
+    darks = _draw_darks(detectors, src, len(models))
     return count(_in_process, (_chunk_job(*job(i)) for i in range(chunks)))
 
 
-def simulate(config: SimConfig, workers: int = 1, progress=None) -> TallyTable:
-    """Simulate one acquisition and count every singles/pair/triple channel."""
-    [tally] = simulate_streams([config], workers=workers, progress=progress)
+def simulate(config: SimConfig, model, workers: int = 1, progress=None) -> TallyTable:
+    """Simulate one acquisition under one model and count every singles/pair/triple channel."""
+    [tally] = simulate_streams(config, [model], workers=workers, progress=progress)
     return tally

@@ -1,4 +1,4 @@
-"""Odds that an exact simulator passes criterion 2, criterion 3's triple band, criterion 4 and criterion 7.
+"""Odds that an exact simulator passes criteria 2, 4, 5, 6 and 7 and criterion 3's triple band.
 
 Criterion 2 (tests/test_acceptance.py) draws, per routing model and photon
 number n = 0..4, 1e6 first-splitter outcomes from a substream of its own,
@@ -39,6 +39,27 @@ cross-side counter, ~ Poisson(0.1348), lies at or below its ceiling, 3,
 with odds 1 - 1.2e-5. The parts are independent runs, or counters treated
 as independent, so the odds are their product, ~0.980.
 
+Criterion 5 asks each of criterion 4's two block-2 runs for at least 1e4
+pairs and a bunching fraction f = 2S / (2S + C) within 0.5 +/- 0.02, S the
+two same-side pair counters and C the four cross-side ones, and a clean
+bunching run (no darks, 1e7 slots/s) for f = 1 with a same-side pair. Its
+means, S ~ 6383 and C ~ 12766 in 1 s, put the band 5.2 sigma of f from
+its centre, so each split run fails it with odds 1.9e-7. The clean run's
+cross-side mean is 0, and its same-side mean 1623. The odds take S and C
+as independent Poisson counts, leaving out the few slots that feed both.
+
+Criterion 6 doubles the mean photon number of a 3.5 s phase-basis run at
+efficiency 1 with no darks and asks, per counter class, the ratio of the
+two runs' counter sums to lie within 2 +/- 0.1 (singles), 4 +/- 0.4
+(pairs) and 8 +/- 2 (triples). A slot in which j detectors fire adds
+comb(j, k) to the sum of the counters of k detectors, so the sum is
+sum_m m * P_m, P_m ~ Poisson(slots * table mass of its patterns), all
+independent: the triple counters, 45.1 and 358.1 per counter, share the
+all-four term, 0.25 and 3.9 of each. The triple ratio lies 3 sigma from
+its band's edges and makes nearly all of the odds, 0.9967; those of the
+singles and pairs, tens of sigma inside theirs, are 1 within 1e-13. The
+three classes are taken as independent.
+
 Criterion 7 runs 1 s of darks alone, 27 /s per detector, and asks each of
 the four dark singles, ~ Poisson(27), to lie within 27 +/- 16, and each of
 the six pair counters to lie at or below the Poisson (1 - 1e-4) quantile of
@@ -69,7 +90,14 @@ import numpy as np
 from oracles import enumerate_distribution
 from scipy import stats
 
-from bunchsim.coincidence_unit import COUNTERS, CROSS_SIDE_PAIRS, PAIR_KEYS, REFERENCE_PAIRS, TRIPLE_KEYS
+from bunchsim.coincidence_unit import (
+    COUNTERS,
+    CROSS_SIDE_PAIRS,
+    PAIR_KEYS,
+    REFERENCE_PAIRS,
+    SAME_SIDE_PAIRS,
+    TRIPLE_KEYS,
+)
 from bunchsim.detector_bank import Detector
 from bunchsim.routing_models import RoutingModel
 from bunchsim.statistics import (
@@ -87,6 +115,8 @@ PREDICTION_MASS = 1 - 1e-4  # test_simulation_matches_predictions' central Poiss
 EQUAL_RATIO_P, BUNCHING_P = 0.01, 1e-6  # criterion 4: p above the one for the split models, below the other
 ROUTING_SAMPLES, ROUTING_SIGMAS = 1_000_000, 3  # criterion 2: samples per group, and its band in sigma
 ROUTING_DRAWS = 200_000  # Monte Carlo draws per criterion-2 group
+FRACTION_REACH, MIN_PAIRS = 0.02, 10_000  # criterion 5: |f - 0.5| <= 0.02 over at least 1e4 pairs
+SCALING_BANDS = {1: (2.0, 0.1), 2: (4.0, 0.4), 3: (8.0, 2.0)}  # criterion 6: detectors per counter -> ratio, reach
 
 
 def pmf(k, mu):
@@ -134,18 +164,22 @@ def dark_floor_odds(single, accidental):
     return singles ** len(Detector) * pairs ** len(PAIR_KEYS)
 
 
+def fit_pairs(model, mean_photon_number, slot_rate=None, dark_rate=DARK_RATE):
+    """predicted_rates' pair means of a 1 s run at the block-1 fit's
+    efficiency, and at its slot rate unless one is given."""
+    fit = calibrate(REFERENCE_BLOCKS["block1"])
+    return predicted_rates(
+        model, mean_photon_number, slot_rate or fit.slot_rate, fit.efficiency, dark_rate, WINDOW_PS
+    ).pairs
+
+
 def criterion4_means():
     """(per block-2 run, classical then phase-basis, its four reference pair
     means; the bunching run's six pair means) of criterion 4's 1 s runs at
     the block-1 fit, 27 darks/s per detector."""
-    fit = calibrate(REFERENCE_BLOCKS["block1"])
-
-    def pairs(model, mean):
-        return predicted_rates(model, mean, fit.slot_rate, fit.efficiency, DARK_RATE, WINDOW_PS).pairs
-
-    split = [[pairs(model, 0.044)[key] for key in REFERENCE_PAIRS]
+    split = [[fit_pairs(model, 0.044)[key] for key in REFERENCE_PAIRS]
              for model in (RoutingModel.CLASSICAL, RoutingModel.PHASE_BASIS)]
-    return split, pairs(RoutingModel.BUNCHING, 0.022)
+    return split, fit_pairs(RoutingModel.BUNCHING, 0.022)
 
 
 def criterion4_odds(bunching):
@@ -156,6 +190,88 @@ def criterion4_odds(bunching):
         sum(pmf(k, bunching[key]) for k in range(poisson_ceiling(bunching[key]) + 1)) for key in CROSS_SIDE_PAIRS
     )
     return (1 - EQUAL_RATIO_P) ** 2 * cross
+
+
+def criterion5_means():
+    """(per block-2 run, classical then phase-basis, its same-side and
+    cross-side pair means; the same of the clean bunching run) of
+    criterion 5's 1 s runs at mean photon number 0.044. The block-2 runs are
+    criterion 4's; the bunching run has no darks, at 1e7 slots/s."""
+
+    def sides(pairs):
+        return sum(pairs[key] for key in SAME_SIDE_PAIRS), sum(pairs[key] for key in CROSS_SIDE_PAIRS)
+
+    split = [sides(fit_pairs(model, 0.044)) for model in (RoutingModel.CLASSICAL, RoutingModel.PHASE_BASIS)]
+    return split, sides(fit_pairs(RoutingModel.BUNCHING, 0.044, slot_rate=1e7, dark_rate=0.0))
+
+
+def fraction_odds(same, cross, reach=FRACTION_REACH):
+    """P(|2S / (2S + C) - 1/2| <= reach and S + C >= 1e4), S ~ Poisson(same),
+    C ~ Poisson(cross), independent: per C, S lies between the band's roots."""
+    spread = 12 * math.sqrt(cross)
+    c = np.arange(max(0, math.floor(cross - spread)), math.ceil(cross + spread) + 1)
+    lo = np.maximum(np.ceil((0.5 - reach) * c / (1 + 2 * reach)), MIN_PAIRS - c)
+    hi = np.floor((0.5 + reach) * c / (1 - 2 * reach))
+    within = np.where(hi >= lo, stats.poisson.cdf(hi, same) - stats.poisson.cdf(lo - 1, same), 0.0)
+    return float(np.sum(stats.poisson.pmf(c, cross) * within))
+
+
+def criterion5_odds(split, bunching):
+    """P(both split runs pass fraction_odds, and the clean bunching run reads
+    no cross-side pair and some same-side pair), all independent."""
+    same, cross = bunching
+    return math.prod(fraction_odds(*run) for run in split) * math.exp(-cross) * -math.expm1(-same)
+
+
+def scaling_parts(mean_photon_number, size):
+    """{m: mean count of the slots that add m to the sum of the counters of
+    size detectors} in one of criterion 6's runs: 3.5 s of phase-basis at
+    the block-1 fit's slot rate, efficiency 1, no darks. A slot in which j
+    detectors fire adds comb(j, size)."""
+    slots = calibrate(REFERENCE_BLOCKS["block1"]).slot_rate * 3.5
+    parts = {}
+    for mask, prob in enumerate(click_pattern_table(RoutingModel.PHASE_BASIS, mean_photon_number, 1.0)):
+        m = math.comb(mask.bit_count(), size)
+        if m:
+            parts[m] = parts.get(m, 0.0) + slots * prob
+    return parts
+
+
+def sum_pmf(parts):
+    """(least value, pmf) of sum_m m * P_m, P_m ~ Poisson(parts[m]) independent,
+    each cut 10 sigma from its mean and renormalised: scipy's Poisson pmf at
+    a mean of 1e7 sums to 1 only within ~5e-9."""
+    start, pmf = 0, np.ones(1)
+    for m, mu in parts.items():
+        spread = 10 * math.sqrt(mu) + 10
+        k = np.arange(max(0, math.floor(mu - spread)), math.ceil(mu + spread) + 1)
+        scaled = np.zeros(m * (k.size - 1) + 1)
+        scaled[::m] = stats.poisson.pmf(k, mu)
+        start += m * int(k[0])
+        pmf = np.convolve(pmf, scaled / scaled.sum())
+    return start, pmf
+
+
+def ratio_odds(low, high, target, reach):
+    """P(|Y_high / Y_low - target| <= reach) for the sums of sum_pmf(low) and
+    sum_pmf(high), independent; Y_low = 0 fails."""
+    start_low, pmf_low = sum_pmf(low)
+    start_high, pmf_high = sum_pmf(high)
+    y = start_low + np.arange(pmf_low.size)
+    cdf = np.concatenate([[0.0], np.cumsum(pmf_high)])
+
+    def at_most(v):  # P(Y_high <= v)
+        return cdf[np.clip(np.floor(v).astype(np.int64) - start_high + 1, 0, pmf_high.size)]
+
+    within = at_most((target + reach) * y) - at_most(np.ceil((target - reach) * y) - 1)
+    return float(np.sum(np.where(y > 0, pmf_low * within, 0.0)))
+
+
+def criterion6_odds():
+    """Per counter class, by its detectors per counter, the odds that its
+    ratio lies in its band, the runs at mean photon numbers 0.022 and 0.044."""
+    return {size: ratio_odds(scaling_parts(0.022, size), scaling_parts(0.044, size), *band)
+            for size, band in SCALING_BANDS.items()}
 
 
 def prediction_means(model, mean_photon_number, duration, dark_rate=DARK_RATE):

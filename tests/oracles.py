@@ -282,12 +282,11 @@ def whole_stream_click_side(chunk_clicks, dark: dict, dead_time_ps: int, ccu):
     return streams, accumulate(streams, ccu)
 
 
-def whole_stream_runs(configs) -> list[tuple[dict, object]]:
-    """[(streams, tally)] per config: the tallies simulate_streams returns and
+def whole_stream_runs(config, models) -> list[tuple[dict, object]]:
+    """[(streams, tally)] per model: the tallies simulate_streams returns and
     the registered streams its counted pieces join to, by the whole-stream
     click side over the same per-chunk candidates and darks."""
-    src, detectors = configs[0].source, configs[0].detectors
-    models = [config.model for config in configs]
+    src, detectors = config.source, config.detectors
     chunks = [_simulate_chunk(src, detectors, models, i) for i in range(num_chunks(src))]
     return [
         whole_stream_click_side(
@@ -296,7 +295,7 @@ def whole_stream_runs(configs) -> list[tuple[dict, object]]:
             detectors.dead_time_ps,
             config.ccu,
         )
-        for m, config in enumerate(configs)
+        for m in range(len(models))
     ]
 
 

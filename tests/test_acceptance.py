@@ -45,6 +45,9 @@ from gate_odds import (
     criterion2_group_odds,
     criterion4_means,
     criterion4_odds,
+    criterion5_means,
+    criterion5_odds,
+    criterion6_odds,
     dark_floor_means,
     dark_floor_odds,
 )
@@ -54,13 +57,12 @@ CAL = calibrate(REFERENCE_BLOCKS["block1"])
 BLOCK1 = REFERENCE_BLOCKS["block1"]
 
 
-def sim_config(model, nbar, seed, efficiency=CAL.efficiency, dark_rate=27.0,
+def sim_config(nbar, seed, efficiency=CAL.efficiency, dark_rate=27.0,
                slot_rate=CAL.slot_rate, duration=1.0):
     return SimConfig(
         source=SourceConfig(mean_photon_number=nbar, slot_rate=slot_rate,
                             duration=duration, seed=seed),
         detectors=DetectorConfig(efficiency=efficiency, dark_rate=dark_rate),
-        model=model,
         window_ps=5_000,
     )
 
@@ -68,35 +70,35 @@ def sim_config(model, nbar, seed, efficiency=CAL.efficiency, dark_rate=27.0,
 @pytest.fixture(scope="session")
 def block1_run():
     start = time.perf_counter()
-    tally = simulate(sim_config(RoutingModel.PHASE_BASIS, 0.022, seed=44))
+    tally = simulate(sim_config(0.022, seed=44), RoutingModel.PHASE_BASIS)
     return tally, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def block2_runs():
     return {
-        "phase-basis": simulate(sim_config(RoutingModel.PHASE_BASIS, 0.044, seed=7)),
-        "classical": simulate(sim_config(RoutingModel.CLASSICAL, 0.044, seed=8)),
+        "phase-basis": simulate(sim_config(0.044, seed=7), RoutingModel.PHASE_BASIS),
+        "classical": simulate(sim_config(0.044, seed=8), RoutingModel.CLASSICAL),
     }
 
 
 @pytest.fixture(scope="session")
 def bunching_dark_run():
-    return simulate(sim_config(RoutingModel.BUNCHING, 0.022, seed=9))
+    return simulate(sim_config(0.022, seed=9), RoutingModel.BUNCHING)
 
 
 @pytest.fixture(scope="session")
 def bunching_clean_run():
-    return simulate(sim_config(RoutingModel.BUNCHING, 0.044, seed=10,
-                               dark_rate=0.0, slot_rate=1e7))
+    return simulate(sim_config(0.044, seed=10,
+                               dark_rate=0.0, slot_rate=1e7), RoutingModel.BUNCHING)
 
 
 @pytest.fixture(scope="session")
 def scaling_runs():
-    low = simulate(sim_config(RoutingModel.PHASE_BASIS, 0.022, seed=21,
-                              efficiency=1.0, dark_rate=0.0, duration=3.5))
-    high = simulate(sim_config(RoutingModel.PHASE_BASIS, 0.044, seed=22,
-                               efficiency=1.0, dark_rate=0.0, duration=3.5))
+    low = simulate(sim_config(0.022, seed=21,
+                              efficiency=1.0, dark_rate=0.0, duration=3.5), RoutingModel.PHASE_BASIS)
+    high = simulate(sim_config(0.044, seed=22,
+                               efficiency=1.0, dark_rate=0.0, duration=3.5), RoutingModel.PHASE_BASIS)
     return low, high
 
 
@@ -174,7 +176,8 @@ def test_criterion_5_bunching_fraction(block2_runs, bunching_clean_run):
     clean = g2_zero(bunching_clean_run, 1e7).bunching_fraction
     assert clean == 1.0
     assert sum(bunching_clean_run.pairs[k] for k in SAME_SIDE_PAIRS) > 0
-    print("criterion 5: fractions 0.50 +/- 0.02 (split models), 1.00 (bunching)")
+    print("criterion 5: fractions 0.50 +/- 0.02 (split models), 1.00 (bunching); "
+          f"an exact dead-time-free simulator passes with odds 1 - {1 - criterion5_odds(*criterion5_means()):.1e}")
 
 
 def test_criterion_6_scaling_law(scaling_runs):
@@ -191,11 +194,12 @@ def test_criterion_6_scaling_law(scaling_runs):
     exponents = scaling_check(low, high)
     for name in ratios:
         assert 2.0 ** exponents[name] == pytest.approx(ratios[name], rel=1e-12)
-    print("criterion 6: doubling ratios {singles:.2f}/{pairs:.2f}/{triples:.2f}".format(**ratios))
+    print("criterion 6: doubling ratios {singles:.2f}/{pairs:.2f}/{triples:.2f}; ".format(**ratios)
+          + f"an exact dead-time-free simulator passes with odds {math.prod(criterion6_odds().values()):.4f}")
 
 
 def test_criterion_7_dark_count_floor():
-    tally = simulate(sim_config(RoutingModel.PHASE_BASIS, 0.0, seed=11, slot_rate=1e6))
+    tally = simulate(sim_config(0.0, seed=11, slot_rate=1e6), RoutingModel.PHASE_BASIS)
     for det in Detector:
         assert abs(tally.singles[det] - 27) <= 16, (det.label, tally.singles[det])
     accidental = accidental_pair_rate(27.0, 27.0, 5_000)

@@ -260,25 +260,30 @@ def test_engine_rejections_are_config_errors(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_simulate_streams_rejects_configs_differing_beyond_model(tmp_path):
-    base = quick_config(tmp_path).sim_config()
-    changed = [
-        dataclasses.replace(base, source=dataclasses.replace(base.source, seed=6)),
-        dataclasses.replace(base, detectors=dataclasses.replace(base.detectors, dark_rate=1.0)),
-        dataclasses.replace(base, window_ps=4_000),
-    ]
-    for other in changed:
-        with pytest.raises(ValueError, match="differ only in model"):
-            simulate_streams([base, other])
-    with pytest.raises(ValueError):
-        simulate_streams([])
+def test_simulate_streams_needs_a_model(tmp_path):
+    with pytest.raises(ValueError, match="need at least one model"):
+        simulate_streams(quick_config(tmp_path).sim_config(), [])
+
+
+def test_a_model_name_is_converted_before_anything_is_drawn(tmp_path, monkeypatch):
+    # a name routes as its RoutingModel; an unknown one is refused before
+    # the first chunk's source is drawn, not after a whole acquisition
+    config = quick_config(tmp_path, acquisition_s=0.01).sim_config()
+    assert simulate(config, "bunching") == simulate(config, RoutingModel.BUNCHING)
+
+    def drawn(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(importlib.import_module("bunchsim.simulate"), "occupied_slots", drawn)
+    with pytest.raises(ValueError, match="nonsense"):
+        simulate(config, "nonsense")
 
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_1_are_refused(tmp_path, capsys, workers):
     # refused before any pool exists, so no process is started
     with pytest.raises(ValueError, match="workers: must be >= 1"):
-        simulate_streams([quick_config(tmp_path).sim_config()], workers=workers)
+        simulate_streams(quick_config(tmp_path).sim_config(), [RoutingModel.CLASSICAL], workers=workers)
     for command in (run_flags(tmp_path), ["compare", "--models", "classical,bunching", *run_flags(tmp_path)[1:]]):
         assert main([*command, "--workers", str(workers)]) == 1
         assert "workers: must be >= 1" in capsys.readouterr().err
@@ -301,7 +306,7 @@ def sim_config(source=None, detectors=None):
     """A valid SimConfig with some of its source or detector fields replaced."""
     source = {"mean_photon_number": 0.02, "slot_rate": 1e6, "duration": 1.0, "seed": 1, **(source or {})}
     detectors = {"efficiency": 0.5, **(detectors or {})}
-    return SimConfig(SourceConfig(**source), DetectorConfig(**detectors), RoutingModel.CLASSICAL, window_ps=5_000)
+    return SimConfig(SourceConfig(**source), DetectorConfig(**detectors), window_ps=5_000)
 
 
 @pytest.mark.parametrize(
@@ -393,8 +398,10 @@ def test_parse_config_accepts_exactly_what_the_engine_accepts(key, value):
     except (ValueError, OverflowError):  # unreadable, so parse_config must refuse it
         assert not accepted
         return
+    engine = dataclasses.replace(base, **{key: converted})
     try:
-        dataclasses.replace(base, **{key: converted}).sim_config()
+        engine.sim_config()
+        RoutingModel(engine.model)  # the model, which simulate_streams converts
     except ValueError:
         assert not accepted
     else:
@@ -419,7 +426,7 @@ def test_simulate_carries_the_run_json_metadata(tmp_path):
     run_experiment(cfg)
     report = json.loads((tmp_path / "out" / "run.json").read_text())
     assert report["metadata"]["version"] == bunchsim.__version__
-    assert simulate(cfg.sim_config()).metadata == report["metadata"]
+    assert simulate(cfg.sim_config(), cfg.model).metadata == report["metadata"]
 
 
 def test_every_name_in_all_resolves():

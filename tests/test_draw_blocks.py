@@ -152,9 +152,9 @@ def test_bright_one_chunk_simulate_peak():
     # three-row splits and joined fired pieces, ~25.2 MiB without; the bound
     # leaves ~10% over that
     src, detectors, [model], _ = bright_chunk([RoutingModel.CLASSICAL])
-    config = SimConfig(replace(src, slot_rate=CHUNK_SLOTS / 0.05, duration=0.05), detectors, model, 5_000)
+    config = SimConfig(replace(src, slot_rate=CHUNK_SLOTS / 0.05, duration=0.05), detectors, 5_000)
     assert slot_count(config.source) == CHUNK_SLOTS
-    assert traced_peak(simulate, config) < 28 * 2**20
+    assert traced_peak(simulate, config, model) < 28 * 2**20
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))

@@ -6,6 +6,8 @@ from gate_odds import (
     BUNCHING_P,
     DARK_BAND,
     EQUAL_RATIO_P,
+    FRACTION_REACH,
+    MIN_PAIRS,
     REL,
     ROUTING_DRAWS,
     TARGET,
@@ -16,12 +18,18 @@ from gate_odds import (
     criterion2_group_odds,
     criterion4_means,
     criterion4_odds,
+    criterion5_means,
+    criterion5_odds,
+    criterion6_odds,
     dark_floor_means,
     dark_floor_odds,
+    fraction_odds,
     poisson_ceiling,
     prediction_means,
     prediction_odds,
+    ratio_odds,
     routing_groups,
+    scaling_parts,
 )
 from scipy import stats
 
@@ -89,6 +97,47 @@ def test_criterion_4_odds_match_a_monte_carlo_of_poisson_pair_counters():
     assert abs(hits - draws * odds) <= 5 * math.sqrt(draws * odds * (1 - odds)), (hits, draws * odds)
 
 
+def test_criterion_5_odds_match_a_monte_carlo_of_poisson_pair_sums():
+    split, bunching = criterion5_means()
+    assert np.allclose(split, (6382.753, 12765.506), atol=1e-3)  # one null for both split models
+    assert bunching == pytest.approx((1623.16, 0.0), abs=0.01)
+    same, cross = split[0]
+    # the band in sigma of f = 2S / (2S + C), to first order in S and C
+    total = 2 * same + cross
+    sigma = math.hypot(2 * cross / total**2 * math.sqrt(same), 2 * same / total**2 * math.sqrt(cross))
+    assert FRACTION_REACH / sigma == pytest.approx(5.22, abs=5e-3)
+    assert 1 - criterion5_odds(split, bunching) == pytest.approx(3.71e-7, rel=1e-3)  # twice 1.86e-7
+    # a Monte Carlo cannot resolve odds so close to 1: check fraction_odds
+    # on a band of +/- 0.005, which a run passes with odds 0.8080
+    reach = 0.005
+    odds = fraction_odds(same, cross, reach)
+    assert odds == pytest.approx(0.8080, abs=5e-5)
+    draws = 100_000
+    rng = np.random.default_rng(7)
+    s, c = rng.poisson(same, draws), rng.poisson(cross, draws)
+    hits = int(np.sum((np.abs(2 * s / (2 * s + c) - 0.5) <= reach) & (s + c >= MIN_PAIRS)))
+    assert abs(hits - draws * odds) <= 5 * math.sqrt(draws * odds * (1 - odds)), (hits, draws * odds)
+
+
+def test_criterion_6_odds_match_a_monte_carlo_of_the_triple_sums():
+    low, high = scaling_parts(0.022, 3), scaling_parts(0.044, 3)
+    # per triple counter, its own slots plus the all-four slots the four share
+    assert (low[1] / 4 + low[4], high[1] / 4 + high[4]) == pytest.approx((45.13, 358.05), abs=5e-3)
+    odds = criterion6_odds()
+    assert odds[1] == pytest.approx(1, abs=1e-12) and odds[2] == pytest.approx(1, abs=1e-12)
+    assert odds[3] == pytest.approx(0.9967, abs=5e-5)
+    # per draw, each run's triple sum, sum_m m * P_m, through the band and
+    # through 8 +/- 1, whose odds, 0.8853, the draws resolve better
+    narrow = ratio_odds(low, high, 8.0, 1.0)
+    assert narrow == pytest.approx(0.8853, abs=5e-5)
+    draws = 100_000
+    rng = np.random.default_rng(8)
+    sums = [sum(m * rng.poisson(mu, draws) for m, mu in run.items()) for run in (low, high)]
+    for reach, p in ((2.0, odds[3]), (1.0, narrow)):
+        hits = int(np.sum(np.abs(sums[1] / sums[0] - 8.0) <= reach))
+        assert abs(hits - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)), (reach, hits, draws * p)
+
+
 def test_dark_floor_odds_match_a_monte_carlo_of_poisson_darks():
     single, accidental = dark_floor_means()
     assert poisson_ceiling(accidental) == stats.poisson.ppf(1 - 1e-4, accidental) == 0
@@ -140,7 +189,7 @@ def test_accidental_triples_match_the_engine():
     means = prediction_means(RoutingModel.BUNCHING, 1.0, 0.1, dark_rate)
     mean = len(seeds) * sum(means[counter_name("triple", key)][1] for key in TRIPLE_KEYS)
     detectors = DetectorConfig(efficiency=0.5828, dark_rate=dark_rate)
-    runs = [SimConfig(SourceConfig(1.0, 1e7, 0.1, seed), detectors, RoutingModel.BUNCHING, WINDOW_PS) for seed in seeds]
-    seen = sum(sum(simulate(config).triples.values()) for config in runs)
+    runs = [SimConfig(SourceConfig(1.0, 1e7, 0.1, seed), detectors, WINDOW_PS) for seed in seeds]
+    seen = sum(sum(simulate(config, RoutingModel.BUNCHING).triples.values()) for config in runs)
     print(f"{seen} triples against a mean of {mean:.1f}")
     assert abs(seen - mean) <= 5 * math.sqrt(mean), (seen, mean)

@@ -492,11 +492,10 @@ def test_scaling_check_names_the_first_key_that_differs_in_echo_order():
 # --- Monte Carlo agreement ------------------------------------------------------
 
 
-def mc_config(model, seed, slot_rate=1e7, nbar=0.022, duration=1.0):
+def mc_config(seed, slot_rate=1e7, nbar=0.022, duration=1.0):
     return SimConfig(
         source=SourceConfig(mean_photon_number=nbar, slot_rate=slot_rate, duration=duration, seed=seed),
         detectors=DetectorConfig(efficiency=0.5828, dark_rate=27.0),
-        model=model,
         window_ps=5_000,
     )
 
@@ -516,7 +515,7 @@ def mc_config(model, seed, slot_rate=1e7, nbar=0.022, duration=1.0):
     ],
 )
 def test_simulation_matches_predictions(model, seed, nbar, duration):
-    tally = simulate(mc_config(model, seed, nbar=nbar, duration=duration))
+    tally = simulate(mc_config(seed, nbar=nbar, duration=duration), model)
     pred = dict(predicted_rates(model, nbar, 1e7, 0.5828, 27.0).counters())
     for name, count, _ in tally.counters():
         mu = pred[name] * duration
@@ -532,10 +531,9 @@ def test_g2_cross_is_one_for_classical_light():
     cfg = SimConfig(
         source=SourceConfig(mean_photon_number=0.022, slot_rate=1e8, duration=1.0, seed=77),
         detectors=DetectorConfig(efficiency=0.5828, dark_rate=0.0),
-        model=RoutingModel.CLASSICAL,
         window_ps=5_000,
     )
-    tally = simulate(cfg)
+    tally = simulate(cfg, RoutingModel.CLASSICAL)
     out = g2_zero(tally, slot_rate=1e8)
     cross = sum(tally.pairs[k] for k in CROSS_SIDE_PAIRS)
     assert cross > 3_000

@@ -10,7 +10,6 @@ the acquisition.
 
 import ast
 import concurrent.futures
-import dataclasses
 import functools
 import importlib
 import multiprocessing
@@ -237,24 +236,27 @@ STREAM_CASES = (
 )
 
 
-def stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
-    """One config per model, for 64-slot chunks of 6.4 us: 1300 slots make 20
-    full chunks and a partial one."""
+MODELS = list(RoutingModel)
+
+
+def stream_config(slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
+    """The acquisition that runs under every model, for 64-slot chunks of
+    6.4 us: 1300 slots make 20 full chunks and a partial one."""
     source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=(slots + 0.5) * 1e-7, seed=12)
     detectors = DetectorConfig(0.6, dead_time_ps, jitter_ps, dark_rate=dark_rate)
-    return [SimConfig(source, detectors, model, window_ps) for model in RoutingModel]
+    return SimConfig(source, detectors, window_ps)
 
 
 @pytest.mark.parametrize(*STREAM_CASES)
 def test_simulate_streams_equals_whole_stream_pass(monkeypatch, slots, jitter_ps, dead_time_ps, dark_rate, window_ps):
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
-    configs = stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
-    counted = [[] for _ in configs]
-    tallies = simulate_streams(configs, on_piece=lambda m, piece: counted[m].append(piece))
-    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(configs)):
+    config = stream_config(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
+    counted = [[] for _ in MODELS]
+    tallies = simulate_streams(config, MODELS, on_piece=lambda m, piece: counted[m].append(piece))
+    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(config, MODELS)):
         assert_same_run(pieces, tally, ref_streams, ref_tally)
     assert all(tally.singles[det] for tally in tallies for det in Detector)
-    assert simulate_streams(configs) == tallies
+    assert simulate_streams(config, MODELS) == tallies
 
 
 class _InlinePool:
@@ -289,12 +291,13 @@ def test_pool_keeps_at_most_two_chunks_per_worker_ahead(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "submitted", [])
     source = SourceConfig(mean_photon_number=0.5, slot_rate=1e7, duration=1300.5e-7, seed=12)
-    config = SimConfig(source, DetectorConfig(0.6), RoutingModel.CLASSICAL, 5_000)
+    config = SimConfig(source, DetectorConfig(0.6), 5_000)
     ahead = []
-    tally = simulate(config, workers=3, progress=lambda done, total: ahead.append(len(_InlinePool.submitted) - done))
+    tally = simulate(config, RoutingModel.CLASSICAL, workers=3,
+                     progress=lambda done, total: ahead.append(len(_InlinePool.submitted) - done))
     assert _InlinePool.submitted == list(range(21))
     assert max(ahead) == 6
-    assert list(counter_values(tally)) == list(counter_values(simulate(config)))
+    assert list(counter_values(tally)) == list(counter_values(simulate(config, RoutingModel.CLASSICAL)))
 
 
 class _LazyFuture(Future):
@@ -335,10 +338,10 @@ def test_the_click_side_takes_each_count_before_the_next_job(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LazyPool)
     monkeypatch.setattr(_LazyPool, "counts", [])
     monkeypatch.setattr(_LazyPool, "untaken", [])
-    configs = stream_configs(1300, 350.0, 1_000_000, 1e5, 5_000)
-    counted = [[] for _ in configs]
-    tallies = simulate_streams(configs, workers=2, on_piece=lambda m, piece: counted[m].append(piece))
-    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(configs)):
+    config = stream_config(1300, 350.0, 1_000_000, 1e5, 5_000)
+    counted = [[] for _ in MODELS]
+    tallies = simulate_streams(config, MODELS, workers=2, on_piece=lambda m, piece: counted[m].append(piece))
+    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(config, MODELS)):
         assert_same_run(pieces, tally, ref_streams, ref_tally)
     assert _LazyPool.counts and all(future.done() for future in _LazyPool.counts)
     assert _LazyPool.untaken == [0] * len(_LazyPool.untaken)
@@ -352,12 +355,12 @@ def test_a_real_pool_at_large_mean_equals_one_worker(monkeypatch):
     # side waits for
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 14)
     source = SourceConfig(mean_photon_number=20.0, slot_rate=7.8e7, duration=8 * (1 << 14) / 7.8e7, seed=3)
-    configs = [SimConfig(source, DetectorConfig(0.6), model, 5_000) for model in (RoutingModel.CLASSICAL, RoutingModel.BUNCHING)]
+    config, models = SimConfig(source, DetectorConfig(0.6), 5_000), [RoutingModel.CLASSICAL, RoutingModel.BUNCHING]
     assert num_chunks(source) == 8
     runs = {}
     for workers in (1, 2):
-        counted = [[] for _ in configs]
-        tallies = simulate_streams(configs, workers=workers, on_piece=lambda m, piece: counted[m].append(piece))
+        counted = [[] for _ in models]
+        tallies = simulate_streams(config, models, workers=workers, on_piece=lambda m, piece: counted[m].append(piece))
         runs[workers] = tallies, [joined(pieces) for pieces in counted]
     (tallies, streams), (pooled_tallies, pooled_streams) = runs[1], runs[2]
     assert pooled_tallies == tallies
@@ -375,19 +378,18 @@ def test_pooled_chunk_jobs_equal_whole_stream_pass(monkeypatch, slots, jitter_ps
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 64)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "submitted", [])
-    configs = stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
+    config = stream_config(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
     inputs = []
     monkeypatch.setattr(importlib.import_module("bunchsim.simulate"), "apply_dead_time", recording(inputs))
-    counted = [[] for _ in configs]
-    tallies = simulate_streams(configs, workers=workers, on_piece=lambda m, piece: counted[m].append(piece))
-    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(configs)):
+    counted = [[] for _ in MODELS]
+    tallies = simulate_streams(config, MODELS, workers=workers, on_piece=lambda m, piece: counted[m].append(piece))
+    for pieces, tally, (ref_streams, ref_tally) in zip(counted, tallies, whole_stream_runs(config, MODELS)):
         assert_same_run(pieces, tally, ref_streams, ref_tally)
-    src, detectors = configs[0].source, configs[0].detectors
-    models = [config.model for config in configs]
-    candidates = [t for i in range(num_chunks(src)) for clicks, _ in _simulate_chunk(src, detectors, models, i)
+    src, detectors = config.source, config.detectors
+    candidates = [t for i in range(num_chunks(src)) for clicks, _ in _simulate_chunk(src, detectors, MODELS, i)
                   for t in clicks.values()]
     dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
-    assert_filtered_once(inputs, [*candidates, *(t for _ in configs for t in dark.values())])
+    assert_filtered_once(inputs, [*candidates, *(t for _ in MODELS for t in dark.values())])
 
 
 @pytest.mark.parametrize(*STREAM_CASES)
@@ -399,20 +401,20 @@ def test_the_darks_tile_the_chunk_jobs(monkeypatch, slots, jitter_ps, dead_time_
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "submitted", [])
     monkeypatch.setattr(_InlinePool, "calls", [])
-    configs = stream_configs(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
-    tallies = simulate_streams(configs, workers=2)
-    src, detectors = configs[0].source, configs[0].detectors
+    config = stream_config(slots, jitter_ps, dead_time_ps, dark_rate, window_ps)
+    tallies = simulate_streams(config, MODELS, workers=2)
+    src, detectors = config.source, config.detectors
     dark = dark_events(detectors, src.duration, substream(src.seed, STREAM_DARK))
     darks = [args[6] for fn, args in _InlinePool.calls if fn is _chunk_job]
     if slots:
         assert len(darks) == num_chunks(src)
-        for m in range(len(configs)):
+        for m in range(len(MODELS)):
             for det in Detector:
                 joined = np.concatenate([tiles[m][det] for tiles in darks])
                 assert joined.tobytes() == dark[det].tobytes(), (m, det.label)
     else:  # a run of no slot is one empty chunk, which runs in process and counts every dark
         assert num_chunks(src) == 1 and _InlinePool.calls == []
-        for tally, (_, ref_tally) in zip(tallies, whole_stream_runs(configs)):
+        for tally, (_, ref_tally) in zip(tallies, whole_stream_runs(config, MODELS)):
             assert list(counter_values(tally)) == list(counter_values(ref_tally))
         assert all(tally.singles[det] for tally in tallies for det in Detector)
 
@@ -445,13 +447,13 @@ def test_the_events_between_two_interiors_make_one_job(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "submitted", [])
     monkeypatch.setattr(_InlinePool, "calls", [])
-    configs = stream_configs(1300, 350.0, 1_000_000, 1e5, 5_000)
-    tallies = simulate_streams(configs, workers=2)
-    chunks = num_chunks(configs[0].source)
+    config = stream_config(1300, 350.0, 1_000_000, 1e5, 5_000)
+    tallies = simulate_streams(config, MODELS, workers=2)
+    chunks = num_chunks(config.source)
     jobs = sum(fn is _count for fn, _ in _InlinePool.calls)
     # one per model and chunk edge, and one at finish
-    assert 0 < jobs <= len(configs) * ((chunks - 1) + 1)
-    assert tallies == simulate_streams(configs)
+    assert 0 < jobs <= len(MODELS) * ((chunks - 1) + 1)
+    assert tallies == simulate_streams(config, MODELS)
 
 
 def test_a_pooled_run_counts_nothing_in_the_main_process(monkeypatch):
@@ -475,10 +477,10 @@ def test_a_pooled_run_counts_nothing_in_the_main_process(monkeypatch):
     monkeypatch.setattr(simulate_module, "dark_events", recorded("darks", dark_events))
     monkeypatch.setattr(coincidence_module, "accumulate", recorded("accumulate", coincidence_module.accumulate))
     source = SourceConfig(mean_photon_number=0.05, slot_rate=1e9, duration=2.5 * CHUNK_SLOTS / 1e9, seed=5)
-    config = SimConfig(source, DetectorConfig(0.6, dark_rate=1e5), RoutingModel.CLASSICAL, 5_000)
-    pooled = simulate(config, workers=2)
+    config = SimConfig(source, DetectorConfig(0.6, dark_rate=1e5), 5_000)
+    pooled = simulate(config, RoutingModel.CLASSICAL, workers=2)
     assert calls == []
-    assert list(counter_values(simulate(config))) == list(counter_values(pooled))
+    assert list(counter_values(simulate(config, RoutingModel.CLASSICAL))) == list(counter_values(pooled))
     assert {"darks", "dead time", "accumulate"} <= set(calls)
 
 
@@ -486,12 +488,12 @@ def test_only_a_chunks_edges_and_tally_travel_back():
     # block 2, three models, seed 11: the candidates of chunk 3, which the
     # main process counted, pickled to 2 587 498 bytes
     cfg = parse_config("", {"preset": "table1-block2", "model": "classical", "seed": 11})
-    configs = [dataclasses.replace(cfg, model=model.value).sim_config() for model in RoutingModel]
-    src, detectors, ccu = configs[0].source, configs[0].detectors, configs[0].ccu
+    config = cfg.sim_config()
+    src, detectors, ccu = config.source, config.detectors, config.ccu
     spans = _spans(src, detectors)
     dark = dark_events(detectors, src.duration, substream(11, STREAM_DARK))
     tile = {det: t[(t >= spans[2][1]) & (t < spans[3][1])] for det, t in dark.items()}
-    result = _chunk_job(src, detectors, [c.model for c in configs], ccu, False, spans[3], [tile] * len(configs), 3)
+    result = _chunk_job(src, detectors, MODELS, ccu, False, spans[3], [tile] * len(MODELS), 3)
     assert all(interior is not None and interior.tally.singles[Detector.A1] for _, interior, _, _ in result)
     assert len(pickle.dumps(result)) < 64 * 2**10
 
@@ -511,7 +513,7 @@ def test_memory_follows_the_chunk_not_the_acquisition(monkeypatch, mean, slot_ra
 
     def peak(chunks):
         source = SourceConfig(mean_photon_number=mean, slot_rate=slot_rate, duration=chunks * (1 << 14) / slot_rate, seed=3)
-        return traced_peak(simulate, SimConfig(source, DetectorConfig(0.6), RoutingModel.CLASSICAL, 5_000))
+        return traced_peak(simulate, SimConfig(source, DetectorConfig(0.6), 5_000), RoutingModel.CLASSICAL)
 
     assert peak(40) < 1.3 * peak(4)
 
@@ -547,7 +549,7 @@ def test_the_click_side_stitches_chunk_results_without_a_gap_search(monkeypatch)
     # above each cut, far fewer than a chunk without an interior holds
     monkeypatch.setattr(photon_source, "CHUNK_SLOTS", 1 << 12)
     source = SourceConfig(mean_photon_number=20.0, slot_rate=7.8e7, duration=16 * (1 << 12) / 7.8e7, seed=3)
-    config = SimConfig(source, DetectorConfig(0.6), RoutingModel.BUNCHING, 5_000)
+    config = SimConfig(source, DetectorConfig(0.6), 5_000)
     src, detectors = config.source, config.detectors
     spans = _spans(src, detectors)
     dark = dark_events(detectors, src.duration, substream(3, STREAM_DARK))
@@ -555,7 +557,7 @@ def test_the_click_side_stitches_chunk_results_without_a_gap_search(monkeypatch)
     results = []
     for i, span in enumerate(spans):
         tile = {det: t[(t >= bounds[i]) & (t < bounds[i + 1])] for det, t in dark.items()}
-        [(head, interior, tail, _)] = _chunk_job(src, detectors, [config.model], config.ccu, True, span, [tile], i)
+        [(head, interior, tail, _)] = _chunk_job(src, detectors, [RoutingModel.BUNCHING], config.ccu, True, span, [tile], i)
         results.append((head, interior, tail))
     assert [interior is not None for _, interior, _ in results] == [True] + [False] * 15
     sizes = [sum(t.size for part in (head, tail) for t in part.values()) for head, _, tail in results[1:]]
@@ -577,7 +579,7 @@ def test_the_click_side_stitches_chunk_results_without_a_gap_search(monkeypatch)
         buffered.append(sum(t.size for t in side.raw.values()))
     tally = side.finish({})
     assert max(buffered) < 0.01 * min(sizes)
-    [(ref_streams, ref_tally)] = whole_stream_runs([config])
+    [(ref_streams, ref_tally)] = whole_stream_runs(config, [RoutingModel.BUNCHING])
     assert_same_run(counted, tally, ref_streams, ref_tally)
 
 
@@ -676,6 +678,6 @@ def test_a_chunks_count_never_raises_its_draws_peak():
     src, detectors = config.source, config.detectors
     [span] = _spans(src, detectors)
     dark = dark_events(detectors, src.duration, substream(11, STREAM_DARK))
-    draw = traced_peak(lambda: list(_simulate_chunk(src, detectors, [config.model], 0)))
-    job = traced_peak(_chunk_job, src, detectors, [config.model], config.ccu, True, span, [dark], 0)
+    draw = traced_peak(lambda: list(_simulate_chunk(src, detectors, [RoutingModel.CLASSICAL], 0)))
+    job = traced_peak(_chunk_job, src, detectors, [RoutingModel.CLASSICAL], config.ccu, True, span, [dark], 0)
     assert job <= draw + 0.5 * 2**20
